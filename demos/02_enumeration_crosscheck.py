@@ -11,7 +11,6 @@ import numpy as np
 from erconsensus import (
     ModelParams,
     consensus_variance,
-    enumerate_graphs,
     exact_variance,
     expected_kron_matrix,
     expected_weight_matrix,
@@ -22,11 +21,12 @@ from erconsensus import (
 )
 
 params = ModelParams(n=3, p=0.35)
-total = sum(prob for _, prob in enumerate_graphs(params))
-print(f"n = {params.n}, p = {params.p}: 2^{params.n * (params.n - 1)} = "
-      f"{2 ** (params.n * (params.n - 1))} realizations, probabilities sum to {total!r}")
-
 ew, eww = enumerate_expected_matrices(params)
+# Every W is row-stochastic, so a row of E[W] sums to the total probability.
+total_error = np.max(np.abs(ew.sum(axis=1) - 1.0))
+print(f"n = {params.n}, p = {params.p}: 2^{params.n * (params.n - 1)} = "
+      f"{2 ** (params.n * (params.n - 1))} realizations, probabilities sum to 1 "
+      f"within {total_error:.1e}")
 print(f"\nenumerated E[W] vs closed form:        "
       f"max |diff| = {np.max(np.abs(ew - expected_weight_matrix(params))):.2e}")
 print(f"enumerated E[W (x) W] vs closed form:  "

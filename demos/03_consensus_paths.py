@@ -15,9 +15,6 @@ from erconsensus import (
     consensus_variance,
     run_consensus,
     run_ensemble,
-    sample_graph,
-    step,
-    weight_matrix,
 )
 
 params = ModelParams(n=8, p=0.3)
@@ -29,12 +26,10 @@ for stream in range(3):
     print(f"  stream {stream}: x* = {out.value:.8f} after {out.steps} steps "
           f"(final spread {out.spread:.1e})")
 
-print("\nspread along one path:")
-rng = GraphSeed(7).generator()
-x = x0.copy()
-for k in range(10):
-    x = step(weight_matrix(sample_graph(params, rng)), x)
-    print(f"  step {k + 1}: spread = {np.ptp(x):.3e}")
+print("\none path, stopped at ever smaller spreads (the same stream every time):")
+for exponent in range(1, 11):
+    out = run_consensus(params, x0, GraphSeed(7).generator(), tol=10.0**-exponent)
+    print(f"  spread < 1e-{exponent:02d} after {out.steps:3d} steps, x = {out.value:.10f}")
 
 report = consensus_variance(params, x0)
 cfg = ExperimentConfig(params=params, x0_spec=x0, reps=4000, seed=GraphSeed(2))

@@ -7,20 +7,8 @@ ships two independent validation routes: exhaustive enumeration of small
 ensembles and seeded Monte Carlo simulation.
 """
 
-from .dynamics import (
-    ConsensusOutcome,
-    NonConvergenceError,
-    run_consensus,
-    step,
-    weight_matrix,
-)
-from .graphs import (
-    DirectedGraph,
-    GraphSeed,
-    ModelParams,
-    enumerate_graphs,
-    sample_graph,
-)
+from .dynamics import ConsensusOutcome, NonConvergenceError, run_consensus
+from .graphs import GraphSeed, ModelParams
 from .moments import (
     PatternMap,
     VarianceReport,
@@ -34,11 +22,9 @@ from .moments import (
     expected_weight_matrix,
     kron_apply_left,
     kron_left_eigenvector,
-    kron_row_sums,
     pattern_map,
     peak_size,
     second_moments,
-    self_weight_sq_series,
     variance_coefficients,
     variance_factor,
 )
@@ -67,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConsensusOutcome",
-    "DirectedGraph",
     "EigenvectorEstimate",
     "EnsembleStats",
     "ExperimentConfig",
@@ -83,7 +68,6 @@ __all__ = [
     "consensus_mean",
     "consensus_variance",
     "enumerate_expected_matrices",
-    "enumerate_graphs",
     "exact_variance",
     "expected_kron_matrix",
     "expected_neighbor_weight",
@@ -94,7 +78,6 @@ __all__ = [
     "jackknife_variance_stderr",
     "kron_apply_left",
     "kron_left_eigenvector",
-    "kron_row_sums",
     "left_unit_eigenvector",
     "oracle_report",
     "pattern_map",
@@ -102,13 +85,9 @@ __all__ = [
     "resolve_x0",
     "run_consensus",
     "run_ensemble",
-    "sample_graph",
     "second_moments",
-    "self_weight_sq_series",
     "slem",
-    "step",
     "sweep_fixed_degree",
     "variance_coefficients",
     "variance_factor",
-    "weight_matrix",
 ]

@@ -22,13 +22,11 @@ import sys
 import time
 from datetime import datetime, timezone
 
-import numpy as np
-
 from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_TOL, NonConvergenceError
 from .graphs import GraphSeed, ModelParams
 from .montecarlo import ExperimentConfig, factor_sweep, resolve_x0, run_ensemble, sweep_fixed_degree
 from .moments import consensus_variance
-from .oracle import oracle_report
+from .oracle import ENUM_OPTIONAL_MAX_N, ENUM_REQUIRED_MAX_N, oracle_report
 
 SCHEMA_VERSION = "1"
 ORACLE_THRESHOLD = 1e-10
@@ -68,43 +66,45 @@ def _record(command: str, params: dict, results: dict, seed=None) -> dict:
 
 
 def _emit_json(record: dict, stream) -> None:
-    json.dump(record, stream, indent=2)
-    stream.write("\n")
+    # Encoded whole before writing: a NaN raises here instead of leaving
+    # invalid JSON (or half an object) on the stream.
+    stream.write(json.dumps(record, indent=2, allow_nan=False) + "\n")
 
 
 def _parse_x0(text: str, n: int):
     """CLI x0 grammar: 'ramp' | 'const:<v>' | comma-separated floats."""
-    if text == "ramp" or text.startswith("const:"):
+    spec = text
+    if text != "ramp" and not text.startswith("const:"):
         try:
-            return resolve_x0(text, n)
+            spec = [float(part) for part in text.split(",")]
         except ValueError as exc:
-            raise UsageError(f"--x0: {exc}") from exc
+            raise UsageError(
+                f"--x0 must be 'ramp', 'const:<v>', or comma-separated numbers, got {text!r}"
+            ) from exc
     try:
-        values = [float(part) for part in text.split(",")]
+        return resolve_x0(spec, n)
     except ValueError as exc:
-        raise UsageError(
-            f"--x0 must be 'ramp', 'const:<v>', or comma-separated numbers, got {text!r}"
-        ) from exc
-    if len(values) != n:
-        raise UsageError(f"--x0 vector has length {len(values)}, but --n is {n}")
-    return np.array(values)
+        raise UsageError(f"--x0: {exc}") from exc
 
 
 def _model_params(n: int, p: float) -> ModelParams:
-    if n < 2:
-        raise UsageError(f"--n must be >= 2, got {n}")
-    if not 0.0 < p <= 1.0:
-        raise UsageError(f"--p must be in (0, 1], got {p}")
-    return ModelParams(n, p)
+    try:
+        return ModelParams(n, p)
+    except ValueError as exc:
+        flag = "--n" if str(exc).startswith("n ") else "--p"
+        raise UsageError(f"{flag}: {exc}") from exc
 
 
 def _threads(args) -> int:
-    value = args.threads
+    flag, value = "--threads", args.threads
     if value is None:
-        env = os.environ.get("CONSENSUS_THREADS")
-        value = int(env) if env else 1
+        flag, env = "CONSENSUS_THREADS", os.environ.get("CONSENSUS_THREADS")
+        try:
+            value = int(env) if env else 1
+        except ValueError:
+            raise UsageError(f"CONSENSUS_THREADS must be an integer, got {env!r}") from None
     if value < 0:
-        raise UsageError(f"--threads must be >= 0, got {value}")
+        raise UsageError(f"{flag} must be >= 0, got {value}")
     return value
 
 
@@ -272,9 +272,9 @@ def cmd_fig2(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    limit = 5 if args.allow_large else 4
+    limit = ENUM_OPTIONAL_MAX_N if args.allow_large else ENUM_REQUIRED_MAX_N
     if args.n > limit:
-        hint = "" if args.allow_large else " (--allow-large admits n = 5)"
+        hint = "" if args.allow_large else f" (--allow-large admits n = {ENUM_OPTIONAL_MAX_N})"
         raise UsageError(f"--n must be <= {limit} for enumeration, got {args.n}{hint}")
     params = _model_params(args.n, args.p)
     x0 = _parse_x0(args.x0, args.n)
@@ -361,10 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fig2)
 
     p = sub.add_parser("oracle", help="enumeration cross-check of the closed forms")
-    p.add_argument("--n", type=int, required=True, help="network size (<= 4, or 5 with --allow-large)")
+    limits = f"<= {ENUM_REQUIRED_MAX_N}, or {ENUM_OPTIONAL_MAX_N} with --allow-large"
+    p.add_argument("--n", type=int, required=True, help=f"network size ({limits})")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--x0", default="ramp")
-    p.add_argument("--allow-large", action="store_true", help="admit n = 5 (2^20 graphs)")
+    p.add_argument("--allow-large", action="store_true", help=f"admit n = {ENUM_OPTIONAL_MAX_N}")
     p.set_defaults(func=cmd_oracle)
 
     return parser

@@ -1,6 +1,6 @@
 """Averaging dynamics x(k) = W_k x(k-1) over freshly sampled graphs.
 
-Each step turns the current graph realization into a row-stochastic
+Each step draws a graph realization, turns it into a row-stochastic
 weight matrix (every node averages itself with its out-neighbors) and
 applies it to the state. Row-stochasticity keeps every state inside the
 convex hull of the previous ones, so the spread max(x) - min(x) can only
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DirectedGraph, ModelParams
+from .graphs import ModelParams, _check_x0
 
 __all__ = [
     "DEFAULT_MAX_STEPS",
@@ -21,8 +21,6 @@ __all__ = [
     "ConsensusOutcome",
     "NonConvergenceError",
     "run_consensus",
-    "step",
-    "weight_matrix",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -38,26 +36,22 @@ class NonConvergenceError(RuntimeError):
         self.spread = spread
 
 
-def weight_matrix(graph: DirectedGraph) -> np.ndarray:
-    """Row-stochastic weights of one realization.
+def _weights(adj) -> np.ndarray:
+    """Row-stochastic weights of realizations stacked as (..., n, n).
 
     w_ij = (a_ij + [i == j]) / (d_i + 1): node i averages its own state
     with those of its d_i out-neighbors. The implicit self-loop keeps the
-    normalizer positive even for isolated nodes.
+    normalizer positive even for isolated nodes. adj is a bool or 0/1
+    array; its diagonal is ignored (overwritten in a new float array, so
+    the input is never written).
     """
-    w = graph.adjacency.astype(float)
-    np.fill_diagonal(w, 1.0)
-    w /= (graph.out_degrees + 1.0)[:, None]
+    w = np.array(adj, dtype=float, order="C")
+    if w.ndim < 2 or w.shape[-1] != w.shape[-2]:
+        raise ValueError(f"adjacency must be square in its last two axes, got shape {w.shape}")
+    n = w.shape[-1]
+    w.reshape(*w.shape[:-2], n * n)[..., :: n + 1] = 1.0
+    w /= w.sum(axis=-1, keepdims=True)
     return w
-
-
-def step(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """One synchronous update W @ x."""
-    w = np.asarray(w, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or w.shape != (x.size, x.size):
-        raise ValueError(f"shape mismatch: W is {w.shape}, x has length {x.size}")
-    return w @ x
 
 
 @dataclass(frozen=True)
@@ -87,12 +81,8 @@ def run_consensus(
         raise ValueError(f"tol must be positive, got {tol}")
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    x = np.array(x0, dtype=float)
-    if x.ndim != 1 or x.size != params.n:
-        raise ValueError(f"x0 must be a length-{params.n} vector")
-
-    n = params.n
-    eye = np.eye(n)
+    n, p = params.n, params.p
+    x = _check_x0(x0, n)
     steps = 0
     spread = float(x.max() - x.min())
     while spread >= tol:
@@ -102,11 +92,8 @@ def run_consensus(
                 steps=steps,
                 spread=spread,
             )
-        # Inlined sample_graph + weight_matrix; same draws, no per-step objects.
-        adj = (rng.random((n, n)) < params.p).astype(float)
-        np.fill_diagonal(adj, 0.0)
-        w = (adj + eye) / (adj.sum(axis=1) + 1.0)[:, None]
-        x = w @ x
+        # n*n uniforms per step; the diagonal draws are discarded by _weights.
+        x = _weights(rng.random((n, n)) < p) @ x
         steps += 1
         spread = float(x.max() - x.min())
     return ConsensusOutcome(value=float(x.mean()), steps=steps, spread=spread)

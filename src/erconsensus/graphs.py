@@ -1,4 +1,4 @@
-"""Directed Erdős–Rényi graphs: sampling and exhaustive enumeration.
+"""Directed Erdős–Rényi graphs: model parameters, seeding, edge bitmasks.
 
 The model G(n, p): n labeled nodes, and every ordered pair (i, j) with
 i != j carries an edge independently with probability p. Out-degrees are
@@ -9,21 +9,15 @@ therefore Binomial(n - 1, p). Self-loops are never part of a realization
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 __all__ = [
-    "ENUMERATION_BIT_LIMIT",
-    "DirectedGraph",
     "GraphSeed",
     "ModelParams",
-    "enumerate_graphs",
-    "sample_graph",
+    "decode_adjacency_masks",
+    "edge_slots",
 ]
-
-# 2^24 realizations is the most the exhaustive generator will walk.
-ENUMERATION_BIT_LIMIT = 24
 
 
 @dataclass(frozen=True)
@@ -53,6 +47,22 @@ class ModelParams:
         return 1.0 - self.p
 
 
+def _check_x0(x0, n: int | None = None) -> np.ndarray:
+    """x0 as a finite float vector of length n (any non-zero length if n is None).
+
+    The one input check for initial states. A NaN entry would otherwise
+    pass a run as converged at step 0 (nan >= tol is False), and an inf
+    entry turns every state into NaN after one step.
+    """
+    x = np.asarray(x0, dtype=float)
+    if x.ndim != 1 or x.size == 0 or (n is not None and x.size != n):
+        wanted = "a non-empty vector" if n is None else f"a length-{n} vector"
+        raise ValueError(f"x0 must be {wanted}, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"x0 entries must be finite, got {x[~np.isfinite(x)].tolist()}")
+    return x
+
+
 @dataclass(frozen=True)
 class GraphSeed:
     """Root seed plus a stream index for reproducible parallel runs.
@@ -76,58 +86,16 @@ class GraphSeed:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class DirectedGraph:
-    """One realization: boolean adjacency with an empty diagonal.
-
-    adjacency[i, j] is True when the edge i -> j exists; out_degrees[i]
-    counts the True entries of row i.
-    """
-
-    n: int
-    adjacency: np.ndarray
-    out_degrees: np.ndarray
-
-    @classmethod
-    def from_adjacency(cls, adjacency) -> "DirectedGraph":
-        adj = np.asarray(adjacency, dtype=bool)
-        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-            raise ValueError(f"adjacency must be square, got shape {adj.shape}")
-        if adj.diagonal().any():
-            raise ValueError("self-loops are not part of the model")
-        return cls(n=adj.shape[0], adjacency=adj, out_degrees=adj.sum(axis=1))
-
-
-def sample_graph(params: ModelParams, rng: np.random.Generator) -> DirectedGraph:
-    """Draw one graph: each off-diagonal entry is an independent Bernoulli(p).
-
-    Always consumes exactly n*n uniforms from `rng` (the diagonal draws are
-    discarded), so the stream position after a call is content-independent.
-    """
-    adj = rng.random((params.n, params.n)) < params.p
-    np.fill_diagonal(adj, False)
-    return DirectedGraph.from_adjacency(adj)
-
-
 def edge_slots(n: int) -> list[tuple[int, int]]:
     """Ordered pairs (i, j), i != j, in row-major order; one bitmask bit each."""
     return [(i, j) for i in range(n) for j in range(n) if i != j]
 
 
-def graph_from_mask(n: int, mask: int) -> DirectedGraph:
-    """Realization whose edge set is encoded by `mask` over edge_slots(n)."""
-    adj = np.zeros((n, n), dtype=bool)
-    for bit, (i, j) in enumerate(edge_slots(n)):
-        if mask >> bit & 1:
-            adj[i, j] = True
-    return DirectedGraph.from_adjacency(adj)
-
-
 def decode_adjacency_masks(n: int, masks: np.ndarray) -> np.ndarray:
     """Adjacency tensor (len(masks), n, n) for an array of edge bitmasks.
 
-    Vectorized counterpart of graph_from_mask, used by the enumeration
-    oracle; both share edge_slots() so their graph orderings agree.
+    Bit b of a mask is the edge edge_slots(n)[b]; the diagonal stays
+    empty. The enumeration oracle walks all 2^(n(n-1)) masks this way.
     """
     masks = np.asarray(masks, dtype=np.int64)
     m = n * (n - 1)
@@ -136,22 +104,3 @@ def decode_adjacency_masks(n: int, masks: np.ndarray) -> np.ndarray:
     rows, cols = zip(*edge_slots(n))
     out[:, rows, cols] = bits
     return out
-
-
-def enumerate_graphs(params: ModelParams) -> Iterator[tuple[DirectedGraph, float]]:
-    """Yield every realization together with its probability.
-
-    A graph with e edges has probability p^e * q^(n(n-1) - e); over all
-    2^(n(n-1)) realizations these sum to one. Only feasible for
-    n(n-1) <= ENUMERATION_BIT_LIMIT, i.e. n <= 5.
-    """
-    m = params.n * (params.n - 1)
-    if m > ENUMERATION_BIT_LIMIT:
-        raise ValueError(
-            f"enumeration needs 2^(n(n-1)) = 2^{m} realizations; "
-            f"limit is 2^{ENUMERATION_BIT_LIMIT} (n <= 5)"
-        )
-    for mask in range(2**m):
-        graph = graph_from_mask(params.n, mask)
-        edges = int(graph.out_degrees.sum())
-        yield graph, params.p**edges * params.q ** (m - edges)

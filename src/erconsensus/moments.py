@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .graphs import ModelParams
+from .graphs import ModelParams, _check_x0
 
 __all__ = [
     "DENSE_KRON_LIMIT",
@@ -38,11 +38,9 @@ __all__ = [
     "expected_weight_matrix",
     "kron_apply_left",
     "kron_left_eigenvector",
-    "kron_row_sums",
     "pattern_map",
     "peak_size",
     "second_moments",
-    "self_weight_sq_series",
     "variance_coefficients",
     "variance_factor",
 ]
@@ -83,25 +81,10 @@ def expected_self_weight_sq(params: ModelParams) -> float:
     """E[w_ii^2] = E[1/(d+1)^2], the second moment of the self-weight.
 
     Computed as a binomial-pmf sum with summands in (0, 1]; the
-    equivalent power-series form (see self_weight_sq_series) multiplies a
-    huge series by a vanishing q^(n-1) and is kept out of the hot path.
+    equivalent power-series form q^(n-1) sum_k (k+1)^-2 binom(n-1, k) (p/q)^k
+    multiplies a huge series by a vanishing q^(n-1).
     """
     return _inv_square_binomial_moment(params.p, params.n - 1, 1)
-
-
-def self_weight_sq_series(p: float, n: int) -> float:
-    """Series form of the squared-self-weight moment.
-
-    Returns sum_k (k+1)^-2 binom(n-1, k) (p/q)^k, whose product with
-    q^(n-1) equals E[w_ii^2]. Exposed only for unit-testing the series
-    identity; needs p < 1 and n small enough for q^(n-1) to be
-    representable.
-    """
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"series form needs 0 <= p < 1, got {p}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return _inv_square_binomial_moment(p, n - 1, 1) / (1.0 - p) ** (n - 1)
 
 
 @dataclass(frozen=True)
@@ -183,7 +166,7 @@ def expected_kron_matrix(params: ModelParams) -> np.ndarray:
     cross-row classes for i != r and the same-row classes for i == r; at
     n = 2 the same-row blocks never reach the two-distinct-neighbors
     class, so its absence is harmless. Rejected above DENSE_KRON_LIMIT;
-    use kron_apply_left / kron_row_sums there.
+    use kron_apply_left there.
     """
     n = params.n
     if n > DENSE_KRON_LIMIT:
@@ -205,32 +188,6 @@ def expected_kron_matrix(params: ModelParams) -> np.ndarray:
                 block[i, :] = m.self_neighbor_cross_row
                 block[:, r] = m.self_neighbor_cross_row
                 block[i, r] = m.self_self
-    return out
-
-
-def kron_row_sums(params: ModelParams) -> np.ndarray:
-    """Row sums of E[W (x) W] from the entry-class counts, any n.
-
-    A same-row block row holds the squared class once, the mixed class
-    3(n-1) times and the two-neighbor class (n-1)(n-2) times; a cross-row
-    block row holds its three classes 1, 2(n-1) and (n-1)^2 times. Both
-    sums collapse to 1 algebraically; this computes them the literal way
-    so tests can watch the identity survive floating point.
-    """
-    n = params.n
-    m, pair_same = _kron_index_values(params)
-    same_row = (
-        m.self_sq
-        + 3.0 * (n - 1) * m.self_neighbor_same_row
-        + (n - 1) * (n - 2) * pair_same
-    )
-    cross_row = (
-        m.self_self
-        + 2.0 * (n - 1) * m.self_neighbor_cross_row
-        + (n - 1) ** 2 * m.neighbor_pair_cross_row
-    )
-    out = np.full(n * n, cross_row)
-    out[np.arange(n) * (n + 1)] = same_row
     return out
 
 
@@ -348,10 +305,7 @@ def kron_left_eigenvector(params: ModelParams) -> np.ndarray:
 
 def consensus_mean(x0) -> float:
     """Expected agreement value: the plain average of the initial states."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 1 or x0.size == 0:
-        raise ValueError("x0 must be a non-empty vector")
-    return float(x0.mean())
+    return float(_check_x0(x0).mean())
 
 
 @dataclass(frozen=True)
@@ -378,9 +332,7 @@ def consensus_variance(params: ModelParams, x0) -> VarianceReport:
     [x0 (x) x0]^T v1(E[W (x) W]) - (mean x0)^2 to rounding; the oracle
     module checks that equality against enumerated moments.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (params.n,):
-        raise ValueError(f"x0 must be a length-{params.n} vector, got shape {x0.shape}")
+    x0 = _check_x0(x0, params.n)
     rho, delta = variance_coefficients(params)
     mean = float(x0.mean())
     dispersion = float(np.sum((x0 - mean) ** 2))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_TOL, NonConvergenceError, run_consensus
-from .graphs import GraphSeed, ModelParams
+from .graphs import GraphSeed, ModelParams, _check_x0
 from .moments import consensus_variance, variance_factor
 
 __all__ = [
@@ -36,20 +36,18 @@ def resolve_x0(spec, n: int) -> np.ndarray:
     """Initial-condition rule -> concrete length-n vector.
 
     'ramp' gives x_i(0) = i/n for i = 1..n, 'const:<v>' a constant
-    vector; anything array-like is used as-is and must have length n.
-    Rules (rather than vectors) exist so sweeps can rebuild x0 as n
-    changes.
+    vector; anything array-like is used as-is. Every result must be a
+    finite length-n vector. Rules (rather than vectors) exist so sweeps
+    can rebuild x0 as n changes.
     """
     if isinstance(spec, str):
         if spec == "ramp":
-            return np.arange(1, n + 1) / n
-        if spec.startswith("const:"):
-            return np.full(n, float(spec[len("const:"):]))
-        raise ValueError(f"unknown x0 rule {spec!r}; expected 'ramp', 'const:<v>', or a vector")
-    x0 = np.asarray(spec, dtype=float)
-    if x0.shape != (n,):
-        raise ValueError(f"x0 must have length n = {n}, got shape {x0.shape}")
-    return x0
+            spec = np.arange(1, n + 1) / n
+        elif spec.startswith("const:"):
+            spec = np.full(n, float(spec[len("const:"):]))
+        else:
+            raise ValueError(f"unknown x0 rule {spec!r}; expected 'ramp', 'const:<v>', or a vector")
+    return _check_x0(spec, n)
 
 
 @dataclass(frozen=True, eq=False)

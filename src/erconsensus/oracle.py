@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ModelParams, decode_adjacency_masks
+from .dynamics import _weights
+from .graphs import ModelParams, _check_x0, decode_adjacency_masks
 from .moments import (
     consensus_variance,
     expected_kron_matrix,
@@ -82,7 +83,6 @@ def enumerate_expected_matrices(
         raise ValueError(f"enumeration supports n <= {limit}, got {n}{hint}")
 
     m = n * (n - 1)
-    eye = np.eye(n)
     ew = _KahanSum((n, n))
     eww = _KahanSum((n * n, n * n))
     for start in range(0, 2**m, _BLOCK):
@@ -90,7 +90,7 @@ def enumerate_expected_matrices(
         adj = decode_adjacency_masks(n, masks)
         edges = adj.sum(axis=(1, 2))
         prob = params.p**edges * params.q ** (m - edges)
-        w = (adj + eye) / (adj.sum(axis=2) + 1.0)[:, :, None]
+        w = _weights(adj)
         ew.add(np.tensordot(prob, w, axes=(0, 0)))
         wf = w.reshape(-1, n * n)
         second = (wf * prob[:, None]).T @ wf  # [(i,j),(r,s)] ordering
@@ -153,6 +153,20 @@ def slem(m) -> float:
     return float(mods[-2])
 
 
+def _enumerated_variance(params: ModelParams, x0, allow_large: bool):
+    """Enumerate, power-iterate, evaluate the spectral identity.
+
+    Returns (E[W], E[W (x) W], v1(E[W (x) W]), variance) with the variance
+    [x0 (x) x0]^T v1(E[W (x) W]) - (x0^T v1(E[W]))^2 left unclipped.
+    """
+    x0 = _check_x0(x0, params.n)
+    ew, eww = enumerate_expected_matrices(params, allow_large=allow_large)
+    v_small = left_unit_eigenvector(ew).vector
+    v_big = left_unit_eigenvector(eww).vector
+    variance = float(np.kron(x0, x0) @ v_big) - float(x0 @ v_small) ** 2
+    return ew, eww, v_big, variance
+
+
 def exact_variance(params: ModelParams, x0, allow_large: bool = False) -> float:
     """Agreement-value variance straight from enumerated moments.
 
@@ -161,13 +175,7 @@ def exact_variance(params: ModelParams, x0, allow_large: bool = False) -> float:
     matrices. Can come out a hair below zero from rounding; the raw value
     is returned, never clipped.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (params.n,):
-        raise ValueError(f"x0 must be a length-{params.n} vector, got shape {x0.shape}")
-    ew, eww = enumerate_expected_matrices(params, allow_large=allow_large)
-    v_small = left_unit_eigenvector(ew).vector
-    v_big = left_unit_eigenvector(eww).vector
-    return float(np.kron(x0, x0) @ v_big) - float(x0 @ v_small) ** 2
+    return _enumerated_variance(params, x0, allow_large)[3]
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,11 +203,7 @@ class OracleReport:
 
 def oracle_report(params: ModelParams, x0, allow_large: bool = False) -> OracleReport:
     """Full side-by-side: enumerated moments against every closed form."""
-    x0 = np.asarray(x0, dtype=float)
-    ew, eww = enumerate_expected_matrices(params, allow_large=allow_large)
-    v_small = left_unit_eigenvector(ew).vector
-    v_big = left_unit_eigenvector(eww).vector
-    enumerated_variance = float(np.kron(x0, x0) @ v_big) - float(x0 @ v_small) ** 2
+    ew, eww, v_big, enumerated_variance = _enumerated_variance(params, x0, allow_large)
     closed = consensus_variance(params, x0)
     return OracleReport(
         exact_ew=ew,

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -50,6 +51,20 @@ class TestAnalytic:
         assert code == 2
         assert needle in err
 
+    @pytest.mark.parametrize("command", ["analytic", "simulate"])
+    @pytest.mark.parametrize("x0", ["nan,1", "1,inf", "const:nan"])
+    def test_non_finite_x0_is_a_usage_error(self, capsys, command, x0):
+        code, out, err = run_cli(capsys, command, "--n", "2", "--p", "0.5", "--x0", x0)
+        assert code == 2
+        assert out == ""
+        assert "--x0" in err
+
+    def test_json_never_carries_nan(self):
+        stream = io.StringIO()
+        with pytest.raises(ValueError):
+            cli._emit_json({"results": {"variance": float("nan")}}, stream)
+        assert stream.getvalue() == ""
+
     def test_missing_required_flag(self, capsys):
         code, _, _ = run_cli(capsys, "analytic", "--n", "2")
         assert code == 2
@@ -93,6 +108,16 @@ class TestSimulate:
         code, record, _ = run_json(capsys, *argv)
         assert code == 0
         assert record["results"] == reference["results"]
+
+    @pytest.mark.parametrize("value", ["two", "1.5", "-1"])
+    def test_bad_env_threads_names_the_variable(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("CONSENSUS_THREADS", value)
+        argv = ["simulate", "--n", "4", "--p", "0.5", "--reps", "10"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "CONSENSUS_THREADS" in err
+        assert "--threads" not in err
 
     def test_nonconvergence_exit_code(self, capsys):
         argv = [

@@ -6,60 +6,89 @@ from hypothesis import strategies as st
 from erconsensus.dynamics import (
     ConsensusOutcome,
     NonConvergenceError,
+    _weights,
     run_consensus,
-    step,
-    weight_matrix,
 )
-from erconsensus.graphs import DirectedGraph, GraphSeed, ModelParams, graph_from_mask, sample_graph
+from erconsensus.graphs import GraphSeed, ModelParams, decode_adjacency_masks
 
 
-def _graph(adjacency) -> DirectedGraph:
-    return DirectedGraph.from_adjacency(np.array(adjacency, dtype=bool))
+def _reference_run(params, x0, rng, tol=1e-10, max_steps=10**6):
+    """run_consensus spelled out the long way, one literal update per step."""
+    n, p = params.n, params.p
+    x = np.array(x0, dtype=float)
+    steps = 0
+    spread = float(x.max() - x.min())
+    while spread >= tol:
+        if steps >= max_steps:
+            raise NonConvergenceError("reference run did not converge", steps=steps, spread=spread)
+        a = (rng.random((n, n)) < p).astype(float)
+        np.fill_diagonal(a, 0.0)
+        d = a.sum(axis=1)
+        w = (a + np.eye(n)) / (d + 1.0)[:, None]
+        x = w @ x
+        steps += 1
+        spread = float(x.max() - x.min())
+    return ConsensusOutcome(value=float(x.mean()), steps=steps, spread=spread)
 
 
 class TestWeightMatrix:
     def test_empty_graph_is_identity(self):
-        w = weight_matrix(_graph(np.zeros((3, 3))))
+        w = _weights(np.zeros((3, 3), dtype=bool))
         assert np.array_equal(w, np.eye(3))
 
     def test_complete_two_node(self):
-        w = weight_matrix(_graph([[0, 1], [1, 0]]))
+        w = _weights(decode_adjacency_masks(2, [0b11])[0])
         assert np.array_equal(w, [[0.5, 0.5], [0.5, 0.5]])
 
     def test_single_edge(self):
-        w = weight_matrix(_graph([[0, 1], [0, 0]]))
+        w = _weights(decode_adjacency_masks(2, [0b01])[0])
         assert np.array_equal(w, [[0.5, 0.5], [0.0, 1.0]])
 
     @pytest.mark.parametrize("p", [0.2, 0.7, 1.0])
     def test_rows_stochastic_and_diagonal(self, p):
-        params = ModelParams(9, p)
-        rng = GraphSeed(42).generator()
-        for _ in range(20):
-            g = sample_graph(params, rng)
-            w = weight_matrix(g)
-            assert np.max(np.abs(w.sum(axis=1) - 1.0)) < 1e-12
-            assert np.all(w >= 0.0)
-            expected_diag = 1.0 / (g.out_degrees + 1.0)
-            assert np.array_equal(np.diag(w), expected_diag)
-            assert np.all(np.diag(w) >= 1.0 / params.n)
+        n = 9
+        adj = GraphSeed(42).generator().random((20, n, n)) < p
+        w = _weights(adj)
+        assert np.max(np.abs(w.sum(axis=-1) - 1.0)) < 1e-12
+        assert np.all(w >= 0.0)
+        off_diagonal_degrees = adj.sum(axis=-1) - np.diagonal(adj, axis1=-2, axis2=-1)
+        expected_diag = 1.0 / (off_diagonal_degrees + 1.0)
+        assert np.array_equal(np.diagonal(w, axis1=-2, axis2=-1), expected_diag)
+        assert np.all(np.diagonal(w, axis1=-2, axis2=-1) >= 1.0 / n)
+
+    def test_batch_matches_one_at_a_time(self):
+        adj = decode_adjacency_masks(3, np.arange(64))
+        batch = _weights(adj)
+        for k in range(64):
+            assert np.array_equal(batch[k], _weights(adj[k]))
+
+    def test_input_is_not_written(self):
+        adj = np.array([[1.0, 1.0], [0.0, 1.0]])
+        before = adj.copy()
+        _weights(adj)
+        _weights(adj.T)
+        assert np.array_equal(adj, before)
 
 
 class TestStep:
+    """One update x -> W x with W from the weight builder."""
+
     def test_identity(self):
         x = np.array([3.0, -1.0, 2.0])
-        assert np.array_equal(step(np.eye(3), x), x)
+        assert np.array_equal(_weights(np.zeros((3, 3))) @ x, x)
 
     def test_ones_fixed_point(self):
-        w = weight_matrix(_graph([[0, 1, 0], [1, 0, 1], [0, 0, 0]]))
-        assert np.max(np.abs(step(w, np.ones(3)) - 1.0)) < 1e-15
+        w = _weights([[0, 1, 0], [1, 0, 1], [0, 0, 0]])
+        assert np.max(np.abs(w @ np.ones(3) - 1.0)) < 1e-15
 
     def test_hand_example(self):
-        out = step(np.array([[0.5, 0.5], [0.0, 1.0]]), np.array([0.0, 1.0]))
+        out = _weights([[0, 1], [0, 0]]) @ np.array([0.0, 1.0])
         assert np.array_equal(out, [0.5, 1.0])
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            step(np.eye(3), np.zeros(2))
+        for shape in [(3,), (2, 3), (4, 2, 3)]:
+            with pytest.raises(ValueError):
+                _weights(np.zeros(shape))
 
     @given(
         mask=st.integers(min_value=0, max_value=2**12 - 1),
@@ -71,9 +100,9 @@ class TestStep:
     )
     @settings(max_examples=60, deadline=None)
     def test_convexity(self, mask, x):
-        w = weight_matrix(graph_from_mask(4, mask))
+        w = _weights(decode_adjacency_masks(4, [mask])[0])
         x = np.array(x)
-        out = step(w, x)
+        out = w @ x
         slack = 1e-12 * (1.0 + np.max(np.abs(x)))
         assert np.all(out >= x.min() - slack)
         assert np.all(out <= x.max() + slack)
@@ -99,24 +128,25 @@ class TestRunConsensus:
         assert out.spread < 1e-10
 
     def test_spread_non_increasing_along_path(self):
-        params = ModelParams(6, 0.3)
+        n, p = 6, 0.3
         rng = GraphSeed(17).generator()
         x = np.array([0.0, 1.0, 0.2, 0.8, 0.5, 0.3])
         spread = np.ptp(x)
         for _ in range(40):
-            x = step(weight_matrix(sample_graph(params, rng)), x)
+            x = _weights(rng.random((n, n)) < p) @ x
             new_spread = np.ptp(x)
             assert new_spread <= spread + 1e-12 * (1.0 + spread)
             spread = new_spread
 
-    def test_matches_manual_step_with_same_stream(self):
-        params = ModelParams(5, 0.6)
-        x0 = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-        manual = step(weight_matrix(sample_graph(params, GraphSeed(8).generator())), x0)
-        with pytest.raises(NonConvergenceError) as info:
-            run_consensus(params, x0, GraphSeed(8).generator(), tol=1e-300, max_steps=1)
-        assert info.value.steps == 1
-        assert info.value.spread == np.ptp(manual)
+    @pytest.mark.parametrize("seed", [0, 8, 31])
+    @pytest.mark.parametrize("n,p", [(2, 0.5), (6, 0.3), (20, 0.25)])
+    def test_matches_reference_loop(self, n, p, seed):
+        params = ModelParams(n, p)
+        x0 = np.linspace(-1.0, 2.0, n) ** 2
+        fast = run_consensus(params, x0, GraphSeed(seed).generator())
+        reference = _reference_run(params, x0, GraphSeed(seed).generator())
+        assert fast == reference
+        assert fast.steps > 0
 
     def test_non_convergence_raises_distinctly(self):
         with pytest.raises(NonConvergenceError) as info:
@@ -139,3 +169,8 @@ class TestRunConsensus:
             run_consensus(params, np.zeros(3), rng, max_steps=0)
         with pytest.raises(ValueError):
             run_consensus(params, np.zeros(4), rng)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_x0(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            run_consensus(ModelParams(2, 0.5), [bad, 1.0], GraphSeed(0).generator())

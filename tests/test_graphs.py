@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from erconsensus.dynamics import _weights
 from erconsensus.graphs import (
-    DirectedGraph,
     GraphSeed,
     ModelParams,
+    _check_x0,
     decode_adjacency_masks,
-    enumerate_graphs,
-    graph_from_mask,
-    sample_graph,
+    edge_slots,
 )
+from erconsensus.oracle import enumerate_expected_matrices
+
+
+def _degrees(adj) -> np.ndarray:
+    """Out-degrees of drawn graphs, read back from the weights: 1/w_ii - 1."""
+    return np.rint(1.0 / np.diagonal(_weights(adj), axis1=-2, axis2=-1) - 1.0).astype(int)
 
 
 class TestModelParams:
@@ -39,21 +44,15 @@ class TestModelParams:
 
 class TestGraphSeed:
     def test_same_seed_same_sequence(self):
-        params = ModelParams(6, 0.4)
-        a = [sample_graph(params, GraphSeed(11, 2).generator()) for _ in range(1)]
         first = GraphSeed(11, 2).generator()
         second = GraphSeed(11, 2).generator()
         for _ in range(5):
-            ga = sample_graph(params, first)
-            gb = sample_graph(params, second)
-            assert np.array_equal(ga.adjacency, gb.adjacency)
-        del a
+            assert np.array_equal(first.random((6, 6)) < 0.4, second.random((6, 6)) < 0.4)
 
     def test_distinct_streams_differ(self):
-        params = ModelParams(6, 0.4)
-        ga = sample_graph(params, GraphSeed(11, 0).generator())
-        gb = sample_graph(params, GraphSeed(11, 1).generator())
-        assert not np.array_equal(ga.adjacency, gb.adjacency)
+        a = GraphSeed(11, 0).generator().random((6, 6)) < 0.4
+        b = GraphSeed(11, 1).generator().random((6, 6)) < 0.4
+        assert not np.array_equal(a, b)
 
     def test_replication_matches_nested_spawn_key(self):
         a = GraphSeed(3, 4).replication(9).random(8)
@@ -64,33 +63,30 @@ class TestGraphSeed:
 
 
 class TestSampleGraph:
+    """The per-step draw rng.random((n, n)) < p, read through the weights."""
+
     @pytest.mark.parametrize("n", [3, 5])
     def test_p_one_gives_complete_digraph(self, n):
-        g = sample_graph(ModelParams(n, 1.0), GraphSeed(0).generator())
-        assert np.all(g.out_degrees == n - 1)
-        assert not g.adjacency.diagonal().any()
+        adj = GraphSeed(0).generator().random((n, n)) < 1.0
+        assert np.all(_degrees(adj) == n - 1)
 
     def test_out_degrees_consistent(self):
-        g = sample_graph(ModelParams(8, 0.3), GraphSeed(5).generator())
-        assert np.array_equal(g.out_degrees, g.adjacency.sum(axis=1))
+        adj = GraphSeed(5).generator().random((8, 8)) < 0.3
+        np.fill_diagonal(adj, True)  # a drawn diagonal must not count as an edge
+        assert np.array_equal(_degrees(adj), adj.sum(axis=1) - 1)
 
     def test_edge_frequency_binomial_ci(self):
         # 5e4 graphs on 2 nodes = 1e5 Bernoulli slots; 3-sigma band.
         draws = 50_000
-        rng = GraphSeed(123).generator()
-        params = ModelParams(2, 0.5)
-        edges = sum(int(sample_graph(params, rng).out_degrees.sum()) for _ in range(draws))
-        freq = edges / (2 * draws)
+        adj = GraphSeed(123).generator().random((draws, 2, 2)) < 0.5
+        freq = _degrees(adj).sum() / (2 * draws)
         assert abs(freq - 0.5) <= 3.0 * math.sqrt(0.25 / (2 * draws))
 
     def test_out_degree_chi_square_gof(self):
         # Rows are independent, so pooling them gives >= 1e5 degree samples.
         n, p, graphs = 6, 0.35, 17_000
-        rng = GraphSeed(2024).generator()
-        params = ModelParams(n, p)
-        degrees = np.concatenate(
-            [sample_graph(params, rng).out_degrees for _ in range(graphs)]
-        )
+        adj = GraphSeed(2024).generator().random((graphs, n, n)) < p
+        degrees = _degrees(adj).ravel()
         observed = np.bincount(degrees, minlength=n)
         expected = stats.binom.pmf(np.arange(n), n - 1, p) * degrees.size
         assert expected.min() > 5.0  # no tail merging needed at this (n, p)
@@ -98,44 +94,52 @@ class TestSampleGraph:
         assert result.pvalue > 0.001
 
 
-class TestDirectedGraph:
-    def test_rejects_self_loops(self):
-        with pytest.raises(ValueError):
-            DirectedGraph.from_adjacency(np.eye(3, dtype=bool))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            DirectedGraph.from_adjacency(np.zeros((2, 3), dtype=bool))
-
-
 class TestEnumeration:
     def test_counts_all_realizations(self):
-        graphs = list(enumerate_graphs(ModelParams(3, 0.3)))
-        assert len(graphs) == 64
+        adj = decode_adjacency_masks(3, np.arange(64))
+        assert len({graph.tobytes() for graph in adj}) == 64
+        assert not np.diagonal(adj, axis1=1, axis2=2).any()
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_probabilities_sum_to_one(self, n, p):
-        total = sum(prob for _, prob in enumerate_graphs(ModelParams(n, p)))
-        assert abs(total - 1.0) < 1e-12
+        # Every W is row-stochastic, so each row of E[W] sums to the total probability.
+        ew, _ = enumerate_expected_matrices(ModelParams(n, p))
+        assert np.max(np.abs(ew.sum(axis=1) - 1.0)) < 1e-12
 
     def test_n2_half_is_uniform(self):
-        probs = [prob for _, prob in enumerate_graphs(ModelParams(2, 0.5))]
-        assert probs == [0.25, 0.25, 0.25, 0.25]
+        # Each of the four graphs has probability 1/4 and w_01 = 1/2 in the two
+        # that hold the edge 0 -> 1, so E[w_01] = 1/4 exactly.
+        ew, _ = enumerate_expected_matrices(ModelParams(2, 0.5))
+        assert np.array_equal(ew, [[0.75, 0.25], [0.25, 0.75]])
+        assert np.array_equal(ew.sum(axis=1), [1.0, 1.0])
 
     def test_n2_p_one_concentrates_on_complete(self):
-        items = list(enumerate_graphs(ModelParams(2, 1.0)))
-        complete = [prob for g, prob in items if g.out_degrees.sum() == 2]
-        assert complete == [1.0]
-        assert sum(prob for _, prob in items) == 1.0
-
-    def test_rejects_large_n(self):
-        with pytest.raises(ValueError):
-            next(enumerate_graphs(ModelParams(6, 0.5)))
+        ew, _ = enumerate_expected_matrices(ModelParams(2, 1.0))
+        assert np.array_equal(ew, _weights(decode_adjacency_masks(2, [0b11])[0]))
 
     def test_mask_decoding_paths_agree(self):
         n = 3
         masks = np.arange(2 ** (n * (n - 1)))
         tensor = decode_adjacency_masks(n, masks)
         for mask in masks:
-            assert np.array_equal(tensor[mask], graph_from_mask(n, int(mask)).adjacency)
+            expected = np.zeros((n, n))
+            for bit, (i, j) in enumerate(edge_slots(n)):
+                expected[i, j] = mask >> bit & 1
+            assert np.array_equal(tensor[mask], expected)
+
+
+class TestCheckX0:
+    def test_returns_float_vector(self):
+        x = _check_x0([1, 2, 3], 3)
+        assert x.dtype == float and np.array_equal(x, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("x0", [[1.0, 2.0], [[1.0, 2.0, 3.0]], 3.0, []])
+    def test_rejects_wrong_shape(self, x0):
+        with pytest.raises(ValueError, match="length-3"):
+            _check_x0(x0, 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            _check_x0([0.0, bad, 1.0], 3)

@@ -18,16 +18,55 @@ from erconsensus.moments import (
     expected_weight_matrix,
     kron_apply_left,
     kron_left_eigenvector,
-    kron_row_sums,
     pattern_map,
     peak_size,
     second_moments,
-    self_weight_sq_series,
     variance_coefficients,
     variance_factor,
 )
+from erconsensus.moments import _inv_square_binomial_moment, _kron_index_values
 
 P_GRID = [0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
+
+
+def self_weight_sq_series(p: float, n: int) -> float:
+    """Series form of the squared-self-weight moment.
+
+    Returns sum_k (k+1)^-2 binom(n-1, k) (p/q)^k, whose product with
+    q^(n-1) equals E[w_ii^2]. Needs p < 1 and n small enough for
+    q^(n-1) to be representable.
+    """
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"series form needs 0 <= p < 1, got {p}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return _inv_square_binomial_moment(p, n - 1, 1) / (1.0 - p) ** (n - 1)
+
+
+def kron_row_sums(params: ModelParams) -> np.ndarray:
+    """Row sums of E[W (x) W] from the entry-class counts, any n.
+
+    A same-row block row holds the squared class once, the mixed class
+    3(n-1) times and the two-neighbor class (n-1)(n-2) times; a cross-row
+    block row holds its three classes 1, 2(n-1) and (n-1)^2 times. Both
+    sums collapse to 1 algebraically; this computes them the literal way
+    so tests can watch the identity survive floating point.
+    """
+    n = params.n
+    m, pair_same = _kron_index_values(params)
+    same_row = (
+        m.self_sq
+        + 3.0 * (n - 1) * m.self_neighbor_same_row
+        + (n - 1) * (n - 2) * pair_same
+    )
+    cross_row = (
+        m.self_self
+        + 2.0 * (n - 1) * m.self_neighbor_cross_row
+        + (n - 1) ** 2 * m.neighbor_pair_cross_row
+    )
+    out = np.full(n * n, cross_row)
+    out[np.arange(n) * (n + 1)] = same_row
+    return out
 SMALL_GRID = [(n, p) for n in (2, 3, 5, 10, 30) for p in (0.05, 0.3, 0.7, 1.0)]
 
 
@@ -149,8 +188,6 @@ class TestSecondMoments:
     def test_same_row_classes_via_conditional_degree(self, n, p):
         # Conditioning on present edges: one forced edge shifts the degree
         # law to 1 + Binomial(n-2, p), two forced edges to 2 + Binomial(n-3, p).
-        from erconsensus.moments import _inv_square_binomial_moment
-
         m = second_moments(ModelParams(n, p))
         direct_q3 = p * _inv_square_binomial_moment(p, n - 2, 2)
         assert m.self_neighbor_same_row == pytest.approx(direct_q3, abs=1e-14)
@@ -337,6 +374,10 @@ class TestConsensusMean:
         with pytest.raises(ValueError):
             consensus_mean([])
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            consensus_mean([np.nan, 1.0])
+
 
 class TestConsensusVariance:
     def test_complete_graph_zero(self):
@@ -347,6 +388,11 @@ class TestConsensusVariance:
     def test_constant_x0_zero(self):
         report = consensus_variance(ModelParams(4, 0.3), np.full(4, 1.7))
         assert abs(report.variance) < 1e-30
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_x0(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            consensus_variance(ModelParams(2, 0.5), [bad, 1.0])
 
     def test_point_value(self):
         report = consensus_variance(ModelParams(2, 0.5), [0.0, 1.0])

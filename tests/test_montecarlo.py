@@ -36,6 +36,11 @@ class TestResolveX0:
         with pytest.raises(ValueError):
             resolve_x0("linspace", 3)
 
+    @pytest.mark.parametrize("spec", ["const:nan", "const:-inf", [0.0, np.inf, 1.0]])
+    def test_rejects_non_finite(self, spec):
+        with pytest.raises(ValueError, match="finite"):
+            resolve_x0(spec, 3)
+
 
 class TestJackknife:
     def test_matches_brute_force(self):

@@ -173,6 +173,11 @@ class TestExactVariance:
         with pytest.raises(ValueError):
             exact_variance(ModelParams(3, 0.5), [0.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_x0(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            exact_variance(ModelParams(2, 0.5), [bad, 1.0])
+
 
 class TestOracleReport:
     def test_half_two_nodes_report(self):
@@ -188,6 +193,15 @@ class TestOracleReport:
             report.variance_discrepancy,
         )
         assert report.closed_form_variance == pytest.approx(0.05, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "x0,needle",
+        [([0.0, 1.0, 2.0], "length-2"), ([np.nan, 1.0], "finite")],
+        ids=["wrong-length", "nan"],
+    )
+    def test_validates_x0(self, x0, needle):
+        with pytest.raises(ValueError, match=needle):
+            oracle_report(ModelParams(2, 0.5), x0)
 
     def test_eigenvector_against_closed_form(self):
         params = ModelParams(4, 0.3)
