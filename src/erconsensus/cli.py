@@ -51,8 +51,11 @@ def _fmt(value) -> str:
 def _timestamp() -> str:
     # SOURCE_DATE_EPOCH makes output byte-reproducible when callers need it.
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    moment = int(epoch) if epoch else time.time()
-    return datetime.fromtimestamp(moment, tz=timezone.utc).isoformat()
+    try:
+        moment = int(epoch) if epoch else time.time()
+        return datetime.fromtimestamp(moment, tz=timezone.utc).isoformat()
+    except (ValueError, OverflowError, OSError):
+        raise UsageError(f"SOURCE_DATE_EPOCH must be Unix seconds, got {epoch!r}") from None
 
 
 def _record(command: str, params: dict, results: dict, seed=None) -> dict:
@@ -115,8 +118,6 @@ def _open_output(path: str):
 
 
 def _write_gnuplot(path: str, data_path: str, script: str) -> None:
-    if data_path == "-":
-        raise UsageError("--gnuplot needs --output to point at a file, not stdout")
     with open(path, "w") as handle:
         handle.write(script.format(data=data_path))
 
@@ -221,6 +222,8 @@ plot for [c in system("awk -F, 'NR>1 && !seen[$1]++ {{print $1}}' {data}")] \\
 
 
 def cmd_fig1(args) -> int:
+    if not args.c > 0:
+        raise UsageError(f"--c must be > 0, got {args.c}")
     if args.n_min < args.c:
         raise UsageError(f"--n-min must be >= --c, got n-min {args.n_min} < c {args.c}")
     if args.n_max < args.n_min:
@@ -255,7 +258,7 @@ def cmd_fig2(args) -> int:
         raise UsageError(f"--c must be comma-separated numbers, got {args.c!r}") from exc
     if args.n_max < args.n_min:
         raise UsageError(f"--n-max must be >= --n-min, got {args.n_max} < {args.n_min}")
-    if any(c < 1 for c in c_list):
+    if not all(c >= 1 for c in c_list):
         raise UsageError(f"--c entries must be >= 1, got {args.c!r}")
     if args.gnuplot and args.output == "-":
         raise UsageError("--gnuplot needs --output to point at a file, not stdout")

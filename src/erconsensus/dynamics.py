@@ -77,8 +77,8 @@ def run_consensus(
     that exhausts max_steps raises NonConvergenceError rather than
     returning a truncated state.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     n, p = params.n, params.p

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .graphs import ModelParams, _check_x0
 
@@ -56,15 +55,27 @@ def _one_minus_q_pow(p: float, n: int) -> float:
     return -math.expm1(n * math.log1p(-p))
 
 
-def _inv_square_binomial_moment(p: float, trials: int, shift: int) -> float:
-    """E[1/(X + shift)^2] for X ~ Binomial(trials, p).
+def _inv_square_binomial_moment(p: float, trials: int) -> float:
+    """E[1/(X + 1)^2] for X ~ Binomial(trials, p).
 
-    All-positive pmf sum; the pmf itself comes from the log-gamma form,
-    so there is no underflow cascade even for large trial counts.
+    Weights proportional to the pmf come from the ratio recurrence
+    pmf(k+1)/pmf(k) = (trials-k)/(k+1) * p/q, summed in log space outward
+    from the mode, so they peak near 1 where the mass is and underflow
+    harmlessly to 0 in the tails. Dividing by their sum stands in for the
+    binomial coefficient and q^trials. The point masses are exact.
     """
-    k = np.arange(trials + 1)
-    pmf = stats.binom.pmf(k, trials, p)
-    return float(np.sum(pmf / (k + shift) ** 2))
+    if trials == 0 or p <= 0.0:
+        return 1.0
+    if p >= 1.0:
+        return 1.0 / (trials + 1) ** 2
+    mode = min(int((trials + 1) * p), trials)
+    k = np.arange(trials)
+    log_ratio = np.log((trials - k) / (k + 1)) + (math.log(p) - math.log1p(-p))
+    log_w = np.zeros(trials + 1)
+    log_w[mode + 1:] = np.cumsum(log_ratio[mode:])
+    log_w[:mode] = -np.cumsum(log_ratio[:mode][::-1])[::-1]
+    w = np.exp(log_w)
+    return float(np.sum(w / np.arange(1, trials + 2) ** 2) / np.sum(w))
 
 
 def expected_self_weight(params: ModelParams) -> float:
@@ -80,11 +91,12 @@ def expected_neighbor_weight(params: ModelParams) -> float:
 def expected_self_weight_sq(params: ModelParams) -> float:
     """E[w_ii^2] = E[1/(d+1)^2], the second moment of the self-weight.
 
-    Computed as a binomial-pmf sum with summands in (0, 1]; the
-    equivalent power-series form q^(n-1) sum_k (k+1)^-2 binom(n-1, k) (p/q)^k
-    multiplies a huge series by a vanishing q^(n-1).
+    Computed as a normalized sum of pmf-proportional weights that peak
+    at the mode; the equivalent power-series form
+    q^(n-1) sum_k (k+1)^-2 binom(n-1, k) (p/q)^k multiplies a huge series
+    by a vanishing q^(n-1).
     """
-    return _inv_square_binomial_moment(params.p, params.n - 1, 1)
+    return _inv_square_binomial_moment(params.p, params.n - 1)
 
 
 @dataclass(frozen=True)

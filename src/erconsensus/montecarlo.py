@@ -74,8 +74,9 @@ class EnsembleStats:
     """Aggregated agreement values of one ensemble.
 
     variance is the unbiased (ddof=1) sample variance of the outcomes and
-    stderr_variance its jackknife standard error. nonconverged is zero
-    unless replications were dropped explicitly.
+    stderr_variance its jackknife standard error. Every replication
+    counts (a non-converged one raises), so reps_used is the replication
+    count and nonconverged is 0; both stay in the record format.
     """
 
     mean: float
@@ -105,11 +106,7 @@ def jackknife_variance_stderr(values) -> float:
     return float(np.sqrt((r - 1) / r * np.sum((var_loo - var_loo.mean()) ** 2)))
 
 
-def run_ensemble(
-    cfg: ExperimentConfig,
-    threads: int = 1,
-    nonconvergence: str = "fatal",
-) -> EnsembleStats:
+def run_ensemble(cfg: ExperimentConfig, threads: int = 1) -> EnsembleStats:
     """Run cfg.reps independent consensus paths and aggregate the values.
 
     threads > 1 consumes the replication queue with a thread pool; 0
@@ -117,62 +114,48 @@ def run_ensemble(
     index, so aggregation order (and therefore every output bit) is
     independent of scheduling.
 
-    nonconvergence='fatal' (default) raises NonConvergenceError naming
-    the failed replication indices: with p > 0 a non-converged run means
-    a broken tolerance/step budget, not bad luck. 'drop' excludes the
-    failures and reports their count instead.
+    Any replication that fails to converge raises NonConvergenceError
+    naming the failed indices: with p > 0 a non-converged run means a
+    broken tolerance/step budget, not bad luck.
     """
-    if nonconvergence not in ("fatal", "drop"):
-        raise ValueError(f"nonconvergence must be 'fatal' or 'drop', got {nonconvergence!r}")
     if threads == 0:
         threads = os.cpu_count() or 1
     x0 = cfg.x0()
-    outcomes = np.empty(cfg.reps)
-    failed: list[int] = []
 
-    def one(rep: int) -> tuple[int, float | None]:
+    def one(rep: int) -> float | None:
         rng = cfg.seed.replication(rep)
         try:
-            out = run_consensus(cfg.params, x0, rng, tol=cfg.tol, max_steps=cfg.max_steps)
+            return run_consensus(cfg.params, x0, rng, tol=cfg.tol, max_steps=cfg.max_steps).value
         except NonConvergenceError:
-            return rep, None
-        return rep, out.value
+            return None
 
     if threads <= 1:
-        pairs = list(map(one, range(cfg.reps)))
+        values = list(map(one, range(cfg.reps)))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            pairs = list(pool.map(one, range(cfg.reps)))
-    for rep, value in pairs:
-        if value is None:
-            failed.append(rep)
-            outcomes[rep] = np.nan
-        else:
-            outcomes[rep] = value
-
-    if failed and nonconvergence == "fatal":
+            values = list(pool.map(one, range(cfg.reps)))
+    failed = [rep for rep, value in enumerate(values) if value is None]
+    if failed:
         shown = ", ".join(map(str, failed[:10])) + (", ..." if len(failed) > 10 else "")
         raise NonConvergenceError(
             f"{len(failed)} of {cfg.reps} replications did not converge "
             f"within {cfg.max_steps} steps (indices {shown})"
         )
-    used = np.delete(outcomes, failed) if failed else outcomes
-    if used.size == 0:
-        raise NonConvergenceError(f"all {cfg.reps} replications failed to converge")
 
-    mean = float(used.mean())
-    if used.size < 2 or np.ptp(used) == 0.0:
+    outcomes = np.array(values)
+    mean = float(outcomes.mean())
+    if outcomes.size < 2 or np.ptp(outcomes) == 0.0:
         variance, stderr = 0.0, 0.0
     else:
-        centered = used - mean
-        variance = float(centered @ centered) / (used.size - 1)
-        stderr = jackknife_variance_stderr(used)
+        centered = outcomes - mean
+        variance = float(centered @ centered) / (outcomes.size - 1)
+        stderr = jackknife_variance_stderr(outcomes)
     return EnsembleStats(
         mean=mean,
         variance=variance,
         stderr_variance=stderr,
-        reps_used=int(used.size),
-        nonconverged=len(failed),
+        reps_used=cfg.reps,
+        nonconverged=0,
     )
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _weights
-from .graphs import ModelParams, _check_x0, decode_adjacency_masks
+from .graphs import ModelParams, _check_x0, decode_adjacency_masks, edge_slots
 from .moments import (
     consensus_variance,
     expected_kron_matrix,
@@ -85,9 +85,14 @@ def enumerate_expected_matrices(
     m = n * (n - 1)
     ew = _KahanSum((n, n))
     eww = _KahanSum((n * n, n * n))
-    for start in range(0, 2**m, _BLOCK):
-        masks = np.arange(start, min(start + _BLOCK, 2**m), dtype=np.int64)
-        adj = decode_adjacency_masks(n, masks)
+    # Masks of one block differ only in their low bits: decode those once and
+    # rewrite the high-bit edges in place (fresh buffers page-fault per block).
+    block = min(_BLOCK, 2**m)
+    low = block.bit_length() - 1
+    adj = decode_adjacency_masks(n, np.arange(block))
+    high_slots = [i * n + j for i, j in edge_slots(n)[low:]]
+    for start in range(0, 2**m, block):
+        adj.reshape(block, n * n)[:, high_slots] = (start >> np.arange(low, m)) & 1
         edges = adj.sum(axis=(1, 2))
         prob = params.p**edges * params.q ** (m - edges)
         w = _weights(adj)

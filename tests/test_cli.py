@@ -1,5 +1,7 @@
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -44,6 +46,9 @@ class TestAnalytic:
             (["analytic", "--n", "1", "--p", "0.5", "--x0", "ramp"], "--n"),
             (["analytic", "--n", "3", "--p", "0.5", "--x0", "0,1"], "--x0"),
             (["analytic", "--n", "3", "--p", "0.5", "--x0", "zebra"], "--x0"),
+            (["fig1", "--c", "0", "--n-min", "2", "--n-max", "3"], "--c"),
+            (["fig1", "--c", "nan", "--n-min", "2", "--n-max", "3"], "--c"),
+            (["fig2", "--c", "5,nan", "--n-min", "5", "--n-max", "6"], "--c"),
         ],
     )
     def test_usage_errors_name_the_flag(self, capsys, argv, needle):
@@ -58,6 +63,16 @@ class TestAnalytic:
         assert code == 2
         assert out == ""
         assert "--x0" in err
+
+    @pytest.mark.parametrize("epoch", ["abc", "1e9", "9" * 20])
+    def test_bad_source_date_epoch_names_the_variable(self, src_env, epoch):
+        env = dict(src_env, SOURCE_DATE_EPOCH=epoch)
+        argv = [sys.executable, "-m", "erconsensus.cli", "analytic", "--n", "3", "--p", "0.5"]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "SOURCE_DATE_EPOCH" in done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_json_never_carries_nan(self):
         stream = io.StringIO()
@@ -118,6 +133,20 @@ class TestSimulate:
         assert out == ""
         assert "CONSENSUS_THREADS" in err
         assert "--threads" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--n", "3", "--p", "0.5", "--reps", "5", "--tol", "inf"],
+            ["fig1", "--c", "5", "--n-min", "5", "--n-max", "7", "--reps", "20", "--tol", "nan"],
+        ],
+        ids=["simulate-inf", "fig1-nan"],
+    )
+    def test_non_finite_tol_is_a_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "tol" in err
 
     def test_nonconvergence_exit_code(self, capsys):
         argv = [

@@ -1,6 +1,5 @@
 """Every script in demos/ runs to completion against the package in src/."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,10 +15,9 @@ def test_demos_found():
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[path.name for path in DEMOS])
-def test_demo_runs(script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+def test_demo_runs(script, src_env):
     done = subprocess.run(
-        [sys.executable, str(script)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=600
+        [sys.executable, str(script)], cwd=ROOT, env=src_env, capture_output=True, text=True,
+        timeout=600,
     )
     assert done.returncode == 0, done.stderr

@@ -170,6 +170,11 @@ class TestRunConsensus:
         with pytest.raises(ValueError):
             run_consensus(params, np.zeros(4), rng)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_rejects_non_finite_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            run_consensus(ModelParams(3, 0.5), np.arange(3.0), GraphSeed(0).generator(), tol=tol)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_x0(self, bad):
         with pytest.raises(ValueError, match="finite"):

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -40,7 +42,7 @@ def self_weight_sq_series(p: float, n: int) -> float:
         raise ValueError(f"series form needs 0 <= p < 1, got {p}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _inv_square_binomial_moment(p, n - 1, 1) / (1.0 - p) ** (n - 1)
+    return _inv_square_binomial_moment(p, n - 1) / (1.0 - p) ** (n - 1)
 
 
 def kron_row_sums(params: ModelParams) -> np.ndarray:
@@ -142,6 +144,35 @@ class TestSelfWeightSq:
         assert f1**2 < g2 < f1
 
 
+class TestInvSquareBinomialMoment:
+    @pytest.mark.parametrize("n", [2, 60, 1000, 100_000])
+    @pytest.mark.parametrize("rule", ["1e-3", "5/n", "0.3", "0.5", "0.999"])
+    def test_matches_scipy_pmf_sum(self, n, rule):
+        from scipy import stats
+
+        p = min(5.0 / n, 1.0) if rule == "5/n" else float(rule)
+        k = np.arange(n)
+        reference = float(np.sum(stats.binom.pmf(k, n - 1, p) / (k + 1) ** 2))
+        assert _inv_square_binomial_moment(p, n - 1) == pytest.approx(reference, rel=1e-13)
+
+    @pytest.mark.parametrize("trials", [0, 1, 5, 1000])
+    def test_point_masses_are_exact(self, trials):
+        assert _inv_square_binomial_moment(0.0, trials) == 1.0
+        assert _inv_square_binomial_moment(1.0, trials) == 1.0 / (trials + 1) ** 2
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_zero_trials_is_one(self, p):
+        assert _inv_square_binomial_moment(p, 0) == 1.0
+
+    def test_package_import_leaves_scipy_out(self, src_env):
+        code = "import sys, erconsensus; print(sorted(m for m in sys.modules if 'scipy' in m))"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=src_env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+
 class TestSeriesForm:
     @pytest.mark.parametrize("p", [0.0, 0.2, 0.8])
     def test_single_trial_is_one(self, p):
@@ -189,10 +220,11 @@ class TestSecondMoments:
         # Conditioning on present edges: one forced edge shifts the degree
         # law to 1 + Binomial(n-2, p), two forced edges to 2 + Binomial(n-3, p).
         m = second_moments(ModelParams(n, p))
-        direct_q3 = p * _inv_square_binomial_moment(p, n - 2, 2)
-        assert m.self_neighbor_same_row == pytest.approx(direct_q3, abs=1e-14)
-        direct_q5 = p**2 * _inv_square_binomial_moment(p, n - 3, 3)
-        assert m.neighbor_pair_same_row == pytest.approx(direct_q5, abs=1e-13)
+        exact_p = Fraction(p)
+        direct_q3 = exact_p * _exact_inverse_moment(n - 2, exact_p, shift=2, power=2)
+        assert m.self_neighbor_same_row == pytest.approx(float(direct_q3), abs=1e-14)
+        direct_q5 = exact_p**2 * _exact_inverse_moment(n - 3, exact_p, shift=3, power=2)
+        assert m.neighbor_pair_same_row == pytest.approx(float(direct_q5), abs=1e-13)
 
     @pytest.mark.parametrize("n", range(2, 31))
     @pytest.mark.parametrize("p", P_GRID)

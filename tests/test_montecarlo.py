@@ -105,10 +105,6 @@ class TestRunEnsemble:
         with pytest.raises(ValueError):
             _config(reps=0)
 
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            run_ensemble(_config(), nonconvergence="ignore")
-
     def test_fatal_nonconvergence_lists_indices(self):
         cfg = ExperimentConfig(
             params=ModelParams(2, 0.9),
@@ -122,33 +118,6 @@ class TestRunEnsemble:
         message = str(info.value)
         assert "did not converge" in message
         assert "indices" in message
-
-    def test_drop_policy_counts_failures(self):
-        cfg = ExperimentConfig(
-            params=ModelParams(2, 0.9),
-            x0_spec=[0.0, 1.0],
-            reps=50,
-            seed=GraphSeed(1),
-            max_steps=2,
-        )
-        stats = run_ensemble(cfg, nonconvergence="drop")
-        assert stats.nonconverged > 0
-        assert stats.reps_used == 50 - stats.nonconverged
-        assert 0.0 <= stats.mean <= 1.0
-
-    def test_drop_with_all_failures_still_raises(self):
-        # At n = 20, p = 0.2 a single step cannot reach exact consensus
-        # (that would need the complete graph), so every replication fails.
-        cfg = ExperimentConfig(
-            params=ModelParams(20, 0.2),
-            x0_spec="ramp",
-            reps=5,
-            seed=GraphSeed(0),
-            tol=1e-300,
-            max_steps=1,
-        )
-        with pytest.raises(NonConvergenceError):
-            run_ensemble(cfg, nonconvergence="drop")
 
     def test_two_node_half_matches_closed_form(self):
         # Closed form gives exactly 0.05 for x0 = (0, 1).
