@@ -37,7 +37,7 @@ EXIT_USAGE = 2
 EXIT_NONCONVERGENCE = 3
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Invalid flag value; message names the offending flag."""
 
 
@@ -58,13 +58,13 @@ def _timestamp() -> str:
         raise UsageError(f"SOURCE_DATE_EPOCH must be Unix seconds, got {epoch!r}") from None
 
 
-def _record(command: str, params: dict, results: dict, seed=None) -> dict:
+def _record(args, params: dict, results: dict, seed=None) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
+        "command": args.command,
         "params": params,
         "results": results,
-        "provenance": {"seed": seed, "timestamp": _timestamp()},
+        "provenance": {"seed": seed, "timestamp": args.timestamp},
     }
 
 
@@ -84,18 +84,7 @@ def _parse_x0(text: str, n: int):
             raise UsageError(
                 f"--x0 must be 'ramp', 'const:<v>', or comma-separated numbers, got {text!r}"
             ) from exc
-    try:
-        return resolve_x0(spec, n)
-    except ValueError as exc:
-        raise UsageError(f"--x0: {exc}") from exc
-
-
-def _model_params(n: int, p: float) -> ModelParams:
-    try:
-        return ModelParams(n, p)
-    except ValueError as exc:
-        flag = "--n" if str(exc).startswith("n ") else "--p"
-        raise UsageError(f"{flag}: {exc}") from exc
+    return resolve_x0(spec, n)
 
 
 def _threads(args) -> int:
@@ -111,19 +100,39 @@ def _threads(args) -> int:
     return value
 
 
-def _open_output(path: str):
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+def _writable(path: str) -> bool:
+    if os.path.exists(path):
+        return not os.path.isdir(path) and os.access(path, os.W_OK)
+    folder = os.path.dirname(path) or "."
+    return bool(path) and os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)
 
 
-def _write_gnuplot(path: str, data_path: str, script: str) -> None:
-    with open(path, "w") as handle:
-        handle.write(script.format(data=data_path))
+def _check_table_flags(args) -> None:
+    """Range and path checks shared by the CSV commands, run before any work."""
+    if args.n_min < 2:
+        raise UsageError(f"--n-min must be >= 2, got {args.n_min}")
+    if args.n_max < args.n_min:
+        raise UsageError(f"--n-max must be >= --n-min, got {args.n_max} < {args.n_min}")
+    if args.gnuplot and args.output == "-":
+        raise UsageError("--gnuplot needs --output to point at a file, not stdout")
+    for flag, path in (("--output", args.output), ("--gnuplot", args.gnuplot)):
+        if path not in (None, "-") and not _writable(path):
+            raise UsageError(f"{flag}: cannot write to {path!r}")
+
+
+def _write_table(args, text: str, script: str) -> None:
+    if args.output == "-":
+        sys.stdout.write(text)
+        return
+    with open(args.output, "w", newline="") as handle:
+        handle.write(text)
+    if args.gnuplot:
+        with open(args.gnuplot, "w") as handle:
+            handle.write(script.format(data=args.output))
 
 
 def cmd_analytic(args) -> int:
-    params = _model_params(args.n, args.p)
+    params = ModelParams(args.n, args.p)
     x0 = _parse_x0(args.x0, args.n)
     report = consensus_variance(params, x0)
     results = {
@@ -133,12 +142,12 @@ def cmd_analytic(args) -> int:
         "delta": report.delta,
         "factor": report.factor,
     }
-    _emit_json(_record("analytic", {"n": args.n, "p": args.p, "x0": args.x0}, results), sys.stdout)
+    _emit_json(_record(args, {"n": args.n, "p": args.p, "x0": args.x0}, results), sys.stdout)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    params = _model_params(args.n, args.p)
+    params = ModelParams(args.n, args.p)
     x0 = _parse_x0(args.x0, args.n)
     cfg = ExperimentConfig(
         params=params,
@@ -166,7 +175,7 @@ def cmd_simulate(args) -> int:
         "nonconverged": stats.nonconverged,
     }
     record = _record(
-        "simulate",
+        args,
         {
             "n": args.n,
             "p": args.p,
@@ -226,10 +235,7 @@ def cmd_fig1(args) -> int:
         raise UsageError(f"--c must be > 0, got {args.c}")
     if args.n_min < args.c:
         raise UsageError(f"--n-min must be >= --c, got n-min {args.n_min} < c {args.c}")
-    if args.n_max < args.n_min:
-        raise UsageError(f"--n-max must be >= --n-min, got {args.n_max} < {args.n_min}")
-    if args.gnuplot and args.output == "-":
-        raise UsageError("--gnuplot needs --output to point at a file, not stdout")
+    _check_table_flags(args)
     rows = sweep_fixed_degree(
         c=args.c,
         n_range=range(args.n_min, args.n_max + 1),
@@ -240,14 +246,7 @@ def cmd_fig1(args) -> int:
         max_steps=args.max_steps,
         threads=_threads(args),
     )
-    stream, close = _open_output(args.output)
-    try:
-        stream.write(render_fig1_csv(rows))
-    finally:
-        if close:
-            stream.close()
-    if args.gnuplot:
-        _write_gnuplot(args.gnuplot, args.output, _GNUPLOT_FIG1)
+    _write_table(args, render_fig1_csv(rows), _GNUPLOT_FIG1)
     return EXIT_OK
 
 
@@ -256,21 +255,11 @@ def cmd_fig2(args) -> int:
         c_list = [float(part) for part in args.c.split(",")]
     except ValueError as exc:
         raise UsageError(f"--c must be comma-separated numbers, got {args.c!r}") from exc
-    if args.n_max < args.n_min:
-        raise UsageError(f"--n-max must be >= --n-min, got {args.n_max} < {args.n_min}")
     if not all(c >= 1 for c in c_list):
         raise UsageError(f"--c entries must be >= 1, got {args.c!r}")
-    if args.gnuplot and args.output == "-":
-        raise UsageError("--gnuplot needs --output to point at a file, not stdout")
+    _check_table_flags(args)
     rows = factor_sweep(c_list, range(args.n_min, args.n_max + 1))
-    stream, close = _open_output(args.output)
-    try:
-        stream.write(render_fig2_csv(rows))
-    finally:
-        if close:
-            stream.close()
-    if args.gnuplot:
-        _write_gnuplot(args.gnuplot, args.output, _GNUPLOT_FIG2)
+    _write_table(args, render_fig2_csv(rows), _GNUPLOT_FIG2)
     return EXIT_OK
 
 
@@ -279,7 +268,7 @@ def cmd_oracle(args) -> int:
     if args.n > limit:
         hint = "" if args.allow_large else f" (--allow-large admits n = {ENUM_OPTIONAL_MAX_N})"
         raise UsageError(f"--n must be <= {limit} for enumeration, got {args.n}{hint}")
-    params = _model_params(args.n, args.p)
+    params = ModelParams(args.n, args.p)
     x0 = _parse_x0(args.x0, args.n)
     report = oracle_report(params, x0, allow_large=args.allow_large)
     discrepancies = {
@@ -294,7 +283,7 @@ def cmd_oracle(args) -> int:
         "closed_form_variance": report.closed_form_variance,
         "threshold": ORACLE_THRESHOLD,
     }
-    record = _record("oracle", {"n": args.n, "p": args.p, "x0": args.x0}, results)
+    record = _record(args, {"n": args.n, "p": args.p, "x0": args.x0}, results)
     _emit_json(record, sys.stdout)
     if any(value > ORACLE_THRESHOLD for value in discrepancies.values()):
         worst = max(discrepancies, key=discrepancies.get)
@@ -315,60 +304,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_threads(p):
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="worker threads for replications (0 = one per CPU; "
-            "falls back to $CONSENSUS_THREADS, then 1)",
-        )
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--n", type=int, required=True, help="network size (>= 2)")
+    model.add_argument("--p", type=float, required=True, help="edge probability in (0, 1]")
+    model.add_argument("--x0", default="ramp", help="'ramp', 'const:<v>' or values v1,v2,...")
+    ensemble = argparse.ArgumentParser(add_help=False)
+    ensemble.add_argument("--reps", type=int, default=2000, help="replication count")
+    ensemble.add_argument("--seed", type=int, default=0, help="root seed (>= 0)")
+    ensemble.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    ensemble.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
+    ensemble.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="worker threads for replications (0 = one per CPU; capped at the CPU "
+        "and replication counts; falls back to $CONSENSUS_THREADS, then 1)",
+    )
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--n-min", type=int, required=True, help="smallest network size (>= 2)")
+    table.add_argument("--n-max", type=int, required=True)
+    table.add_argument("--output", default="-", help="CSV path, '-' for stdout")
+    table.add_argument("--gnuplot", default=None, help="also write a gnuplot script here")
 
-    p = sub.add_parser("analytic", help="closed-form mean/variance for one (n, p, x0)")
-    p.add_argument("--n", type=int, required=True, help="network size (>= 2)")
-    p.add_argument("--p", type=float, required=True, help="edge probability in (0, 1]")
-    p.add_argument("--x0", default="ramp", help="'ramp', 'const:<v>', or comma-separated values")
+    p = sub.add_parser("analytic", parents=[model], help="closed-form moments for one (n, p, x0)")
     p.set_defaults(func=cmd_analytic)
 
-    p = sub.add_parser("simulate", help="Monte Carlo ensemble vs the closed form")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--x0", default="ramp")
-    p.add_argument("--reps", type=int, default=2000, help="replication count")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
-    add_threads(p)
+    p = sub.add_parser("simulate", parents=[model, ensemble], help="Monte Carlo vs the closed form")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("fig1", help="CSV sweep: analytic vs empirical variance at fixed c")
+    p = sub.add_parser(
+        "fig1", parents=[ensemble, table], help="CSV sweep, analytic vs empirical variance, fixed c"
+    )
     p.add_argument("--c", type=float, required=True, help="expected out-degree (p = c/n)")
-    p.add_argument("--n-min", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--reps", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--x0", default="ramp")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
-    p.add_argument("--output", default="-", help="CSV path, '-' for stdout")
-    p.add_argument("--gnuplot", default=None, help="also write a gnuplot script here")
-    add_threads(p)
+    p.add_argument("--x0", default="ramp", help="'ramp' or 'const:<v>'")
     p.set_defaults(func=cmd_fig1)
 
-    p = sub.add_parser("fig2", help="CSV table of the variance factor, no simulation")
+    p = sub.add_parser("fig2", parents=[table], help="variance-factor CSV table, no simulation")
     p.add_argument("--c", required=True, help="comma-separated expected out-degrees")
-    p.add_argument("--n-min", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--output", default="-")
-    p.add_argument("--gnuplot", default=None)
     p.set_defaults(func=cmd_fig2)
 
-    p = sub.add_parser("oracle", help="enumeration cross-check of the closed forms")
-    limits = f"<= {ENUM_REQUIRED_MAX_N}, or {ENUM_OPTIONAL_MAX_N} with --allow-large"
-    p.add_argument("--n", type=int, required=True, help=f"network size ({limits})")
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--x0", default="ramp")
-    p.add_argument("--allow-large", action="store_true", help=f"admit n = {ENUM_OPTIONAL_MAX_N}")
+    p = sub.add_parser("oracle", parents=[model], help="exhaustive cross-check of the closed forms")
+    limits = f"n <= {ENUM_REQUIRED_MAX_N}; this flag admits n = {ENUM_OPTIONAL_MAX_N}"
+    p.add_argument("--allow-large", action="store_true", help=f"enumeration needs {limits}")
     p.set_defaults(func=cmd_oracle)
 
     return parser
@@ -381,15 +358,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
+        args.timestamp = _timestamp()
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # Library checks lead with the parameter name; name the flag that set it.
+        name = str(exc).split(" ", 1)[0]
+        flag = f"--{name.replace('_', '-')}: " if name in vars(args) else ""
+        print(f"error: {flag}{exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -74,6 +74,10 @@ class GraphSeed:
     seed: int
     stream: int = 0
 
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(
             np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))

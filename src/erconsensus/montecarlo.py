@@ -44,9 +44,14 @@ def resolve_x0(spec, n: int) -> np.ndarray:
         if spec == "ramp":
             spec = np.arange(1, n + 1) / n
         elif spec.startswith("const:"):
-            spec = np.full(n, float(spec[len("const:"):]))
+            try:
+                spec = np.full(n, float(spec[len("const:"):]))
+            except ValueError:
+                raise ValueError(f"x0 constant must be a number, got {spec!r}") from None
         else:
-            raise ValueError(f"unknown x0 rule {spec!r}; expected 'ramp', 'const:<v>', or a vector")
+            raise ValueError(
+                f"x0 rule {spec!r} is unknown; expected 'ramp', 'const:<v>', or a vector"
+            )
     return _check_x0(spec, n)
 
 
@@ -110,16 +115,17 @@ def run_ensemble(cfg: ExperimentConfig, threads: int = 1) -> EnsembleStats:
     """Run cfg.reps independent consensus paths and aggregate the values.
 
     threads > 1 consumes the replication queue with a thread pool; 0
-    means one worker per CPU. Outcomes land in a slot per replication
-    index, so aggregation order (and therefore every output bit) is
-    independent of scheduling.
+    means one worker per CPU, and the pool never exceeds the CPU or
+    replication count. Outcomes land in a slot per replication index, so
+    aggregation order (and therefore every output bit) is independent of
+    scheduling.
 
     Any replication that fails to converge raises NonConvergenceError
     naming the failed indices: with p > 0 a non-converged run means a
     broken tolerance/step budget, not bad luck.
     """
-    if threads == 0:
-        threads = os.cpu_count() or 1
+    cpus = os.cpu_count() or 1
+    workers = min(threads or cpus, cpus, cfg.reps)
     x0 = cfg.x0()
 
     def one(rep: int) -> float | None:
@@ -129,10 +135,10 @@ def run_ensemble(cfg: ExperimentConfig, threads: int = 1) -> EnsembleStats:
         except NonConvergenceError:
             return None
 
-    if threads <= 1:
+    if workers <= 1:
         values = list(map(one, range(cfg.reps)))
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             values = list(pool.map(one, range(cfg.reps)))
     failed = [rep for rep, value in enumerate(values) if value is None]
     if failed:

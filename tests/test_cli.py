@@ -1,11 +1,16 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from erconsensus import cli
+
+
+# A file below a non-directory can never be opened for writing.
+BAD_PATH = os.path.join(os.devnull, "table.csv")
 
 
 def run_cli(capsys, *argv):
@@ -49,12 +54,42 @@ class TestAnalytic:
             (["fig1", "--c", "0", "--n-min", "2", "--n-max", "3"], "--c"),
             (["fig1", "--c", "nan", "--n-min", "2", "--n-max", "3"], "--c"),
             (["fig2", "--c", "5,nan", "--n-min", "5", "--n-max", "6"], "--c"),
+            (["simulate", "--n", "3", "--p", "0.5", "--reps", "0"], "--reps"),
+            (["fig1", "--c", "5", "--n-min", "5", "--n-max", "6", "--reps", "0"], "--reps"),
+            (["simulate", "--n", "3", "--p", "0.5", "--max-steps", "0"], "--max-steps"),
+            (["simulate", "--n", "3", "--p", "0.5", "--seed", "-1"], "--seed"),
+            (["fig1", "--c", "5", "--n-min", "5", "--n-max", "6", "--seed", "-1"], "--seed"),
+            (["fig1", "--c", "5", "--n-min", "5", "--n-max", "6", "--x0", "zebra"], "--x0"),
+            (["fig1", "--c", "5", "--n-min", "5", "--n-max", "6", "--x0", "const:abc"], "--x0"),
+            (["fig2", "--c", "1", "--n-min", "1", "--n-max", "3"], "--n-min"),
+            (["fig2", "--c", "5", "--n-min", "5", "--n-max", "6", "--output", BAD_PATH], "--output"),
+            (
+                ["fig2", "--c", "5", "--n-min", "5", "--n-max", "6", "--output", os.devnull,
+                 "--gnuplot", BAD_PATH],
+                "--gnuplot",
+            ),
         ],
     )
     def test_usage_errors_name_the_flag(self, capsys, argv, needle):
-        code, _, err = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert needle in err
+        assert out == ""
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["fig1", "fig2"])
+    @pytest.mark.parametrize("flag", ["--output", "--gnuplot"])
+    def test_bad_path_fails_before_the_table_is_built(self, capsys, monkeypatch, command, flag):
+        def never(*args, **kwargs):
+            raise AssertionError("the table was built")
+
+        monkeypatch.setattr(cli, "sweep_fixed_degree", never)
+        monkeypatch.setattr(cli, "factor_sweep", never)
+        argv = [command, "--c", "5", "--n-min", "5", "--n-max", "6", "--output", os.devnull]
+        code, out, err = run_cli(capsys, *argv, flag, BAD_PATH)  # the last --output wins
+        assert code == 2
+        assert out == ""
+        assert f"error: {flag}: " in err
 
     @pytest.mark.parametrize("command", ["analytic", "simulate"])
     @pytest.mark.parametrize("x0", ["nan,1", "1,inf", "const:nan"])
@@ -73,6 +108,17 @@ class TestAnalytic:
         assert done.stdout == ""
         assert "SOURCE_DATE_EPOCH" in done.stderr
         assert "Traceback" not in done.stderr
+
+    def test_bad_source_date_epoch_fails_before_the_run(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the ensemble ran")
+
+        monkeypatch.setattr(cli, "run_ensemble", never)
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
+        code, out, err = run_cli(capsys, "simulate", "--n", "20", "--p", "0.25")
+        assert code == 2
+        assert out == ""
+        assert "SOURCE_DATE_EPOCH" in err
 
     def test_json_never_carries_nan(self):
         stream = io.StringIO()
@@ -146,7 +192,7 @@ class TestSimulate:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert "tol" in err
+        assert "--tol" in err
 
     def test_nonconvergence_exit_code(self, capsys):
         argv = [

@@ -54,6 +54,10 @@ class TestGraphSeed:
         b = GraphSeed(11, 1).generator().random((6, 6)) < 0.4
         assert not np.array_equal(a, b)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0"):
+            GraphSeed(-1)
+
     def test_replication_matches_nested_spawn_key(self):
         a = GraphSeed(3, 4).replication(9).random(8)
         b = np.random.default_rng(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from erconsensus import montecarlo
 from erconsensus.dynamics import NonConvergenceError
 from erconsensus.graphs import GraphSeed, ModelParams
 from erconsensus.montecarlo import (
@@ -33,8 +34,12 @@ class TestResolveX0:
             resolve_x0([1.0, 2.0], 3)
 
     def test_unknown_rule(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^x0 rule 'linspace' is unknown"):
             resolve_x0("linspace", 3)
+
+    def test_bad_constant_names_x0(self):
+        with pytest.raises(ValueError, match="^x0 constant must be a number"):
+            resolve_x0("const:abc", 3)
 
     @pytest.mark.parametrize("spec", ["const:nan", "const:-inf", [0.0, np.inf, 1.0]])
     def test_rejects_non_finite(self, spec):
@@ -100,6 +105,40 @@ class TestRunEnsemble:
         stats = run_ensemble(cfg)
         assert stats.variance == 0.0
         assert stats.mean == 1.7
+
+    @pytest.mark.parametrize(
+        "threads,cpus,reps,pools",
+        [
+            (4, 2, 40, [2]),
+            (0, 8, 40, [8]),
+            (0, 8, 3, [3]),
+            (5000, 2, 40, [2]),
+            (2, 8, 40, [2]),
+            (8, 1, 40, []),
+            (8, 4, 1, []),
+        ],
+    )
+    def test_worker_count_is_capped(self, monkeypatch, threads, cpus, reps, pools):
+        # Arithmetic only: the stand-in pool starts no threads.
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        reference = run_ensemble(_config(reps=reps), threads=1)
+        assert run_ensemble(_config(reps=reps), threads=threads) == reference
+        assert started == pools
 
     def test_reps_validation(self):
         with pytest.raises(ValueError):
