@@ -3,8 +3,8 @@
 Averaging dynamics x(k) = W_k x(k-1) with a fresh random graph every
 step drive all states to a common random value. This package computes
 the closed-form mean and variance of that value from (n, p, x0), and
-ships two independent validation routes: exhaustive enumeration of small
-ensembles and seeded Monte Carlo simulation.
+ships two independent validation routes: exact enumeration of one
+node's out-neighbour sets and seeded Monte Carlo simulation.
 """
 
 from .dynamics import ConsensusOutcome, NonConvergenceError, run_consensus

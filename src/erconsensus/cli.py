@@ -5,7 +5,7 @@ Subcommands:
   simulate   Monte Carlo ensemble vs the closed form, with a z-score
   fig1       CSV sweep of analytic vs empirical variance at fixed expected degree
   fig2       CSV table of the variance factor n(1-rho)/delta, no simulation
-  oracle     exhaustive-enumeration cross-check of every closed form
+  oracle     exact-enumeration cross-check of every closed form
 
 JSON commands print a single object on stdout; CSV commands print a
 header row plus data rows with \\n line endings. Diagnostics go to
@@ -26,7 +26,7 @@ from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_TOL, NonConvergenceError
 from .graphs import GraphSeed, ModelParams
 from .montecarlo import ExperimentConfig, factor_sweep, resolve_x0, run_ensemble, sweep_fixed_degree
 from .moments import consensus_variance
-from .oracle import ENUM_OPTIONAL_MAX_N, ENUM_REQUIRED_MAX_N, oracle_report
+from .oracle import ENUM_MAX_N, oracle_report
 
 SCHEMA_VERSION = "1"
 ORACLE_THRESHOLD = 1e-10
@@ -264,13 +264,9 @@ def cmd_fig2(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    limit = ENUM_OPTIONAL_MAX_N if args.allow_large else ENUM_REQUIRED_MAX_N
-    if args.n > limit:
-        hint = "" if args.allow_large else f" (--allow-large admits n = {ENUM_OPTIONAL_MAX_N})"
-        raise UsageError(f"--n must be <= {limit} for enumeration, got {args.n}{hint}")
     params = ModelParams(args.n, args.p)
     x0 = _parse_x0(args.x0, args.n)
-    report = oracle_report(params, x0, allow_large=args.allow_large)
+    report = oracle_report(params, x0)
     discrepancies = {
         "ew": report.ew_discrepancy,
         "eww": report.eww_discrepancy,
@@ -343,9 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", required=True, help="comma-separated expected out-degrees")
     p.set_defaults(func=cmd_fig2)
 
-    p = sub.add_parser("oracle", parents=[model], help="exhaustive cross-check of the closed forms")
-    limits = f"n <= {ENUM_REQUIRED_MAX_N}; this flag admits n = {ENUM_OPTIONAL_MAX_N}"
-    p.add_argument("--allow-large", action="store_true", help=f"enumeration needs {limits}")
+    p = sub.add_parser(
+        "oracle", parents=[model], help=f"exact cross-check of the closed forms (n <= {ENUM_MAX_N})"
+    )
+    p.add_argument(
+        "--allow-large",
+        action="store_true",
+        help=f"no effect: every n <= {ENUM_MAX_N} is enumerated; kept for old scripts",
+    )
     p.set_defaults(func=cmd_oracle)
 
     return parser

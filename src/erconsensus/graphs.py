@@ -1,4 +1,4 @@
-"""Directed Erdős–Rényi graphs: model parameters, seeding, edge bitmasks.
+"""Directed Erdős–Rényi graphs: model parameters and seeding.
 
 The model G(n, p): n labeled nodes, and every ordered pair (i, j) with
 i != j carries an edge independently with probability p. Out-degrees are
@@ -15,8 +15,6 @@ import numpy as np
 __all__ = [
     "GraphSeed",
     "ModelParams",
-    "decode_adjacency_masks",
-    "edge_slots",
 ]
 
 
@@ -88,23 +86,3 @@ class GraphSeed:
         return np.random.default_rng(
             np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream, index))
         )
-
-
-def edge_slots(n: int) -> list[tuple[int, int]]:
-    """Ordered pairs (i, j), i != j, in row-major order; one bitmask bit each."""
-    return [(i, j) for i in range(n) for j in range(n) if i != j]
-
-
-def decode_adjacency_masks(n: int, masks: np.ndarray) -> np.ndarray:
-    """Adjacency tensor (len(masks), n, n) for an array of edge bitmasks.
-
-    Bit b of a mask is the edge edge_slots(n)[b]; the diagonal stays
-    empty. The enumeration oracle walks all 2^(n(n-1)) masks this way.
-    """
-    masks = np.asarray(masks, dtype=np.int64)
-    m = n * (n - 1)
-    bits = (masks[:, None] >> np.arange(m, dtype=np.int64)) & 1
-    out = np.zeros((masks.size, n, n))
-    rows, cols = zip(*edge_slots(n))
-    out[:, rows, cols] = bits
-    return out

@@ -49,9 +49,7 @@ def resolve_x0(spec, n: int) -> np.ndarray:
             except ValueError:
                 raise ValueError(f"x0 constant must be a number, got {spec!r}") from None
         else:
-            raise ValueError(
-                f"x0 rule {spec!r} is unknown; expected 'ramp', 'const:<v>', or a vector"
-            )
+            raise ValueError(f"x0 rule {spec!r} is unknown; expected 'ramp' or 'const:<v>'")
     return _check_x0(spec, n)
 
 
@@ -116,14 +114,16 @@ def run_ensemble(cfg: ExperimentConfig, threads: int = 1) -> EnsembleStats:
 
     threads > 1 consumes the replication queue with a thread pool; 0
     means one worker per CPU, and the pool never exceeds the CPU or
-    replication count. Outcomes land in a slot per replication index, so
-    aggregation order (and therefore every output bit) is independent of
-    scheduling.
+    replication count; a negative count is rejected. Outcomes land in a
+    slot per replication index, so aggregation order (and therefore every
+    output bit) is independent of scheduling.
 
     Any replication that fails to converge raises NonConvergenceError
     naming the failed indices: with p > 0 a non-converged run means a
     broken tolerance/step budget, not bad luck.
     """
+    if threads < 0:
+        raise ValueError(f"threads must be >= 0, got {threads}")
     cpus = os.cpu_count() or 1
     workers = min(threads or cpus, cpus, cfg.reps)
     x0 = cfg.x0()

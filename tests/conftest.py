@@ -1,6 +1,8 @@
+import itertools
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -12,3 +14,18 @@ def src_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return env
+
+
+def _all_graphs(n):
+    """Every directed graph on n nodes, self-loops excluded, with its edge count."""
+    slots = tuple(zip(*((i, j) for i in range(n) for j in range(n) if i != j)))
+    for bits in itertools.product((0, 1), repeat=n * (n - 1)):
+        adj = np.zeros((n, n))
+        adj[slots] = bits
+        yield adj, sum(bits)
+
+
+@pytest.fixture(scope="session")
+def all_graphs():
+    """Generator over the 2^(n(n-1)) realizations of G(n, p); feasible for n <= 4."""
+    return _all_graphs

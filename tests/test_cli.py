@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from erconsensus import cli
+from erconsensus.oracle import ENUM_MAX_N
 
 
 # A file below a non-directory can never be opened for writing.
@@ -68,6 +69,7 @@ class TestAnalytic:
                  "--gnuplot", BAD_PATH],
                 "--gnuplot",
             ),
+            (["fig1", "--c", "5", "--n-min", "5", "--n-max", "6", "--x0", "0,1"], "--x0"),
         ],
     )
     def test_usage_errors_name_the_flag(self, capsys, argv, needle):
@@ -76,6 +78,8 @@ class TestAnalytic:
         assert needle in err
         assert out == ""
         assert "Traceback" not in err
+        if argv[0] == "fig1":  # a sweep rebuilds x0 per n, so it never takes a vector
+            assert "vector" not in err
 
     @pytest.mark.parametrize("command", ["fig1", "fig2"])
     @pytest.mark.parametrize("flag", ["--output", "--gnuplot"])
@@ -297,10 +301,19 @@ class TestOracle:
         assert code == 0
         assert all(v < 1e-10 for v in record["results"]["max_abs_discrepancy"].values())
 
-    def test_n5_needs_allow_large(self, capsys):
-        code, _, err = run_cli(capsys, "oracle", "--n", "5", "--p", "0.5")
+    @pytest.mark.parametrize("extra", [[], ["--allow-large"]], ids=["plain", "allow-large"])
+    def test_n_above_cap_names_n(self, capsys, extra):
+        n = str(ENUM_MAX_N + 1)
+        code, out, err = run_cli(capsys, "oracle", "--n", n, "--p", "0.5", *extra)
         assert code == 2
-        assert "allow-large" in err
+        assert err.startswith(f"error: --n: n must be <= {ENUM_MAX_N}")
+        assert out == ""
+
+    def test_cap_size_runs_clean(self, capsys):
+        n = ENUM_MAX_N
+        code, record, _ = run_json(capsys, "oracle", "--n", str(n), "--p", str(5 / n))
+        assert code == 0
+        assert all(v < 1e-10 for v in record["results"]["max_abs_discrepancy"].values())
 
     def test_threshold_violation_exit_code(self, capsys, monkeypatch):
         real = cli.oracle_report

@@ -9,7 +9,7 @@ from erconsensus.dynamics import (
     _weights,
     run_consensus,
 )
-from erconsensus.graphs import GraphSeed, ModelParams, decode_adjacency_masks
+from erconsensus.graphs import GraphSeed, ModelParams
 
 
 def _reference_run(params, x0, rng, tol=1e-10, max_steps=10**6):
@@ -37,11 +37,11 @@ class TestWeightMatrix:
         assert np.array_equal(w, np.eye(3))
 
     def test_complete_two_node(self):
-        w = _weights(decode_adjacency_masks(2, [0b11])[0])
+        w = _weights([[0, 1], [1, 0]])
         assert np.array_equal(w, [[0.5, 0.5], [0.5, 0.5]])
 
     def test_single_edge(self):
-        w = _weights(decode_adjacency_masks(2, [0b01])[0])
+        w = _weights([[0, 1], [0, 0]])
         assert np.array_equal(w, [[0.5, 0.5], [0.0, 1.0]])
 
     @pytest.mark.parametrize("p", [0.2, 0.7, 1.0])
@@ -56,8 +56,8 @@ class TestWeightMatrix:
         assert np.array_equal(np.diagonal(w, axis1=-2, axis2=-1), expected_diag)
         assert np.all(np.diagonal(w, axis1=-2, axis2=-1) >= 1.0 / n)
 
-    def test_batch_matches_one_at_a_time(self):
-        adj = decode_adjacency_masks(3, np.arange(64))
+    def test_batch_matches_one_at_a_time(self, all_graphs):
+        adj = np.array([graph for graph, _ in all_graphs(3)])
         batch = _weights(adj)
         for k in range(64):
             assert np.array_equal(batch[k], _weights(adj[k]))
@@ -100,7 +100,9 @@ class TestStep:
     )
     @settings(max_examples=60, deadline=None)
     def test_convexity(self, mask, x):
-        w = _weights(decode_adjacency_masks(4, [mask])[0])
+        adj = np.zeros((4, 4))
+        adj[~np.eye(4, dtype=bool)] = [mask >> bit & 1 for bit in range(12)]
+        w = _weights(adj)
         x = np.array(x)
         out = w @ x
         slack = 1e-12 * (1.0 + np.max(np.abs(x)))

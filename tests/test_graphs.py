@@ -5,13 +5,7 @@ import pytest
 from scipy import stats
 
 from erconsensus.dynamics import _weights
-from erconsensus.graphs import (
-    GraphSeed,
-    ModelParams,
-    _check_x0,
-    decode_adjacency_masks,
-    edge_slots,
-)
+from erconsensus.graphs import GraphSeed, ModelParams, _check_x0
 from erconsensus.oracle import enumerate_expected_matrices
 
 
@@ -99,10 +93,12 @@ class TestSampleGraph:
 
 
 class TestEnumeration:
-    def test_counts_all_realizations(self):
-        adj = decode_adjacency_masks(3, np.arange(64))
-        assert len({graph.tobytes() for graph in adj}) == 64
-        assert not np.diagonal(adj, axis1=1, axis2=2).any()
+    def test_counts_all_realizations(self, all_graphs):
+        # The reference walk behind test_oracle's full-walk comparison.
+        graphs = list(all_graphs(3))
+        assert len({adj.tobytes() for adj, _ in graphs}) == 64
+        assert not any(np.diagonal(adj).any() for adj, _ in graphs)
+        assert all(adj.sum() == edges for adj, edges in graphs)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
@@ -120,17 +116,7 @@ class TestEnumeration:
 
     def test_n2_p_one_concentrates_on_complete(self):
         ew, _ = enumerate_expected_matrices(ModelParams(2, 1.0))
-        assert np.array_equal(ew, _weights(decode_adjacency_masks(2, [0b11])[0]))
-
-    def test_mask_decoding_paths_agree(self):
-        n = 3
-        masks = np.arange(2 ** (n * (n - 1)))
-        tensor = decode_adjacency_masks(n, masks)
-        for mask in masks:
-            expected = np.zeros((n, n))
-            for bit, (i, j) in enumerate(edge_slots(n)):
-                expected[i, j] = mask >> bit & 1
-            assert np.array_equal(tensor[mask], expected)
+        assert np.array_equal(ew, _weights([[0, 1], [1, 0]]))
 
 
 class TestCheckX0:

@@ -144,6 +144,10 @@ class TestRunEnsemble:
         with pytest.raises(ValueError):
             _config(reps=0)
 
+    def test_rejects_negative_threads(self):
+        with pytest.raises(ValueError, match=r"^threads must be >= 0, got -3$"):
+            run_ensemble(_config(), threads=-3)
+
     def test_fatal_nonconvergence_lists_indices(self):
         cfg = ExperimentConfig(
             params=ModelParams(2, 0.9),

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from erconsensus.dynamics import _weights
 from erconsensus.graphs import ModelParams
 from erconsensus.moments import (
     consensus_variance,
@@ -13,7 +14,9 @@ from erconsensus.moments import (
     kron_left_eigenvector,
     second_moments,
 )
+from erconsensus.montecarlo import resolve_x0
 from erconsensus.oracle import (
+    ENUM_MAX_N,
     EigenvectorEstimate,
     enumerate_expected_matrices,
     exact_variance,
@@ -22,8 +25,30 @@ from erconsensus.oracle import (
     slem,
 )
 
+P_GRID = (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0)  # the acceptance checklist's p-grid
+
+
+def _full_walk(params, graphs):
+    """E[W] and E[W (x) W] as plain sums over every graph realization."""
+    n, slots = params.n, params.n * (params.n - 1)
+    ew, eww = np.zeros((n, n)), np.zeros((n * n, n * n))
+    for adj, edges in graphs(n):
+        prob = params.p**edges * params.q ** (slots - edges)
+        w = _weights(adj)
+        ew += prob * w
+        eww += prob * np.kron(w, w)
+    return ew, eww
+
 
 class TestEnumeratedMoments:
+    @pytest.mark.parametrize("n,p", list(itertools.product([2, 3, 4], P_GRID)))
+    def test_matches_full_walk(self, all_graphs, n, p):
+        params = ModelParams(n, p)
+        ew, eww = enumerate_expected_matrices(params)
+        walk_ew, walk_eww = _full_walk(params, all_graphs)
+        assert np.max(np.abs(ew - walk_ew)) < 1e-13
+        assert np.max(np.abs(eww - walk_eww)) < 1e-13
+
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("p", [0.3, 1.0])
     def test_matches_closed_forms(self, n, p):
@@ -85,17 +110,30 @@ class TestEnumeratedMoments:
             assert abs(eww[i * n + r, j * n + s] - expected) < 1e-12
 
     def test_size_gate(self):
-        with pytest.raises(ValueError):
-            enumerate_expected_matrices(ModelParams(5, 0.5))
-        with pytest.raises(ValueError):
-            enumerate_expected_matrices(ModelParams(6, 0.5), allow_large=True)
+        with pytest.raises(ValueError, match=f"^n must be <= {ENUM_MAX_N} "):
+            enumerate_expected_matrices(ModelParams(ENUM_MAX_N + 1, 0.5))
 
     def test_optional_n5(self):
-        # 2^20 realizations; also exercises the blockwise compensated path.
+        # The smallest size the full 2^(n(n-1)) walk cannot cover in a test.
         params = ModelParams(5, 0.5)
-        ew, eww = enumerate_expected_matrices(params, allow_large=True)
+        ew, eww = enumerate_expected_matrices(params)
         assert np.max(np.abs(ew - expected_weight_matrix(params))) < 1e-10
         assert np.max(np.abs(eww - expected_kron_matrix(params))) < 1e-10
+
+
+class TestAcrossFig1Range:
+    """Exact checks at the fig1 sizes c = 5, p = min(1, 5/n), ramp x0."""
+
+    @pytest.mark.parametrize("n", range(5, ENUM_MAX_N + 1))
+    def test_report_within_threshold(self, n):
+        report = oracle_report(ModelParams(n, min(1.0, 5 / n)), resolve_x0("ramp", n))
+        assert report.max_abs_discrepancy < 1e-10
+
+    def test_ramp_variance_peaks_at_n10(self):
+        # 9.0308e-4, 9.0484e-4 and 8.8979e-4 at n = 9, 10, 11, with no closed form involved.
+        var = {n: exact_variance(ModelParams(n, 5 / n), resolve_x0("ramp", n)) for n in (9, 10, 11)}
+        assert var[10] > var[9]
+        assert var[10] > var[11]
 
 
 class TestLeftUnitEigenvector:
