@@ -5,15 +5,22 @@ weight matrix (every node averages itself with its out-neighbors) and
 applies it to the state. Row-stochasticity keeps every state inside the
 convex hull of the previous ones, so the spread max(x) - min(x) can only
 shrink; a run stops once it drops below tolerance.
+
+Steps are drawn in chunks: one generator call and one weight build cover
+a stretch of steps whose length the contraction seen so far predicts.
+The generator yields the same uniforms as one call per step, so every
+outcome is bit-identical to the step-by-step loop, but the generator may
+be left advanced past the stopping step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ModelParams, _check_x0
+from .graphs import ModelParams, _check_int, _check_x0
 
 __all__ = [
     "DEFAULT_MAX_STEPS",
@@ -25,6 +32,12 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_STEPS = 10**6
+
+# Steps in a run's first chunk, before any contraction has been seen.
+_FIRST_CHUNK = 8
+# Uniforms per chunk at most (128 KiB of doubles): from n = 91 on a chunk
+# is a single step, so large runs hold no more memory than one step needs.
+_CHUNK_DOUBLES = 2**14
 
 
 class NonConvergenceError(RuntimeError):
@@ -76,15 +89,27 @@ def run_consensus(
     tol of every coordinate and always inside [min(x0), max(x0)]. A run
     that exhausts max_steps raises NonConvergenceError rather than
     returning a truncated state.
+
+    Steps are drawn in chunks, rng.random((k, n, n)) for k steps at once:
+    the first chunk is 8 steps, each later one the number of steps the
+    contraction rate seen so far says remain, and no chunk holds more
+    than 2**14 uniforms or runs past max_steps. Those are exactly the
+    uniforms k separate (n, n) draws would give, so the outcome depends
+    only on rng's initial state and equals that of the one-draw-per-step
+    loop, bit for bit. The draws of the final chunk that fall after the
+    stopping step are discarded: rng is left advanced past it, so do not
+    reuse rng expecting the position of a per-step loop.
     """
     if not 0.0 < tol < np.inf:  # NaN fails both comparisons
         raise ValueError(f"tol must be finite and positive, got {tol}")
+    _check_int("max_steps", max_steps)
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     n, p = params.n, params.p
     x = _check_x0(x0, n)
     steps = 0
     spread = float(x.max() - x.min())
+    k = _FIRST_CHUNK
     while spread >= tol:
         if steps >= max_steps:
             raise NonConvergenceError(
@@ -92,8 +117,24 @@ def run_consensus(
                 steps=steps,
                 spread=spread,
             )
+        k = max(1, min(k, max_steps - steps, _CHUNK_DOUBLES // (n * n)))
         # n*n uniforms per step; the diagonal draws are discarded by _weights.
-        x = _weights(rng.random((n, n)) < p) @ x
-        steps += 1
-        spread = float(x.max() - x.min())
+        w = _weights(rng.random((k, n, n)) < p)
+        path = np.empty((k, n))
+        for j in range(k):
+            x = path[j] = w[j] @ x
+        spreads = path.max(axis=1) - path.min(axis=1)
+        hits = np.flatnonzero(spreads < tol)
+        if hits.size:
+            j = hits[0]
+            return ConsensusOutcome(
+                value=float(path[j].mean()), steps=steps + int(j) + 1, spread=float(spreads[j])
+            )
+        del w, path  # before the next chunk is drawn, so only one is alive
+        steps += k
+        before, spread = spread, float(spreads[-1])
+        # Per-step rate from this chunk's contraction; predict the steps left.
+        drop = math.log(before) - math.log(spread)
+        if drop > 0.0:
+            k = math.ceil((math.log(spread) - math.log(tol)) * k / drop)
     return ConsensusOutcome(value=float(x.mean()), steps=steps, spread=spread)

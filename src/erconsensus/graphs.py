@@ -32,8 +32,7 @@ class ModelParams:
     p: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
-            raise TypeError(f"n must be an integer, got {type(self.n).__name__}")
+        _check_int("n", self.n)
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if not 0.0 < self.p <= 1.0:
@@ -43,6 +42,16 @@ class ModelParams:
     def q(self) -> float:
         """Probability that a given directed edge is absent."""
         return 1.0 - self.p
+
+
+def _check_int(name: str, value) -> None:
+    """Reject anything but a Python or numpy integer; a bool is rejected too.
+
+    A float or bool count would otherwise be compared, formatted and used
+    as an array shape as if it were one, failing far from its source.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
 
 
 def _check_x0(x0, n: int | None = None) -> np.ndarray:

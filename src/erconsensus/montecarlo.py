@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_TOL, NonConvergenceError, run_consensus
-from .graphs import GraphSeed, ModelParams, _check_x0
+from .graphs import GraphSeed, ModelParams, _check_int, _check_x0
 from .moments import consensus_variance, variance_factor
 
 __all__ = [
@@ -65,6 +65,7 @@ class ExperimentConfig:
     max_steps: int = DEFAULT_MAX_STEPS
 
     def __post_init__(self) -> None:
+        _check_int("reps", self.reps)
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
 

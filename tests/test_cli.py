@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -255,6 +256,29 @@ class TestFig1:
         code, _, err = run_cli(capsys, *self.ARGV, "--gnuplot", str(tmp_path / "x.gp"))
         assert code == 2
         assert "--gnuplot" in err or "--output" in err
+
+
+class TestStreamContract:
+    """Golden digests of seeded output, as the one-draw-per-step loop produced it.
+
+    Any change to how replications consume their random streams (draw
+    order, draws per step, seeding) changes these bytes; such a change
+    must be declared on purpose and the digests re-recorded.
+    """
+
+    def test_fig1_csv(self, capsys):
+        argv = ["fig1", "--c", "5", "--n-min", "5", "--n-max", "50", "--reps", "20", "--seed", "1"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "1fef9a6af5b156ac23f2e5f53fc5ecf3c99c9a34d794f1458fd0a95e0161e2c8"
+
+    def test_simulate_results(self, capsys):
+        argv = ["simulate", "--n", "20", "--p", "0.25", "--x0", "ramp", "--reps", "200", "--seed", "5"]
+        code, record, _ = run_json(capsys, *argv)
+        assert code == 0
+        digest = hashlib.sha256(json.dumps(record["results"], sort_keys=True).encode()).hexdigest()
+        assert digest == "9768d5febe009f70e1dc02cb70122d6a8023d9c1bddc2a23e9dfcc75c3be109a"
 
 
 class TestFig2:

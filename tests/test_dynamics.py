@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erconsensus.dynamics import (
+    _FIRST_CHUNK,
     ConsensusOutcome,
     NonConvergenceError,
     _weights,
@@ -172,6 +173,15 @@ class TestRunConsensus:
         with pytest.raises(ValueError):
             run_consensus(params, np.zeros(4), rng)
 
+    @pytest.mark.parametrize("max_steps", [2.5, 3.0, True])
+    def test_rejects_non_integer_max_steps(self, max_steps):
+        with pytest.raises(TypeError, match="^max_steps must be an integer"):
+            run_consensus(ModelParams(3, 0.5), np.arange(3.0), GraphSeed(0).generator(), max_steps=max_steps)
+
+    def test_accepts_numpy_integer_max_steps(self):
+        out = run_consensus(ModelParams(3, 1.0), np.arange(3.0), GraphSeed(0).generator(), max_steps=np.int64(1))
+        assert out.steps == 1
+
     @pytest.mark.parametrize("tol", [np.nan, np.inf])
     def test_rejects_non_finite_tol(self, tol):
         with pytest.raises(ValueError, match="tol"):
@@ -181,3 +191,88 @@ class TestRunConsensus:
     def test_rejects_non_finite_x0(self, bad):
         with pytest.raises(ValueError, match="finite"):
             run_consensus(ModelParams(2, 0.5), [bad, 1.0], GraphSeed(0).generator())
+
+
+def _ramp(n):
+    return np.arange(1, n + 1) / n
+
+
+class TestChunkBoundaries:
+    """Steps are drawn in chunks; every outcome equals the per-step reference."""
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["last-of-first-chunk", "one-past-it"])
+    def test_stop_at_first_chunk_boundary(self, extra):
+        params, x0, tol = ModelParams(6, 0.5), _ramp(6), 1e-3
+        for seed in range(200):
+            reference = _reference_run(params, x0, GraphSeed(seed).generator(), tol=tol)
+            if reference.steps == _FIRST_CHUNK + extra:
+                break
+        else:
+            pytest.fail(f"no seed stops after {_FIRST_CHUNK + extra} steps")
+        assert run_consensus(params, x0, GraphSeed(seed).generator(), tol=tol) == reference
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-14])
+    @pytest.mark.parametrize("n,p", [(3, 0.5), (6, 0.3), (20, 0.25), (50, 0.1)])
+    def test_tolerances(self, n, p, tol):
+        for seed in range(5):
+            fast = run_consensus(ModelParams(n, p), _ramp(n), GraphSeed(seed).generator(), tol=tol)
+            reference = _reference_run(ModelParams(n, p), _ramp(n), GraphSeed(seed).generator(), tol=tol)
+            assert fast == reference
+
+    @pytest.mark.parametrize(
+        "p,x0,steps", [(1.0, _ramp(7), 1), (0.4, np.full(7, 0.3), 0)], ids=["one-step", "zero-steps"]
+    )
+    def test_trivial_runs(self, p, x0, steps):
+        fast = run_consensus(ModelParams(7, p), x0, GraphSeed(4).generator())
+        assert fast == _reference_run(ModelParams(7, p), x0, GraphSeed(4).generator())
+        assert fast.steps == steps
+
+    @pytest.mark.parametrize("n", [127, 128, 130])
+    def test_sizes_around_the_one_step_cap(self, n):
+        params = ModelParams(n, 5.0 / n)
+        fast = run_consensus(params, _ramp(n), GraphSeed(2).generator())
+        assert fast == _reference_run(params, _ramp(n), GraphSeed(2).generator())
+
+    @pytest.mark.parametrize("max_steps", [5, _FIRST_CHUNK, 13, 3 * _FIRST_CHUNK + 1])
+    def test_step_budget_ends_mid_or_on_chunk(self, max_steps):
+        params, x0 = ModelParams(20, 0.1), _ramp(20)
+        with pytest.raises(NonConvergenceError) as fast:
+            run_consensus(params, x0, GraphSeed(9).generator(), tol=1e-300, max_steps=max_steps)
+        with pytest.raises(NonConvergenceError) as reference:
+            _reference_run(params, x0, GraphSeed(9).generator(), tol=1e-300, max_steps=max_steps)
+        assert fast.value.steps == reference.value.steps == max_steps
+        assert fast.value.spread == reference.value.spread > 0.0
+
+
+class _RecordingGenerator:
+    """A Generator stand-in that records the shape of every draw."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.shapes = []
+
+    def random(self, shape):
+        self.shapes.append(shape)
+        return self._rng.random(shape)
+
+
+class TestDrawBudget:
+    @pytest.mark.parametrize("n", [2, 20, 50, 90, 91, 127, 128])
+    def test_chunk_memory_cap(self, n):
+        rng = _RecordingGenerator(GraphSeed(5).generator())
+        out = run_consensus(ModelParams(n, min(1.0, 5.0 / n)), _ramp(n), rng, tol=1e-14)
+        drawn = [k for k, *_ in rng.shapes]
+        assert all(k * n * n <= 2**14 or k == 1 for k in drawn)
+        assert sum(drawn) >= out.steps
+
+    def test_predicted_chunks_track_steps(self):
+        n, seeds = 20, 50
+        calls = drawn = taken = 0
+        for seed in range(seeds):
+            rng = _RecordingGenerator(GraphSeed(seed).generator())
+            out = run_consensus(ModelParams(n, 0.25), _ramp(n), rng)
+            calls += len(rng.shapes)
+            drawn += sum(k for k, *_ in rng.shapes)
+            taken += out.steps
+        assert drawn <= 1.25 * taken
+        assert calls <= 4 * seeds

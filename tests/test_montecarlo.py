@@ -144,6 +144,11 @@ class TestRunEnsemble:
         with pytest.raises(ValueError):
             _config(reps=0)
 
+    @pytest.mark.parametrize("reps", [True, 2.0])
+    def test_rejects_non_integer_reps(self, reps):
+        with pytest.raises(TypeError, match="^reps must be an integer"):
+            _config(reps=reps)
+
     def test_rejects_negative_threads(self):
         with pytest.raises(ValueError, match=r"^threads must be >= 0, got -3$"):
             run_ensemble(_config(), threads=-3)
