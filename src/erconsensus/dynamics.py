@@ -67,6 +67,13 @@ def _weights(adj) -> np.ndarray:
     return w
 
 
+def _check_budget(tol: float, cap_name: str, cap: int) -> None:
+    """Reject an iteration budget that cannot work: tol finite and > 0, cap an integer >= 1."""
+    if not 0.0 < tol < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    _check_int(cap_name, cap, 1)
+
+
 @dataclass(frozen=True)
 class ConsensusOutcome:
     """End state of one run: agreed value, steps taken, final spread."""
@@ -100,11 +107,7 @@ def run_consensus(
     stopping step are discarded: rng is left advanced past it, so do not
     reuse rng expecting the position of a per-step loop.
     """
-    if not 0.0 < tol < np.inf:  # NaN fails both comparisons
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    _check_int("max_steps", max_steps)
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    _check_budget(tol, "max_steps", max_steps)
     n, p = params.n, params.p
     x = _check_x0(x0, n)
     steps = 0

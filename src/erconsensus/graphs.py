@@ -32,9 +32,7 @@ class ModelParams:
     p: float
 
     def __post_init__(self) -> None:
-        _check_int("n", self.n)
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
+        _check_int("n", self.n, 2)
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"p must be in (0, 1], got {self.p}")
 
@@ -44,14 +42,16 @@ class ModelParams:
         return 1.0 - self.p
 
 
-def _check_int(name: str, value) -> None:
-    """Reject anything but a Python or numpy integer; a bool is rejected too.
+def _check_int(name: str, value, minimum: int) -> None:
+    """Reject anything but a Python or numpy integer >= minimum; a bool is rejected too.
 
     A float or bool count would otherwise be compared, formatted and used
     as an array shape as if it were one, failing far from its source.
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 def _check_x0(x0, n: int | None = None) -> np.ndarray:

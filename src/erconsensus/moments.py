@@ -11,7 +11,8 @@ sampling. Notation used throughout:
 The agreed value x* of the averaging dynamics is random (the graph
 sequence is random). Its mean is the plain average of the initial states;
 its variance is (1 - rho)/delta times the unnormalized dispersion
-sum_i (x_i(0) - mean(x0))^2.
+sum_i (x_i(0) - mean(x0))^2. E[W] and E[W (x) W] are built from one
+row model, row 0's moments relabelled onto every row (_row_moments).
 """
 
 from __future__ import annotations
@@ -134,11 +135,9 @@ def second_moments(params: ModelParams) -> WeightSecondMoments:
     n = params.n
     f1 = expected_self_weight(params)
     g2 = expected_self_weight_sq(params)
-    off = (1.0 - f1) / (n - 1)
+    off = expected_neighbor_weight(params)
     same = (f1 - g2) / (n - 1)
-    pair_same = None
-    if n >= 3:
-        pair_same = (1.0 + 2.0 * g2 - 3.0 * f1) / ((n - 1) * (n - 2))
+    pair_same = (1.0 + 2.0 * g2 - 3.0 * f1) / ((n - 1) * (n - 2)) if n >= 3 else None
     return WeightSecondMoments(
         mean_self=f1,
         mean_neighbor=off,
@@ -151,6 +150,30 @@ def second_moments(params: ModelParams) -> WeightSecondMoments:
     )
 
 
+def _relabel(row: np.ndarray) -> np.ndarray:
+    """(n, n) array whose row i is row with entries 0 and i exchanged (labels 0 <-> i)."""
+    out = np.tile(row, (len(row), 1))
+    out[:, 0] = row
+    np.fill_diagonal(out, row[0])
+    return out
+
+
+def _row_moments(params: ModelParams) -> tuple[WeightSecondMoments, np.ndarray, np.ndarray]:
+    """Row 0 of W: its classes, m1[j] = E[w_0j] and m2[j, s] = E[w_0j w_0s].
+
+    Rows are independent and exchangeable: with swap = _relabel(np.arange(n))[i],
+    E[w_ij] = m1[swap[j]] and E[w_ij w_is] = m2[swap[j], swap[s]].
+    """
+    n = params.n
+    m = second_moments(params)
+    m1 = np.where(np.arange(n) == 0, m.mean_self, m.mean_neighbor)
+    m2 = np.full((n, n), m.neighbor_pair_same_row or 0.0)  # None at n = 2, never kept
+    np.fill_diagonal(m2, m.self_neighbor_same_row)
+    m2[0, :] = m2[:, 0] = m.self_neighbor_same_row
+    m2[0, 0] = m.self_sq
+    return m, m1, m2
+
+
 def expected_weight_matrix(params: ModelParams) -> np.ndarray:
     """E[W]: expected self-weight on the diagonal, uniform off-diagonal.
 
@@ -158,91 +181,64 @@ def expected_weight_matrix(params: ModelParams) -> np.ndarray:
     uniform distribution, which is what makes the mean of the agreed
     value the plain average of x(0).
     """
-    n = params.n
-    f1 = expected_self_weight(params)
-    m = np.full((n, n), (1.0 - f1) / (n - 1))
-    np.fill_diagonal(m, f1)
-    return m
-
-
-def _kron_index_values(params: ModelParams) -> tuple[WeightSecondMoments, float]:
-    m = second_moments(params)
-    pair_same = 0.0 if m.neighbor_pair_same_row is None else m.neighbor_pair_same_row
-    return m, pair_same
+    return _relabel(_row_moments(params)[1])
 
 
 def expected_kron_matrix(params: ModelParams) -> np.ndarray:
     """Dense E[W (x) W], the n^2 x n^2 matrix of entries E[w_ij w_rs].
 
-    Row (i, r) = i*n + r, column (j, s) = j*n + s. Block (i, r) holds the
-    cross-row classes for i != r and the same-row classes for i == r; at
-    n = 2 the same-row blocks never reach the two-distinct-neighbors
-    class, so its absence is harmless. Rejected above DENSE_KRON_LIMIT;
-    use kron_apply_left there.
+    Row (i, r) = i*n + r, column (j, s) = j*n + s. Block (i, r), i != r,
+    is E[w_i.] (x) E[w_r.], filled by its three cross-row classes; block
+    (i, i) is m2 relabelled. Rejected above DENSE_KRON_LIMIT; use
+    kron_apply_left there.
     """
     n = params.n
     if n > DENSE_KRON_LIMIT:
         raise ValueError(f"dense assembly capped at n <= {DENSE_KRON_LIMIT}, got {n}")
-    m, pair_same = _kron_index_values(params)
-    out = np.empty((n * n, n * n))
+    m, _, m2 = _row_moments(params)
+    out = np.full((n * n, n * n), m.neighbor_pair_cross_row)
+    e = out.reshape(n, n, n, n)  # e[i, r, j, s] = E[w_ij w_rs]
     idx = np.arange(n)
-    for i in range(n):
-        for r in range(n):
-            block = out[i * n + r].reshape(n, n)
-            if i == r:
-                block[:] = pair_same
-                block[idx, idx] = m.self_neighbor_same_row
-                block[i, :] = m.self_neighbor_same_row
-                block[:, i] = m.self_neighbor_same_row
-                block[i, i] = m.self_sq
-            else:
-                block[:] = m.neighbor_pair_cross_row
-                block[i, :] = m.self_neighbor_cross_row
-                block[:, r] = m.self_neighbor_cross_row
-                block[i, r] = m.self_self
+    e[idx, :, idx, :] = m.self_neighbor_cross_row
+    e[:, idx, :, idx] = m.self_neighbor_cross_row
+    e[idx[:, None], idx, idx[:, None], idx] = m.self_self
+    for i, swap in enumerate(_relabel(idx)):
+        e[i, i] = m2[swap[:, None], swap]
     return out
 
 
 def kron_apply_left(v: np.ndarray, params: ModelParams) -> np.ndarray:
     """v^T M for M = E[W (x) W] in O(n^2), without forming M.
 
-    v is indexed like the dense assembly's rows: component (i, r) sits at
-    i*n + r. Aggregates (total, trace, row and column sums of v viewed as
-    an n x n array) pin down how much mass multiplies each entry class.
+    v is indexed like the dense assembly's rows; as an n x n array V,
+    v^T M = E[W]^T V E[W] + sum_i V_ii C_i by row independence, with C_i
+    row i's covariance, C_0 = m2 - m1 m1^T relabelled. As E[W] = aI + bJ
+    and C_0 takes four values, only scalars and V's sums are used.
     """
     n = params.n
     v = np.asarray(v, dtype=float)
     if v.shape != (n * n,):
         raise ValueError(f"v must have length n^2 = {n * n}, got shape {v.shape}")
-    m, pair_same = _kron_index_values(params)
-    q1, q2 = m.self_sq, m.self_self
-    q3, q4 = m.self_neighbor_same_row, m.self_neighbor_cross_row
-    q6 = m.neighbor_pair_cross_row
+    m = second_moments(params)
+    b = m.mean_neighbor
+    a = m.mean_self - b
+    # C_0[j, s], same-row minus cross-row class: j = s = 0, one of j, s is 0, j = s != 0, rest.
+    c_self = m.self_sq - m.self_self
+    c_mixed = m.self_neighbor_same_row - m.self_neighbor_cross_row
+    c_sq = m.self_neighbor_same_row - m.neighbor_pair_cross_row
+    c_pair = (m.neighbor_pair_same_row or 0.0) - m.neighbor_pair_cross_row
 
     V = v.reshape(n, n)
-    diag = V.diagonal().copy()
-    row = V.sum(axis=1)
-    col = V.sum(axis=0)
-    total = float(V.sum())
-    trace = float(diag.sum())
-
-    d_j = diag[:, None]
-    d_s = diag[None, :]
-    out = (
-        q3 * (d_j + d_s)
-        + pair_same * (trace - d_j - d_s)
-        + q2 * V
-        + q4 * ((row[:, None] - d_j - V) + (col[None, :] - d_s - V))
-        + q6 * (total - trace - row[:, None] - col[None, :] + d_j + d_s + V)
-    )
-    out_diag = (
-        q1 * diag
-        + q3 * (trace - diag)
-        + q4 * (row + col - 2.0 * diag)
-        + q6 * (total - trace - row - col + 2.0 * diag)
-    )
-    out[np.arange(n), np.arange(n)] = out_diag
-    return out.reshape(n * n)
+    diag, trace = V.diagonal(), float(np.trace(V))
+    # a^2 V + ab (row + column sums) + b^2 total, and off the diagonal
+    # sum_i V_ii C_i[j, s] = c_mixed (V_jj + V_ss) + c_pair (trace - V_jj - V_ss).
+    edge = (c_mixed - c_pair) * diag
+    out = (a * a) * V
+    out += (a * b * V.sum(axis=1) + edge + (b * b * float(V.sum()) + c_pair * trace))[:, None]
+    out += a * b * V.sum(axis=0) + edge
+    flat = out.reshape(n * n)  # on the diagonal: c_self V_jj + c_sq (trace - V_jj)
+    flat[:: n + 1] += (c_sq - c_pair) * trace + (c_self - c_sq - 2.0 * (c_mixed - c_pair)) * diag
+    return flat
 
 
 @dataclass(frozen=True)
@@ -280,7 +276,7 @@ def pattern_map(params: ModelParams) -> PatternMap:
     scale = (n * f1 + n - 2.0) * (1.0 - f1) / (n - 1.0)
     return PatternMap(
         a=1.0 - scale / (n - 1.0),
-        b=(1.0 - f1) / (n - 1.0),
+        b=expected_neighbor_weight(params),
         c=scale,
         d=f1,
     )
@@ -384,11 +380,9 @@ def peak_size(c: float, n_max: int) -> int:
     n_start = math.floor(c) + 1
     if n_max < n_start:
         raise ValueError(f"n_max must exceed c = {c}, got {n_max}")
-    best_n = n_start
-    best_value = -math.inf
-    for n in range(n_start, n_max + 1):
+
+    def ramp_variance(n: int) -> float:
         rho, delta = variance_coefficients(ModelParams(n, c / n))
-        value = (1.0 - rho) / delta * (n * n - 1) / (12.0 * n)
-        if value > best_value:
-            best_n, best_value = n, value
-    return best_n
+        return (1.0 - rho) / delta * (n * n - 1) / (12.0 * n)
+
+    return max(range(n_start, n_max + 1), key=ramp_variance)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_TOL, NonConvergenceError, run_consensus
+from .dynamics import _check_budget
 from .graphs import GraphSeed, ModelParams, _check_int, _check_x0
 from .moments import consensus_variance, variance_factor
 
@@ -65,9 +66,8 @@ class ExperimentConfig:
     max_steps: int = DEFAULT_MAX_STEPS
 
     def __post_init__(self) -> None:
-        _check_int("reps", self.reps)
-        if self.reps < 1:
-            raise ValueError(f"reps must be >= 1, got {self.reps}")
+        _check_int("reps", self.reps, 1)
+        _check_budget(self.tol, "max_steps", self.max_steps)
 
     def x0(self) -> np.ndarray:
         return resolve_x0(self.x0_spec, self.params.n)
@@ -115,16 +115,15 @@ def run_ensemble(cfg: ExperimentConfig, threads: int = 1) -> EnsembleStats:
 
     threads > 1 consumes the replication queue with a thread pool; 0
     means one worker per CPU, and the pool never exceeds the CPU or
-    replication count; a negative count is rejected. Outcomes land in a
-    slot per replication index, so aggregation order (and therefore every
-    output bit) is independent of scheduling.
+    replication count; a negative or non-integer count is rejected.
+    Outcomes land in a slot per replication index, so aggregation order
+    (and therefore every output bit) is independent of scheduling.
 
     Any replication that fails to converge raises NonConvergenceError
     naming the failed indices: with p > 0 a non-converged run means a
     broken tolerance/step budget, not bad luck.
     """
-    if threads < 0:
-        raise ValueError(f"threads must be >= 0, got {threads}")
+    _check_int("threads", threads, 0)
     cpus = os.cpu_count() or 1
     workers = min(threads or cpus, cpus, cfg.reps)
     x0 = cfg.x0()

@@ -9,7 +9,8 @@ identity
 
 so the analytic module has something independent to be measured against.
 The only model facts used are that rows of W are independent and that
-relabelling nodes maps one row's distribution onto every other's.
+relabelling nodes maps one row's distribution onto every other's
+(moments._relabel); no entry class or binomial moment is used.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _weights
+from .dynamics import _check_budget, _weights
 from .graphs import ModelParams, _check_x0
 from .moments import (
+    _relabel,
     consensus_variance,
     expected_kron_matrix,
     expected_weight_matrix,
@@ -67,13 +69,10 @@ def enumerate_expected_matrices(params: ModelParams) -> tuple[np.ndarray, np.nda
     rows = _weights(adj)[:, 0]
     m1 = prob @ rows
     m2 = (rows * prob[:, None]).T @ rows
-    # swap[i] relabels 0 <-> i, so row i of E[W] is m1[swap[i]].
-    nodes = np.arange(n)
-    swap = np.tile(nodes, (n, 1))
-    swap[:, 0] = nodes
-    swap[nodes, nodes] = 0
-    ew = m1[swap]
+    ew = _relabel(m1)
     eww = np.einsum("ij,rs->irjs", ew, ew)
+    nodes = np.arange(n)
+    swap = _relabel(nodes)
     eww[nodes, nodes] = m2[swap[:, :, None], swap[:, None, :]]
     return ew, eww.reshape(n * n, n * n)
 
@@ -87,6 +86,13 @@ class EigenvectorEstimate:
     iterations: int
 
 
+def _square(m, min_size: int) -> np.ndarray:
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < min_size:
+        raise ValueError(f"matrix must be square with >= {min_size} rows, got shape {m.shape}")
+    return m
+
+
 def left_unit_eigenvector(
     m,
     tol: float = POWER_ITERATION_TOL,
@@ -98,11 +104,10 @@ def left_unit_eigenvector(
     to sum 1 each step, until max|v^T M - v^T| < tol. Strict positivity
     makes the unit eigenvalue simple (Perron-Frobenius), so the iteration
     converges geometrically; a healthy spectral gap keeps the default cap
-    far out of reach.
+    far out of reach. A bad tol or max_iterations is rejected up front.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
+    m = _square(m, 1)
+    _check_budget(tol, "max_iterations", max_iterations)
     if np.max(np.abs(m.sum(axis=1) - 1.0)) > 1e-8:
         raise ValueError("matrix rows must sum to 1")
     size = m.shape[0]
@@ -124,11 +129,10 @@ def slem(m) -> float:
 
     Subunit SLEM of the expected update matrix is the condition for the
     dynamics to agree almost surely; this returns the numerically computed
-    value (full eigenvalue set, robust to complex pairs).
+    value (full eigenvalue set, robust to complex pairs). A 1 x 1 matrix
+    has no second eigenvalue and is rejected.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
+    m = _square(m, 2)
     mods = np.sort(np.abs(np.linalg.eigvals(m)))
     return float(mods[-2])
 
@@ -195,8 +199,6 @@ def oracle_report(params: ModelParams, x0, allow_large: bool = False) -> OracleR
         closed_form_variance=closed.variance,
         ew_discrepancy=float(np.max(np.abs(ew - expected_weight_matrix(params)))),
         eww_discrepancy=float(np.max(np.abs(eww - expected_kron_matrix(params)))),
-        eigenvector_discrepancy=float(
-            np.max(np.abs(v_big - kron_left_eigenvector(params)))
-        ),
+        eigenvector_discrepancy=float(np.max(np.abs(v_big - kron_left_eigenvector(params)))),
         variance_discrepancy=abs(enumerated_variance - closed.variance),
     )

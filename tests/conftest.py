@@ -29,3 +29,24 @@ def _all_graphs(n):
 def all_graphs():
     """Generator over the 2^(n(n-1)) realizations of G(n, p); feasible for n <= 4."""
     return _all_graphs
+
+
+def _entry_class(m, i, r, j, s):
+    """The WeightSecondMoments class of E[w_ij w_rs], read off the four indices."""
+    if i == r:
+        if j == s == i:
+            return m.self_sq
+        if (j == i) != (s == i) or j == s:
+            return m.self_neighbor_same_row
+        return m.neighbor_pair_same_row
+    if j == i and s == r:
+        return m.self_self
+    if (j == i) != (s == r):
+        return m.self_neighbor_cross_row
+    return m.neighbor_pair_cross_row
+
+
+@pytest.fixture(scope="session")
+def entry_class():
+    """The six-class table of E[W (x) W]: entry_class(m, i, r, j, s) -> class value."""
+    return _entry_class

@@ -1,3 +1,4 @@
+import itertools
 import math
 import subprocess
 import sys
@@ -26,7 +27,7 @@ from erconsensus.moments import (
     variance_coefficients,
     variance_factor,
 )
-from erconsensus.moments import _inv_square_binomial_moment, _kron_index_values
+from erconsensus.moments import _inv_square_binomial_moment
 
 P_GRID = [0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
 
@@ -55,12 +56,10 @@ def kron_row_sums(params: ModelParams) -> np.ndarray:
     so tests can watch the identity survive floating point.
     """
     n = params.n
-    m, pair_same = _kron_index_values(params)
-    same_row = (
-        m.self_sq
-        + 3.0 * (n - 1) * m.self_neighbor_same_row
-        + (n - 1) * (n - 2) * pair_same
-    )
+    m = second_moments(params)
+    same_row = m.self_sq + 3.0 * (n - 1) * m.self_neighbor_same_row
+    if n >= 3:
+        same_row += (n - 1) * (n - 2) * m.neighbor_pair_same_row
     cross_row = (
         m.self_self
         + 2.0 * (n - 1) * m.self_neighbor_cross_row
@@ -258,6 +257,14 @@ class TestExpectedMatrices:
         )
         assert np.allclose(expected_kron_matrix(ModelParams(2, 0.5)), expected, atol=1e-15)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    def test_dense_entries_are_their_class_exactly(self, entry_class, n):
+        params = ModelParams(n, 0.3)
+        m = second_moments(params)
+        dense = expected_kron_matrix(params)
+        for i, r, j, s in itertools.product(range(n), repeat=4):
+            assert dense[i * n + r, j * n + s] == entry_class(m, i, r, j, s)
+
     def test_dense_kron_complete_three_nodes(self):
         assert np.allclose(expected_kron_matrix(ModelParams(3, 1.0)), 1 / 9, atol=1e-15)
 
@@ -273,8 +280,8 @@ class TestExpectedMatrices:
         with pytest.raises(ValueError):
             expected_kron_matrix(ModelParams(DENSE_KRON_LIMIT + 1, 0.5))
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 8])
-    @pytest.mark.parametrize("p", [0.3, 0.9])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 30, 60])
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.9, 1.0])
     def test_matrix_free_apply_matches_dense(self, n, p):
         params = ModelParams(n, p)
         dense = expected_kron_matrix(params)
@@ -384,7 +391,7 @@ class TestKronEigenvector:
         residual = np.max(np.abs(v @ expected_kron_matrix(params) - v))
         assert residual < 1e-12
 
-    @pytest.mark.parametrize("n", [80, 100])
+    @pytest.mark.parametrize("n", [80, 100, 1000])
     def test_matrix_free_residual_beyond_dense_cap(self, n):
         params = ModelParams(n, 0.1)
         v = kron_left_eigenvector(params)

@@ -153,6 +153,26 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match=r"^threads must be >= 0, got -3$"):
             run_ensemble(_config(), threads=-3)
 
+    @pytest.mark.parametrize("threads", [1.5, True])
+    def test_rejects_non_integer_threads(self, threads):
+        with pytest.raises(TypeError, match="^threads must be an integer"):
+            run_ensemble(_config(), threads=threads)
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+    def test_rejects_bad_tol_at_construction(self, tol):
+        with pytest.raises(ValueError, match="^tol must be finite and positive"):
+            _config(tol=tol)
+
+    @pytest.mark.parametrize(
+        "max_steps,error,needle",
+        [(0, ValueError, "must be >= 1"), (2.5, TypeError, "must be an integer"),
+         (True, TypeError, "must be an integer")],
+        ids=["zero", "float", "bool"],
+    )
+    def test_rejects_bad_max_steps_at_construction(self, max_steps, error, needle):
+        with pytest.raises(error, match=f"^max_steps {needle}"):
+            _config(max_steps=max_steps)
+
     def test_fatal_nonconvergence_lists_indices(self):
         cfg = ExperimentConfig(
             params=ModelParams(2, 0.9),

@@ -49,6 +49,14 @@ class TestEnumeratedMoments:
         assert np.max(np.abs(ew - walk_ew)) < 1e-13
         assert np.max(np.abs(eww - walk_eww)) < 1e-13
 
+    @pytest.mark.parametrize("n,p", list(itertools.product([2, 3, 4], P_GRID)))
+    def test_closed_forms_match_full_walk(self, all_graphs, n, p):
+        # The walk relabels nothing, so this also checks moments' 0 <-> i relabelling.
+        params = ModelParams(n, p)
+        walk_ew, walk_eww = _full_walk(params, all_graphs)
+        assert np.max(np.abs(expected_weight_matrix(params) - walk_ew)) < 1e-13
+        assert np.max(np.abs(expected_kron_matrix(params) - walk_eww)) < 1e-13
+
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("p", [0.3, 1.0])
     def test_matches_closed_forms(self, n, p):
@@ -86,27 +94,13 @@ class TestEnumeratedMoments:
         assert np.max(np.abs(ew.sum(axis=1) - 1.0)) < 1e-12
         assert np.max(np.abs(eww.sum(axis=1) - 1.0)) < 1e-12
 
-    def test_every_entry_class_realized_at_n4(self):
+    def test_every_entry_class_realized_at_n4(self, entry_class):
         n, p = 4, 0.3
         params = ModelParams(n, p)
         _, eww = enumerate_expected_matrices(params)
         m = second_moments(params)
         for i, r, j, s in itertools.product(range(n), repeat=4):
-            if i == r:
-                if j == s == i:
-                    expected = m.self_sq
-                elif (j == i) != (s == i) or (j == s != i):
-                    expected = m.self_neighbor_same_row
-                else:
-                    expected = m.neighbor_pair_same_row
-            else:
-                first_diag, second_diag = j == i, s == r
-                if first_diag and second_diag:
-                    expected = m.self_self
-                elif first_diag != second_diag:
-                    expected = m.self_neighbor_cross_row
-                else:
-                    expected = m.neighbor_pair_cross_row
+            expected = entry_class(m, i, r, j, s)
             assert abs(eww[i * n + r, j * n + s] - expected) < 1e-12
 
     def test_size_gate(self):
@@ -154,6 +148,21 @@ class TestLeftUnitEigenvector:
         assert estimate.vector.sum() == pytest.approx(1.0, abs=1e-13)
         assert estimate.iterations >= 1
 
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="^tol must be finite and positive"):
+            left_unit_eigenvector(expected_kron_matrix(ModelParams(4, 0.3)), tol=tol)
+
+    @pytest.mark.parametrize(
+        "cap,error,needle",
+        [(0, ValueError, "must be >= 1"), (-2, ValueError, "must be >= 1"),
+         (1.5, TypeError, "must be an integer"), (True, TypeError, "must be an integer")],
+        ids=["zero", "negative", "float", "bool"],
+    )
+    def test_rejects_bad_max_iterations(self, cap, error, needle):
+        with pytest.raises(error, match=f"^max_iterations {needle}"):
+            left_unit_eigenvector(np.full((2, 2), 0.5), max_iterations=cap)
+
     def test_iteration_cap_raises(self):
         m = expected_kron_matrix(ModelParams(2, 0.05))
         with pytest.raises(RuntimeError):
@@ -190,6 +199,10 @@ class TestSlem:
     def test_validates_square(self):
         with pytest.raises(ValueError):
             slem(np.zeros((2, 3)))
+
+    def test_rejects_one_by_one(self):
+        with pytest.raises(ValueError, match=r"^matrix must be square with >= 2 rows"):
+            slem(np.ones((1, 1)))
 
 
 class TestExactVariance:
