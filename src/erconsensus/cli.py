@@ -22,13 +22,13 @@ import sys
 import time
 from datetime import datetime, timezone
 
-from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_TOL, NonConvergenceError
+from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_TOL, NonConvergenceError, _sparse_draws
 from .graphs import GraphSeed, ModelParams
 from .montecarlo import ExperimentConfig, factor_sweep, resolve_x0, run_ensemble, sweep_fixed_degree
 from .moments import consensus_variance
 from .oracle import ENUM_MAX_N, oracle_report
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 ORACLE_THRESHOLD = 1e-10
 
 EXIT_OK = 0
@@ -187,6 +187,8 @@ def cmd_simulate(args) -> int:
         results,
         seed=args.seed,
     )
+    # Which step body drew the graphs, and so which random-stream layout.
+    record["provenance"]["stream"] = "sparse" if _sparse_draws(args.n, args.p) else "dense"
     _emit_json(record, sys.stdout)
     return EXIT_OK
 

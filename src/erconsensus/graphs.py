@@ -33,6 +33,8 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         _check_int("n", self.n, 2)
+        if isinstance(self.p, bool):
+            raise TypeError("p must be a number, got bool")
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"p must be in (0, 1], got {self.p}")
 
@@ -82,8 +84,8 @@ class GraphSeed:
     stream: int = 0
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_int("seed", self.seed, 0)
+        _check_int("stream", self.stream, 0)
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(

@@ -208,6 +208,14 @@ class TestSimulate:
         assert code == 3
         assert "converge" in err
 
+    @pytest.mark.parametrize("n,p,stream", [("20", "0.25", "dense"), ("200", "0.025", "sparse")])
+    def test_provenance_names_the_stream(self, capsys, n, p, stream):
+        argv = ["simulate", "--n", n, "--p", p, "--x0", "ramp", "--reps", "5", "--seed", "2"]
+        code, record, _ = run_json(capsys, *argv)
+        assert code == 0
+        assert record["schema_version"] == "2"
+        assert record["provenance"]["stream"] == stream
+
     def test_complete_graph_zero_empirical_variance(self, capsys):
         argv = ["simulate", "--n", "5", "--p", "1", "--x0", "ramp", "--reps", "10", "--seed", "0"]
         code, record, _ = run_json(capsys, *argv)

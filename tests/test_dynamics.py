@@ -1,12 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
+from erconsensus import dynamics
 from erconsensus.dynamics import (
     _FIRST_CHUNK,
     ConsensusOutcome,
     NonConvergenceError,
+    _edge_draws,
+    _sparse_draws,
     _weights,
     run_consensus,
 )
@@ -27,6 +33,36 @@ def _reference_run(params, x0, rng, tol=1e-10, max_steps=10**6):
         d = a.sum(axis=1)
         w = (a + np.eye(n)) / (d + 1.0)[:, None]
         x = w @ x
+        steps += 1
+        spread = float(x.max() - x.min())
+    return ConsensusOutcome(value=float(x.mean()), steps=steps, spread=spread)
+
+
+def _sparse_reference_run(params, x0, rng, tol=1e-10, max_steps=10**6):
+    """The sparse step body spelled out: one geometric gap at a time, one step at a time.
+
+    The edge slots (i, j), i != j, of successive steps form one Bernoulli(p)
+    sequence, step after step and row after row; an edge at slot position
+    pos is found by adding one Geometric(p) gap to the previous one.
+    """
+    n, p = params.n, params.p
+    slots = n * (n - 1)
+    x = np.array(x0, dtype=float)
+    edge = int(rng.geometric(p)) - 1  # position of the next edge from the start of the run
+    steps = 0
+    spread = float(x.max() - x.min())
+    while spread >= tol:
+        if steps >= max_steps:
+            raise NonConvergenceError("reference run did not converge", steps=steps, spread=spread)
+        rows, cols = [], []
+        while edge < (steps + 1) * slots:
+            i, j = divmod(edge - steps * slots, n - 1)
+            rows.append(i)
+            cols.append(j + (j >= i))
+            edge += int(rng.geometric(p))
+        rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+        degrees = np.bincount(rows, minlength=n)
+        x = (x + np.bincount(rows, x[cols], minlength=n)) * (1.0 / (degrees + 1.0))
         steps += 1
         spread = float(x.max() - x.min())
     return ConsensusOutcome(value=float(x.mean()), steps=steps, spread=spread)
@@ -229,7 +265,7 @@ class TestChunkBoundaries:
 
     @pytest.mark.parametrize("n", [127, 128, 130])
     def test_sizes_around_the_one_step_cap(self, n):
-        params = ModelParams(n, 5.0 / n)
+        params = ModelParams(n, 0.3)
         fast = run_consensus(params, _ramp(n), GraphSeed(2).generator())
         assert fast == _reference_run(params, _ramp(n), GraphSeed(2).generator())
 
@@ -257,10 +293,14 @@ class _RecordingGenerator:
 
 
 class TestDrawBudget:
-    @pytest.mark.parametrize("n", [2, 20, 50, 90, 91, 127, 128])
-    def test_chunk_memory_cap(self, n):
+    @pytest.mark.parametrize(
+        "n,p",
+        [pytest.param(n, p, id=str(n)) for n, p in
+         [(2, 1.0), (20, 0.25), (50, 0.1), (90, 0.3), (91, 0.3), (127, 0.3), (128, 0.3)]],
+    )
+    def test_chunk_memory_cap(self, n, p):
         rng = _RecordingGenerator(GraphSeed(5).generator())
-        out = run_consensus(ModelParams(n, min(1.0, 5.0 / n)), _ramp(n), rng, tol=1e-14)
+        out = run_consensus(ModelParams(n, p), _ramp(n), rng, tol=1e-14)
         drawn = [k for k, *_ in rng.shapes]
         assert all(k * n * n <= 2**14 or k == 1 for k in drawn)
         assert sum(drawn) >= out.steps
@@ -276,3 +316,134 @@ class TestDrawBudget:
             taken += out.steps
         assert drawn <= 1.25 * taken
         assert calls <= 4 * seeds
+
+
+@pytest.fixture
+def sparse_everywhere(monkeypatch):
+    """Send every run_consensus call through the sparse step body."""
+    monkeypatch.setattr(dynamics, "_sparse_draws", lambda n, p: True)
+
+
+class TestStepPathChoice:
+    @pytest.mark.parametrize("n", range(5, 51))
+    def test_criterion_6_sweep_stays_dense(self, n):
+        assert not _sparse_draws(n, min(1.0, 5.0 / n))
+
+    @pytest.mark.parametrize("n,p", [(51, 0.1), (100, 0.05), (200, 0.025), (400, 0.0125), (2000, 0.0025)])
+    def test_sparse_below_the_density_cut(self, n, p):
+        assert _sparse_draws(n, p)
+
+    @pytest.mark.parametrize("n,p", [(50, 0.1), (20, 0.01), (100, 0.25), (400, 0.11), (2000, 1.0)])
+    def test_dense_elsewhere(self, n, p):
+        assert not _sparse_draws(n, p)
+
+
+class TestSparseSteps:
+    """The sparse body equals the per-step geometric-gap reference bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 8, 31])
+    @pytest.mark.parametrize("n,p", [(60, 5.0 / 60), (100, 0.05), (200, 0.025)])
+    def test_chosen_sizes_match_reference(self, n, p, seed):
+        params = ModelParams(n, p)
+        assert _sparse_draws(n, p)
+        fast = run_consensus(params, _ramp(n), GraphSeed(seed).generator())
+        assert fast == _sparse_reference_run(params, _ramp(n), GraphSeed(seed).generator())
+        assert fast.steps > 0
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["last-of-first-chunk", "one-past-it"])
+    def test_stop_at_first_chunk_boundary(self, sparse_everywhere, extra):
+        params, x0, tol = ModelParams(6, 0.5), _ramp(6), 1e-3
+        for seed in range(200):
+            reference = _sparse_reference_run(params, x0, GraphSeed(seed).generator(), tol=tol)
+            if reference.steps == _FIRST_CHUNK + extra:
+                break
+        else:
+            pytest.fail(f"no seed stops after {_FIRST_CHUNK + extra} steps")
+        assert run_consensus(params, x0, GraphSeed(seed).generator(), tol=tol) == reference
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-14])
+    @pytest.mark.parametrize("n,p", [(2, 0.5), (6, 0.3), (20, 0.25), (70, 0.05), (150, 0.02)])
+    def test_tolerances(self, sparse_everywhere, n, p, tol):
+        for seed in range(5):
+            fast = run_consensus(ModelParams(n, p), _ramp(n), GraphSeed(seed).generator(), tol=tol)
+            reference = _sparse_reference_run(ModelParams(n, p), _ramp(n), GraphSeed(seed).generator(), tol=tol)
+            assert fast == reference
+
+    @pytest.mark.parametrize(
+        "p,x0,steps", [(1.0, _ramp(7), 1), (0.4, np.full(7, 0.3), 0)], ids=["p-one", "constant-x0"]
+    )
+    def test_trivial_runs(self, sparse_everywhere, p, x0, steps):
+        fast = run_consensus(ModelParams(7, p), x0, GraphSeed(4).generator())
+        assert fast == _sparse_reference_run(ModelParams(7, p), x0, GraphSeed(4).generator())
+        assert fast.steps == steps
+
+    @pytest.mark.parametrize("max_steps", [5, _FIRST_CHUNK, 13, 3 * _FIRST_CHUNK + 1])
+    def test_step_budget_ends_mid_or_on_chunk(self, sparse_everywhere, max_steps):
+        params, x0 = ModelParams(20, 0.1), _ramp(20)
+        with pytest.raises(NonConvergenceError) as fast:
+            run_consensus(params, x0, GraphSeed(9).generator(), tol=1e-300, max_steps=max_steps)
+        with pytest.raises(NonConvergenceError) as reference:
+            _sparse_reference_run(params, x0, GraphSeed(9).generator(), tol=1e-300, max_steps=max_steps)
+        assert fast.value.steps == reference.value.steps == max_steps
+        assert fast.value.spread == reference.value.spread > 0.0
+
+    def test_vanishing_p_fails_to_converge(self):
+        # numpy saturates gaps this long at 2**63 - 1; the run still ends in the budget error.
+        with pytest.raises(NonConvergenceError) as info:
+            run_consensus(ModelParams(60, 1e-20), _ramp(60), GraphSeed(1).generator(), max_steps=50)
+        assert info.value.steps == 50
+        assert info.value.spread == _ramp(60).max() - _ramp(60).min()
+
+    def test_chunking_does_not_change_the_edges(self):
+        n, p = 30, 0.05
+        whole = _edge_draws(n, p, GraphSeed(3).generator())(12)
+        draw = _edge_draws(n, p, GraphSeed(3).generator())
+        parts = [draw(k) for k in (1, 5, 2, 4)]
+        offsets = np.repeat([0, 1, 6, 8], [part[0].size for part in parts]) * n
+        assert np.array_equal(whole[0], np.concatenate([part[0] for part in parts]) + offsets)
+        for axis in (1, 2):
+            assert np.array_equal(whole[axis], np.concatenate([part[axis] for part in parts]))
+
+
+def _sparse_adjacency(n, p, seed, steps, chunk):
+    """Adjacency of `steps` sparse draws, stacked as (steps, n, n), drawn `chunk` steps at a time."""
+    draw = _edge_draws(n, p, GraphSeed(seed).generator())
+    adj = np.zeros((steps, n, n), dtype=bool)
+    for start in range(0, steps, chunk):
+        row, i, j = draw(chunk)
+        assert np.array_equal(row % n, i)
+        adj.reshape(steps * n, n)[start * n + row, j] = True
+    return adj
+
+
+class TestSparseDraws:
+    """The edge sampler of the sparse body, read back as adjacency matrices."""
+
+    def test_no_self_loops(self):
+        adj = _sparse_adjacency(9, 0.6, seed=1, steps=2002, chunk=7)
+        assert not np.diagonal(adj, axis1=-2, axis2=-1).any()
+
+    def test_p_one_gives_complete_digraph(self):
+        adj = _sparse_adjacency(5, 1.0, seed=0, steps=40, chunk=8)
+        assert np.array_equal(adj, np.broadcast_to(~np.eye(5, dtype=bool), adj.shape))
+
+    def test_edge_frequency_binomial_ci(self):
+        # 2e4 graphs on 6 nodes = 6e5 Bernoulli slots; 3-sigma band.
+        n, p, graphs = 6, 0.05, 20_000
+        adj = _sparse_adjacency(n, p, seed=123, steps=graphs, chunk=1000)
+        trials = graphs * n * (n - 1)
+        assert abs(adj.sum() / trials - p) <= 3.0 * math.sqrt(p * (1.0 - p) / trials)
+
+    @pytest.mark.parametrize("n,p,graphs", [(6, 0.35, 17_000), (100, 0.05, 1_000)])
+    def test_out_degree_chi_square_gof(self, n, p, graphs):
+        # Rows are independent, so pooling them gives >= 1e5 degree samples.
+        degrees = _sparse_adjacency(n, p, seed=2024, steps=graphs, chunk=100).sum(axis=-1).ravel()
+        expected = stats.binom.pmf(np.arange(n), n - 1, p) * degrees.size
+        kept = np.flatnonzero(expected >= 5.0)
+        lo, hi = kept[0], kept[-1]  # tails beyond these merge into the end bins
+        observed = np.bincount(np.clip(degrees, lo, hi), minlength=n)[lo : hi + 1]
+        expected = expected[lo : hi + 1]
+        expected[0] = stats.binom.cdf(lo, n - 1, p) * degrees.size
+        expected[-1] = stats.binom.sf(hi - 1, n - 1, p) * degrees.size
+        result = stats.chisquare(observed, expected)
+        assert result.pvalue > 0.001

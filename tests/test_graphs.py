@@ -35,6 +35,10 @@ class TestModelParams:
         with pytest.raises(TypeError):
             ModelParams(3.0, 0.5)
 
+    def test_bool_p_rejected(self):
+        with pytest.raises(TypeError, match="^p must be a number"):
+            ModelParams(3, True)
+
 
 class TestGraphSeed:
     def test_same_seed_same_sequence(self):
@@ -51,6 +55,19 @@ class TestGraphSeed:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="^seed must be >= 0"):
             GraphSeed(-1)
+
+    @pytest.mark.parametrize("seed", [1.5, True], ids=["float", "bool"])
+    def test_rejects_non_integer_seed(self, seed):
+        with pytest.raises(TypeError, match="^seed must be an integer"):
+            GraphSeed(seed)
+
+    def test_rejects_negative_stream(self):
+        with pytest.raises(ValueError, match="^stream must be >= 0"):
+            GraphSeed(1, stream=-1)
+
+    def test_accepts_numpy_integers(self):
+        a = GraphSeed(np.int64(3), np.uint8(4)).replication(9).random(8)
+        assert np.array_equal(a, GraphSeed(3, 4).replication(9).random(8))
 
     def test_replication_matches_nested_spawn_key(self):
         a = GraphSeed(3, 4).replication(9).random(8)

@@ -209,6 +209,16 @@ class TestRunEnsemble:
         analytic = consensus_variance(params, resolve_x0("ramp", 20)).variance
         assert abs(stats.variance - analytic) <= 4.0 * stats.stderr_variance
 
+    @pytest.mark.parametrize("n,reps", [(100, 3000), (400, 2000), (2000, 500)])
+    def test_sparse_steps_within_four_sigma(self, n, reps):
+        # p = 5/n takes the sparse step body from n = 51 on.
+        params = ModelParams(n, 5.0 / n)
+        cfg = ExperimentConfig(params=params, x0_spec="ramp", reps=reps, seed=GraphSeed(2026, stream=n))
+        stats = run_ensemble(cfg)
+        analytic = consensus_variance(params, resolve_x0("ramp", n))
+        assert abs(stats.variance - analytic.variance) <= 4.0 * stats.stderr_variance
+        assert abs(stats.mean - analytic.mean) <= 4.0 * math.sqrt(stats.variance / reps)
+
 
 class TestSweepFixedDegree:
     def test_smoke_rows(self):
