@@ -22,13 +22,20 @@ import sys
 import time
 from datetime import datetime, timezone
 
-from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_TOL, NonConvergenceError, _sparse_draws
+from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_TOL, NonConvergenceError
 from .graphs import GraphSeed, ModelParams
-from .montecarlo import ExperimentConfig, factor_sweep, resolve_x0, run_ensemble, sweep_fixed_degree
+from .montecarlo import (
+    ExperimentConfig,
+    factor_sweep,
+    resolve_x0,
+    run_ensemble,
+    stream_layout,
+    sweep_fixed_degree,
+)
 from .moments import consensus_variance
 from .oracle import ENUM_MAX_N, oracle_report
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 ORACLE_THRESHOLD = 1e-10
 
 EXIT_OK = 0
@@ -187,8 +194,10 @@ def cmd_simulate(args) -> int:
         results,
         seed=args.seed,
     )
-    # Which step body drew the graphs, and so which random-stream layout.
-    record["provenance"]["stream"] = "sparse" if _sparse_draws(args.n, args.p) else "dense"
+    # Which random-stream layout drew the graphs, and the steps replications took.
+    record["provenance"].update(
+        stream=stream_layout(params), steps_mean=stats.steps_mean, steps_max=stats.steps_max
+    )
     _emit_json(record, sys.stdout)
     return EXIT_OK
 
@@ -316,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="worker threads for replications (0 = one per CPU; capped at the CPU "
-        "and replication counts; falls back to $CONSENSUS_THREADS, then 1)",
+        "count and at the blocks or replications to run; falls back to "
+        "$CONSENSUS_THREADS, then 1)",
     )
     table = argparse.ArgumentParser(add_help=False)
     table.add_argument("--n-min", type=int, required=True, help="smallest network size (>= 2)")

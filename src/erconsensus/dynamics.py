@@ -20,6 +20,11 @@ predicts, by one of two bodies chosen once per run from (n, p):
   depends only on the generator's initial state.
 
 Either way the generator may be left advanced past the stopping step.
+
+run_block steps a whole block of dense replications together from one
+generator: per step one draw for all replications still active, one
+weight build and one batched product; replications leave the block as
+they converge. Its stream is its own, not that of run_consensus.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ __all__ = [
     "DEFAULT_TOL",
     "ConsensusOutcome",
     "NonConvergenceError",
+    "run_block",
     "run_consensus",
 ]
 
@@ -46,7 +52,9 @@ DEFAULT_MAX_STEPS = 10**6
 _FIRST_CHUNK = 8
 # Numbers per chunk at most (128 KiB of doubles): from n = 91 on a dense
 # chunk is a single step, so large runs hold no more memory than one step
-# needs. A sparse step counts its state plus its expected edges.
+# needs. A sparse step counts its state plus its expected edges. run_block
+# draws each step in pieces of at most this many numbers (one replication
+# at least), so a block of any size holds no more uniforms and weights.
 _CHUNK_DOUBLES = 2**14
 
 
@@ -73,7 +81,9 @@ def _weights(adj) -> np.ndarray:
         raise ValueError(f"adjacency must be square in its last two axes, got shape {w.shape}")
     n = w.shape[-1]
     w.reshape(*w.shape[:-2], n * n)[..., :: n + 1] = 1.0
-    w /= w.sum(axis=-1, keepdims=True)
+    # Row sums by one matrix-vector product (exact: they are small
+    # integers), and w * (1/s) equals w / s bit for bit as w is 0 or 1.
+    w *= (1.0 / (w.reshape(-1, n) @ np.ones(n))).reshape(*w.shape[:-1], 1)
     return w
 
 
@@ -101,9 +111,9 @@ def _sparse_draws(n: int, p: float) -> bool:
     sparse step was faster at every p <= 0.1 (1.1-1.5x at p = 0.1, 2.3x at
     p = 5/n and n = 100, 11x at n = 400) and slower at every p >= 0.25,
     where most slots hold edges. Sizes up to 50 stay dense whatever p,
-    so the criterion-6 sweep (c = 5, n = 5...50) keeps the stream of the
-    one-draw-per-step loop; there the two bodies are a few microseconds
-    apart either way.
+    so every size of the criterion-6 sweep (c = 5, n = 5...50) is dense
+    (and its ensembles run in blocks, see run_block); there the two
+    bodies are a few microseconds apart either way.
     """
     return n > 50 and p <= 0.1
 
@@ -243,3 +253,60 @@ def run_consensus(
         if drop > 0.0:
             k = math.ceil((math.log(spread) - math.log(tol)) * k / drop)
     return ConsensusOutcome(value=float(x.mean()), steps=steps, spread=spread)
+
+
+def run_block(
+    params: ModelParams,
+    x0,
+    reps: int,
+    rng: np.random.Generator,
+    tol: float = DEFAULT_TOL,
+    max_steps: int = DEFAULT_MAX_STEPS,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run reps dense replications from x0 together on one generator.
+
+    Returns (values, steps): replication r agreed on values[r] after
+    steps[r] steps, the mean and step of the first state with spread
+    < tol, as in run_consensus. A replication still at spread >= tol after
+    max_steps gets the value NaN and the step count max_steps; a
+    converged value is never NaN, since it lies in [min(x0), max(x0)].
+
+    Each step draws the uniforms of the replications still active, in
+    index order, as one (A, n, n) sequence; it is taken in pieces of at
+    most 2**14 numbers (one replication at least), and consecutive draws
+    give the numbers one draw would, so the piece size changes neither
+    the stream nor any outcome. Each piece takes one _weights call and
+    one batched matmul. Then every replication whose spread fell below
+    tol records its value and step and leaves the block. This is the
+    dense step body of run_consensus on a different stream layout: the
+    same law, other draws.
+    """
+    _check_budget(tol, "max_steps", max_steps)
+    _check_int("reps", reps, 1)
+    n, p = params.n, params.p
+    x = _check_x0(x0, n)
+    values = np.full(reps, np.nan)
+    steps = np.full(reps, max_steps)
+    if x.max() - x.min() < tol:
+        values[:], steps[:] = x.mean(), 0
+        return values, steps
+    active = np.arange(reps)
+    state = np.tile(x, (reps, 1))
+    piece = max(1, _CHUNK_DOUBLES // (n * n))
+    for step in range(1, max_steps + 1):
+        new = np.empty_like(state)
+        for a in range(0, active.size, piece):
+            b = min(a + piece, active.size)
+            # One expression, so no piece's weights outlive its product.
+            np.matmul(
+                _weights(rng.random((b - a, n, n)) < p), state[a:b, :, None], out=new[a:b, :, None]
+            )
+        done = new.max(axis=1) - new.min(axis=1) < tol
+        if done.any():
+            values[active[done]] = new[done].mean(axis=1)
+            steps[active[done]] = step
+            active, new = active[~done], new[~done]
+            if not active.size:
+                break
+        state = new
+    return values, steps

@@ -97,3 +97,13 @@ class GraphSeed:
         return np.random.default_rng(
             np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream, index))
         )
+
+    def block(self, index: int) -> np.random.Generator:
+        """Generator for block `index` of a dense ensemble under this stream.
+
+        Its spawn key (stream, index, 0) has three parts, so it is the key
+        of no replication (stream, r) and of no stream (stream,).
+        """
+        return np.random.default_rng(
+            np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream, index, 0))
+        )

@@ -2,9 +2,19 @@
 
 A replication is one full consensus run on its own random-graph path;
 an ensemble aggregates many replications into mean/variance estimates
-that the closed forms can be checked against. Replication r of an
-experiment draws from stream (seed, stream, r), so results are
-bit-identical whether the work queue is consumed by one thread or many.
+that the closed forms can be checked against. Where replications draw
+from depends on the step body (stream_layout):
+
+- "dense-block": replications go in fixed blocks of _BLOCK_REPS, and
+  block b steps its replications together (dynamics.run_block) on one
+  generator, GraphSeed.block(b).
+- "sparse": replication r runs run_consensus on its own generator,
+  GraphSeed.replication(r).
+
+Either way the work units (blocks or replications) are fixed by the
+configuration alone and their outcomes land in slots keyed by unit
+index, so results are bit-identical whether one thread consumes the
+queue or many.
 """
 
 from __future__ import annotations
@@ -15,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_TOL, NonConvergenceError, run_consensus
-from .dynamics import _check_budget
+from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_TOL, NonConvergenceError, run_block, run_consensus
+from .dynamics import _check_budget, _sparse_draws
 from .graphs import GraphSeed, ModelParams, _check_int, _check_x0
 from .moments import consensus_variance, variance_factor
 
@@ -29,8 +39,12 @@ __all__ = [
     "jackknife_variance_stderr",
     "resolve_x0",
     "run_ensemble",
+    "stream_layout",
     "sweep_fixed_degree",
 ]
+
+# Replications per block of a dense ensemble (see run_ensemble).
+_BLOCK_REPS = 128
 
 
 def resolve_x0(spec, n: int) -> np.ndarray:
@@ -78,9 +92,13 @@ class EnsembleStats:
     """Aggregated agreement values of one ensemble.
 
     variance is the unbiased (ddof=1) sample variance of the outcomes and
-    stderr_variance its jackknife standard error. Every replication
-    counts (a non-converged one raises), so reps_used is the replication
-    count and nonconverged is 0; both stay in the record format.
+    stderr_variance its jackknife standard error. steps_mean and
+    steps_max are the mean and largest step count of a replication.
+
+    Every replication counts (a non-converged one raises), so reps_used
+    is the replication count and nonconverged is 0. Both are kept: the
+    simulate record carries them, and the benchmark's fig1 and large-n
+    checks read them to count replications that did not converge.
     """
 
     mean: float
@@ -88,6 +106,8 @@ class EnsembleStats:
     stderr_variance: float
     reps_used: int
     nonconverged: int
+    steps_mean: float
+    steps_max: int
 
 
 def jackknife_variance_stderr(values) -> float:
@@ -96,8 +116,13 @@ def jackknife_variance_stderr(values) -> float:
     Leave-one-out variances come from the centered sums in O(reps);
     no fourth-moment plug-in for the unknown outcome distribution is
     needed. Returns 0.0 for fewer than three values or identical values.
+    values must be a 1-D sequence of finite numbers.
     """
     x = np.asarray(values, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"values must be a 1-D sequence, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"values must be finite, got {x[~np.isfinite(x)].tolist()}")
     r = x.size
     if r < 3 or np.ptp(x) == 0.0:
         return 0.0
@@ -110,45 +135,78 @@ def jackknife_variance_stderr(values) -> float:
     return float(np.sqrt((r - 1) / r * np.sum((var_loo - var_loo.mean()) ** 2)))
 
 
+def stream_layout(params: ModelParams) -> str:
+    """The random-stream layout of an ensemble at params: "dense-block" or "sparse".
+
+    Dense ensembles (n <= 50 or p > 0.1, dynamics._sparse_draws) go in
+    blocks, each on one generator; sparse ones run one generator per
+    replication. See the module docstring.
+    """
+    return "sparse" if _sparse_draws(params.n, params.p) else "dense-block"
+
+
+def _runs(indices: np.ndarray, limit: int = 10) -> str:
+    """Sorted indices as runs, at most limit of them: [0, 1, 2, 5] -> '0-2, 5'."""
+    runs = np.split(indices, np.flatnonzero(np.diff(indices) != 1) + 1)
+    text = [str(r[0]) if r.size == 1 else f"{r[0]}-{r[-1]}" for r in runs[:limit]]
+    return ", ".join(text) + (", ..." if len(runs) > limit else "")
+
+
 def run_ensemble(cfg: ExperimentConfig, threads: int = 1) -> EnsembleStats:
     """Run cfg.reps independent consensus paths and aggregate the values.
 
-    threads > 1 consumes the replication queue with a thread pool; 0
-    means one worker per CPU, and the pool never exceeds the CPU or
-    replication count; a negative or non-integer count is rejected.
-    Outcomes land in a slot per replication index, so aggregation order
-    (and therefore every output bit) is independent of scheduling.
+    A dense ensemble splits its replications into blocks of _BLOCK_REPS
+    (the last may be shorter); block b runs dynamics.run_block on
+    cfg.seed.block(b). A sparse one runs run_consensus on
+    cfg.seed.replication(r) for each replication r. See stream_layout.
+
+    threads > 1 consumes those work units with a thread pool; 0 means one
+    worker per CPU, and the pool never exceeds the CPU or unit count; a
+    negative or non-integer count is rejected. Outcomes land in a slot
+    per unit index, so aggregation order (and therefore every output
+    bit) is independent of scheduling.
 
     Any replication that fails to converge raises NonConvergenceError
     naming the failed indices: with p > 0 a non-converged run means a
     broken tolerance/step budget, not bad luck.
     """
     _check_int("threads", threads, 0)
+    params, reps, x0 = cfg.params, cfg.reps, cfg.x0()
+    budget = {"tol": cfg.tol, "max_steps": cfg.max_steps}
+
+    if stream_layout(params) == "sparse":
+        units = reps
+
+        def unit(rep: int):
+            try:
+                outcome = run_consensus(params, x0, cfg.seed.replication(rep), **budget)
+            except NonConvergenceError:
+                return [np.nan], [cfg.max_steps]
+            return [outcome.value], [outcome.steps]
+
+    else:
+        units = -(-reps // _BLOCK_REPS)
+
+        def unit(block: int):
+            size = min(_BLOCK_REPS, reps - block * _BLOCK_REPS)
+            return run_block(params, x0, size, cfg.seed.block(block), **budget)
+
     cpus = os.cpu_count() or 1
-    workers = min(threads or cpus, cpus, cfg.reps)
-    x0 = cfg.x0()
-
-    def one(rep: int) -> float | None:
-        rng = cfg.seed.replication(rep)
-        try:
-            return run_consensus(cfg.params, x0, rng, tol=cfg.tol, max_steps=cfg.max_steps).value
-        except NonConvergenceError:
-            return None
-
+    workers = min(threads or cpus, cpus, units)
     if workers <= 1:
-        values = list(map(one, range(cfg.reps)))
+        parts = list(map(unit, range(units)))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(one, range(cfg.reps)))
-    failed = [rep for rep, value in enumerate(values) if value is None]
-    if failed:
-        shown = ", ".join(map(str, failed[:10])) + (", ..." if len(failed) > 10 else "")
+            parts = list(pool.map(unit, range(units)))
+    outcomes = np.concatenate([values for values, _ in parts])
+    steps = np.concatenate([counts for _, counts in parts])
+    failed = np.flatnonzero(np.isnan(outcomes))  # a converged value is never NaN
+    if failed.size:
         raise NonConvergenceError(
-            f"{len(failed)} of {cfg.reps} replications did not converge "
-            f"within {cfg.max_steps} steps (indices {shown})"
+            f"{failed.size} of {reps} replications did not converge "
+            f"within {cfg.max_steps} steps (indices {_runs(failed)})"
         )
 
-    outcomes = np.array(values)
     mean = float(outcomes.mean())
     if outcomes.size < 2 or np.ptp(outcomes) == 0.0:
         variance, stderr = 0.0, 0.0
@@ -160,8 +218,10 @@ def run_ensemble(cfg: ExperimentConfig, threads: int = 1) -> EnsembleStats:
         mean=mean,
         variance=variance,
         stderr_variance=stderr,
-        reps_used=cfg.reps,
+        reps_used=reps,
         nonconverged=0,
+        steps_mean=float(steps.mean()),
+        steps_max=int(steps.max()),
     )
 
 

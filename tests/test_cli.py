@@ -208,13 +208,20 @@ class TestSimulate:
         assert code == 3
         assert "converge" in err
 
-    @pytest.mark.parametrize("n,p,stream", [("20", "0.25", "dense"), ("200", "0.025", "sparse")])
+    @pytest.mark.parametrize("n,p,stream", [("20", "0.25", "dense-block"), ("200", "0.025", "sparse")])
     def test_provenance_names_the_stream(self, capsys, n, p, stream):
         argv = ["simulate", "--n", n, "--p", p, "--x0", "ramp", "--reps", "5", "--seed", "2"]
         code, record, _ = run_json(capsys, *argv)
         assert code == 0
-        assert record["schema_version"] == "2"
+        assert record["schema_version"] == "3"
         assert record["provenance"]["stream"] == stream
+
+    def test_step_counts_in_provenance_not_results(self, capsys):
+        argv = ["simulate", "--n", "5", "--p", "1", "--x0", "ramp", "--reps", "10", "--seed", "0"]
+        code, record, _ = run_json(capsys, *argv)
+        assert code == 0
+        assert (record["provenance"]["steps_mean"], record["provenance"]["steps_max"]) == (1.0, 1)
+        assert not {"steps_mean", "steps_max"} & set(record["results"])
 
     def test_complete_graph_zero_empirical_variance(self, capsys):
         argv = ["simulate", "--n", "5", "--p", "1", "--x0", "ramp", "--reps", "10", "--seed", "0"]
@@ -267,7 +274,7 @@ class TestFig1:
 
 
 class TestStreamContract:
-    """Golden digests of seeded output, as the one-draw-per-step loop produced it.
+    """Golden digests of seeded output on the "dense-block" stream layout (schema "3").
 
     Any change to how replications consume their random streams (draw
     order, draws per step, seeding) changes these bytes; such a change
@@ -279,14 +286,14 @@ class TestStreamContract:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "1fef9a6af5b156ac23f2e5f53fc5ecf3c99c9a34d794f1458fd0a95e0161e2c8"
+        assert digest == "4fcd5fa9f53fd38df73abe806f36f96e60a297ff2eefbbfbee51c9e13ec76aa5"
 
     def test_simulate_results(self, capsys):
         argv = ["simulate", "--n", "20", "--p", "0.25", "--x0", "ramp", "--reps", "200", "--seed", "5"]
         code, record, _ = run_json(capsys, *argv)
         assert code == 0
         digest = hashlib.sha256(json.dumps(record["results"], sort_keys=True).encode()).hexdigest()
-        assert digest == "9768d5febe009f70e1dc02cb70122d6a8023d9c1bddc2a23e9dfcc75c3be109a"
+        assert digest == "dcfdb948dda5fe3ce53c693e1e13f336e5ef60fc8bf6f1698bf42bd025f928b5"
 
 
 class TestFig2:

@@ -14,6 +14,7 @@ from erconsensus.dynamics import (
     _edge_draws,
     _sparse_draws,
     _weights,
+    run_block,
     run_consensus,
 )
 from erconsensus.graphs import GraphSeed, ModelParams
@@ -227,6 +228,84 @@ class TestRunConsensus:
     def test_rejects_non_finite_x0(self, bad):
         with pytest.raises(ValueError, match="finite"):
             run_consensus(ModelParams(2, 0.5), [bad, 1.0], GraphSeed(0).generator())
+
+
+def _reference_block(params, x0, reps, rng, tol=1e-10, max_steps=10**6):
+    """run_block spelled out: one (A, n, n) draw per step, literal weights, no pieces."""
+    n, p = params.n, params.p
+    values, steps = np.full(reps, np.nan), np.full(reps, max_steps)
+    active, x = np.arange(reps), np.tile(np.asarray(x0, dtype=float), (reps, 1))
+    for step in range(1, max_steps + 1):
+        a = (rng.random((active.size, n, n)) < p).astype(float)
+        a[:, np.arange(n), np.arange(n)] = 0.0
+        w = (a + np.eye(n)) / (a.sum(axis=2) + 1.0)[:, :, None]
+        x = np.matmul(w, x[:, :, None])[:, :, 0]
+        done = x.max(axis=1) - x.min(axis=1) < tol
+        values[active[done]] = x[done].mean(axis=1)
+        steps[active[done]] = step
+        active, x = active[~done], x[~done]
+        if not active.size:
+            break
+    return values, steps
+
+
+class TestRunBlock:
+    @pytest.mark.parametrize("n,p,reps", [(2, 0.5, 7), (6, 5 / 6, 40), (50, 0.1, 30)])
+    def test_matches_reference_loop(self, n, p, reps):
+        # At n = 50 a step of 30 replications is drawn in five pieces.
+        params = ModelParams(n, p)
+        values, steps = run_block(params, _ramp(n), reps, GraphSeed(4).generator())
+        ref_values, ref_steps = _reference_block(params, _ramp(n), reps, GraphSeed(4).generator())
+        assert np.array_equal(values, ref_values)
+        assert np.array_equal(steps, ref_steps)
+        assert np.all(steps > 0)
+
+    @pytest.mark.parametrize("cap", [1, 100, 3 * 64 + 5])
+    def test_piece_cap_does_not_change_outcomes(self, monkeypatch, cap):
+        params, x0 = ModelParams(8, 0.4), _ramp(8)
+        default = run_block(params, x0, 37, GraphSeed(5).generator())
+        monkeypatch.setattr(dynamics, "_CHUNK_DOUBLES", cap)
+        patched = run_block(params, x0, 37, GraphSeed(5).generator())
+        assert np.array_equal(default[0], patched[0])
+        assert np.array_equal(default[1], patched[1])
+
+    def test_constant_x0_draws_nothing(self):
+        values, steps = run_block(ModelParams(4, 0.5), np.full(4, 2.5), 5, GraphSeed(1).generator())
+        assert np.array_equal(values, np.full(5, 2.5))
+        assert np.array_equal(steps, np.zeros(5))
+
+    def test_complete_graph_averages_in_one_step(self):
+        x0 = np.array([0.1, 0.9, 0.4, 0.6, 0.2])
+        values, steps = run_block(ModelParams(5, 1.0), x0, 3, GraphSeed(3).generator())
+        assert np.array_equal(steps, np.ones(3))
+        assert np.max(np.abs(values - x0.mean())) < 1e-12
+
+    def test_values_in_convex_hull(self):
+        x0 = np.array([-1.0, 4.0, 0.5, 2.0])
+        values, _ = run_block(ModelParams(4, 0.4), x0, 50, GraphSeed(2).generator())
+        assert np.all((x0.min() <= values) & (values <= x0.max()))
+
+    def test_every_failed_replication_is_nan_at_the_budget(self):
+        values, steps = run_block(
+            ModelParams(20, 0.1), _ramp(20), 9, GraphSeed(9).generator(), tol=1e-300, max_steps=3
+        )
+        assert np.all(np.isnan(values))
+        assert np.array_equal(steps, np.full(9, 3))
+
+    def test_validates_inputs(self):
+        params, rng = ModelParams(3, 0.5), GraphSeed(0).generator()
+        with pytest.raises(ValueError, match="^tol must be finite and positive"):
+            run_block(params, np.zeros(3), 4, rng, tol=0.0)
+        with pytest.raises(ValueError, match="^max_steps must be >= 1"):
+            run_block(params, np.zeros(3), 4, rng, max_steps=0)
+        with pytest.raises(ValueError, match="^reps must be >= 1"):
+            run_block(params, np.zeros(3), 0, rng)
+        with pytest.raises(TypeError, match="^reps must be an integer"):
+            run_block(params, np.zeros(3), 2.0, rng)
+        with pytest.raises(ValueError, match="^x0 must be a length-3 vector"):
+            run_block(params, np.zeros(4), 4, rng)
+        with pytest.raises(ValueError, match="finite"):
+            run_block(params, [0.0, np.nan, 1.0], 4, rng)
 
 
 def _ramp(n):

@@ -76,6 +76,15 @@ class TestGraphSeed:
         ).random(8)
         assert np.array_equal(a, b)
 
+    def test_block_key_is_not_a_replication_key(self):
+        seed = GraphSeed(3, 4)
+        block = seed.block(9).random(8)
+        assert np.array_equal(block, GraphSeed(3, 4).block(9).random(8))
+        b = np.random.default_rng(np.random.SeedSequence(entropy=3, spawn_key=(4, 9, 0))).random(8)
+        assert np.array_equal(block, b)
+        for other in (seed.replication(9), seed.replication(0), seed.generator(), seed.block(8)):
+            assert not np.array_equal(block, other.random(8))
+
 
 class TestSampleGraph:
     """The per-step draw rng.random((n, n)) < p, read through the weights."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from erconsensus import montecarlo
-from erconsensus.dynamics import NonConvergenceError
+from erconsensus.dynamics import NonConvergenceError, run_block, run_consensus
 from erconsensus.graphs import GraphSeed, ModelParams
 from erconsensus.montecarlo import (
     EnsembleStats,
@@ -13,6 +13,7 @@ from erconsensus.montecarlo import (
     jackknife_variance_stderr,
     resolve_x0,
     run_ensemble,
+    stream_layout,
     sweep_fixed_degree,
 )
 from erconsensus.moments import consensus_variance, variance_factor
@@ -60,6 +61,15 @@ class TestJackknife:
 
     def test_zero_for_tiny_samples(self):
         assert jackknife_variance_stderr([1.0, 2.0]) == 0.0
+
+    @pytest.mark.parametrize("values", [[1.0, np.nan, 2.0, 3.0], [1.0, np.inf, 2.0]])
+    def test_rejects_non_finite_values(self, values):
+        with pytest.raises(ValueError, match="^values must be finite"):
+            jackknife_variance_stderr(values)
+
+    def test_rejects_two_dimensional_values(self):
+        with pytest.raises(ValueError, match=r"^values must be a 1-D sequence, got shape \(2, 3\)"):
+            jackknife_variance_stderr(np.ones((2, 3)))
 
     def test_shrinks_with_sample_size(self):
         rng = np.random.default_rng(11)
@@ -136,6 +146,8 @@ class TestRunEnsemble:
 
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        # Blocks of one replication: the work units, and so the cap, count reps.
+        monkeypatch.setattr(montecarlo, "_BLOCK_REPS", 1)
         reference = run_ensemble(_config(reps=reps), threads=1)
         assert run_ensemble(_config(reps=reps), threads=threads) == reference
         assert started == pools
@@ -218,6 +230,83 @@ class TestRunEnsemble:
         analytic = consensus_variance(params, resolve_x0("ramp", n))
         assert abs(stats.variance - analytic.variance) <= 4.0 * stats.stderr_variance
         assert abs(stats.mean - analytic.mean) <= 4.0 * math.sqrt(stats.variance / reps)
+
+
+class TestDenseBlocks:
+    """Ensembles of the dense layout: blocks of _BLOCK_REPS on one generator each."""
+
+    @pytest.mark.parametrize("n", [6, 20, 50])
+    def test_within_four_sigma_of_closed_form_and_reference(self, n):
+        # Replication count and seed were fixed before the first run.
+        reps = 2000
+        params = ModelParams(n, 5.0 / n)
+        x0 = resolve_x0("ramp", n)
+        seed = GraphSeed(2026, stream=n)
+        stats = run_ensemble(ExperimentConfig(params=params, x0_spec="ramp", reps=reps, seed=seed))
+        analytic = consensus_variance(params, x0)
+        assert abs(stats.variance - analytic.variance) <= 4.0 * stats.stderr_variance
+        assert abs(stats.mean - analytic.mean) <= 4.0 * math.sqrt(stats.variance / reps)
+        # The per-replication run_consensus ensemble on the same seed.
+        values = np.array([run_consensus(params, x0, seed.replication(r)).value for r in range(reps)])
+        mean, variance, stderr = values.mean(), values.var(ddof=1), jackknife_variance_stderr(values)
+        assert abs(stats.variance - variance) <= 4.0 * math.hypot(stats.stderr_variance, stderr)
+        assert abs(stats.mean - mean) <= 4.0 * math.sqrt((stats.variance + variance) / reps)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "equal", "above"])
+    def test_block_boundary_thread_invariant(self, offset):
+        cfg = _config(reps=montecarlo._BLOCK_REPS + offset)
+        reference = run_ensemble(cfg, threads=1)
+        assert run_ensemble(cfg, threads=2) == reference
+        assert run_ensemble(cfg, threads=0) == reference
+        assert reference.reps_used == cfg.reps
+
+    def test_blocks_draw_from_block_generators(self):
+        cfg = _config(reps=montecarlo._BLOCK_REPS + 3)
+        x0 = cfg.x0()
+        first = run_block(cfg.params, x0, montecarlo._BLOCK_REPS, cfg.seed.block(0))
+        last = run_block(cfg.params, x0, 3, cfg.seed.block(1))
+        values, steps = np.concatenate([first[0], last[0]]), np.concatenate([first[1], last[1]])
+        stats = run_ensemble(cfg)
+        assert stats.mean == values.mean()
+        assert (stats.steps_mean, stats.steps_max) == (steps.mean(), steps.max())
+
+    def test_failed_block_names_every_index(self):
+        reps = montecarlo._BLOCK_REPS + 2
+        cfg = ExperimentConfig(
+            params=ModelParams(20, 0.1), x0_spec="ramp", reps=reps, seed=GraphSeed(4), max_steps=3
+        )
+        with pytest.raises(NonConvergenceError, match=rf"^{reps} of {reps} replications did not "
+                           rf"converge within 3 steps \(indices 0-{reps - 1}\)$"):
+            run_ensemble(cfg)
+
+    def test_failed_indices_as_runs(self):
+        runs = montecarlo._runs
+        assert runs(np.array([0, 1, 2, 5, 7, 8])) == "0-2, 5, 7-8"
+        assert runs(np.arange(0, 40, 2)) == ", ".join(map(str, range(0, 20, 2))) + ", ..."
+
+
+class TestStepCounts:
+    def test_dense_counts(self):
+        stats = run_ensemble(_config(n=5, p=1.0, reps=10))
+        assert (stats.steps_mean, stats.steps_max) == (1.0, 1)
+        constant = run_ensemble(ExperimentConfig(ModelParams(4, 0.4), "const:1.7", 20, GraphSeed(3)))
+        assert (constant.steps_mean, constant.steps_max) == (0.0, 0)
+
+    def test_sparse_counts_match_replications(self):
+        cfg = _config(n=60, p=0.05, reps=6)
+        steps = [run_consensus(cfg.params, cfg.x0(), cfg.seed.replication(r)).steps for r in range(6)]
+        stats = run_ensemble(cfg, threads=2)
+        assert stats.steps_mean == np.mean(steps)
+        assert stats.steps_max == max(steps)
+
+
+class TestStreamLayout:
+    def test_dense_at_every_fig1_size(self):
+        assert {stream_layout(ModelParams(n, min(1.0, 5.0 / n))) for n in range(5, 51)} == {"dense-block"}
+
+    @pytest.mark.parametrize("n,p,layout", [(51, 0.1, "sparse"), (51, 0.11, "dense-block"), (400, 0.0125, "sparse")])
+    def test_follows_the_step_body(self, n, p, layout):
+        assert stream_layout(ModelParams(n, p)) == layout
 
 
 class TestSweepFixedDegree:
