@@ -33,7 +33,7 @@ for exponent in range(1, 11):
 
 report = consensus_variance(params, x0)
 cfg = ExperimentConfig(params=params, x0_spec=x0, reps=4000, seed=GraphSeed(2))
-stats = run_ensemble(cfg, threads=0)
+stats = run_ensemble(cfg)
 z = (stats.variance - report.variance) / stats.stderr_variance
 print(f"\nensemble of {cfg.reps} runs:")
 print(f"  mean(x*)      {stats.mean:.6f}   predicted {report.mean:.6f}")

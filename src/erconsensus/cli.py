@@ -35,7 +35,7 @@ from .montecarlo import (
 from .moments import consensus_variance
 from .oracle import ENUM_MAX_N, oracle_report
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 ORACLE_THRESHOLD = 1e-10
 
 EXIT_OK = 0
@@ -324,9 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker threads for replications (0 = one per CPU; capped at the CPU "
-        "count and at the blocks or replications to run; falls back to "
-        "$CONSENSUS_THREADS, then 1)",
+        help="accepted for compatibility and checked (>= 0; falls back to "
+        "$CONSENSUS_THREADS, then 1), but ignored: replications run on one thread, "
+        "and results never depend on it",
     )
     table = argparse.ArgumentParser(add_help=False)
     table.add_argument("--n-min", type=int, required=True, help="smallest network size (>= 2)")

@@ -99,7 +99,7 @@ class GraphSeed:
         )
 
     def block(self, index: int) -> np.random.Generator:
-        """Generator for block `index` of a dense ensemble under this stream.
+        """Generator for block `index` of an ensemble under this stream.
 
         Its spawn key (stream, index, 0) has three parts, so it is the key
         of no replication (stream, r) and of no stream (stream,).

@@ -2,30 +2,23 @@
 
 A replication is one full consensus run on its own random-graph path;
 an ensemble aggregates many replications into mean/variance estimates
-that the closed forms can be checked against. Where replications draw
-from depends on the step body (stream_layout):
+that the closed forms can be checked against. Replications go in fixed
+blocks of _BLOCK_REPS, and block b steps its replications together
+(dynamics.run_block) on one generator, GraphSeed.block(b). Its step body,
+dense or sparse, names the stream layout (stream_layout).
 
-- "dense-block": replications go in fixed blocks of _BLOCK_REPS, and
-  block b steps its replications together (dynamics.run_block) on one
-  generator, GraphSeed.block(b).
-- "sparse": replication r runs run_consensus on its own generator,
-  GraphSeed.replication(r).
-
-Either way the work units (blocks or replications) are fixed by the
-configuration alone and their outcomes land in slots keyed by unit
-index, so results are bit-identical whether one thread consumes the
-queue or many.
+The blocks are fixed by the configuration alone and their outcomes are
+concatenated in block order, so results are bit-identical for any
+thread count: threads is accepted and checked, and does nothing.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_TOL, NonConvergenceError, run_block, run_consensus
+from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_TOL, NonConvergenceError, run_block
 from .dynamics import _check_budget, _sparse_draws
 from .graphs import GraphSeed, ModelParams, _check_int, _check_x0
 from .moments import consensus_variance, variance_factor
@@ -43,7 +36,7 @@ __all__ = [
     "sweep_fixed_degree",
 ]
 
-# Replications per block of a dense ensemble (see run_ensemble).
+# Replications per block of an ensemble (see run_ensemble).
 _BLOCK_REPS = 128
 
 
@@ -136,13 +129,13 @@ def jackknife_variance_stderr(values) -> float:
 
 
 def stream_layout(params: ModelParams) -> str:
-    """The random-stream layout of an ensemble at params: "dense-block" or "sparse".
+    """The random-stream layout of an ensemble at params: "dense-block" or "sparse-block".
 
-    Dense ensembles (n <= 50 or p > 0.1, dynamics._sparse_draws) go in
-    blocks, each on one generator; sparse ones run one generator per
-    replication. See the module docstring.
+    Either way replications go in blocks, each on one generator; the name
+    is the step body dynamics._sparse_draws picks for (n, p). See the
+    module docstring.
     """
-    return "sparse" if _sparse_draws(params.n, params.p) else "dense-block"
+    return "sparse-block" if _sparse_draws(params.n, params.p) else "dense-block"
 
 
 def _runs(indices: np.ndarray, limit: int = 10) -> str:
@@ -155,16 +148,15 @@ def _runs(indices: np.ndarray, limit: int = 10) -> str:
 def run_ensemble(cfg: ExperimentConfig, threads: int = 1) -> EnsembleStats:
     """Run cfg.reps independent consensus paths and aggregate the values.
 
-    A dense ensemble splits its replications into blocks of _BLOCK_REPS
-    (the last may be shorter); block b runs dynamics.run_block on
-    cfg.seed.block(b). A sparse one runs run_consensus on
-    cfg.seed.replication(r) for each replication r. See stream_layout.
+    The replications go in blocks of _BLOCK_REPS (the last may be
+    shorter); block b runs dynamics.run_block on cfg.seed.block(b). See
+    stream_layout.
 
-    threads > 1 consumes those work units with a thread pool; 0 means one
-    worker per CPU, and the pool never exceeds the CPU or unit count; a
-    negative or non-integer count is rejected. Outcomes land in a slot
-    per unit index, so aggregation order (and therefore every output
-    bit) is independent of scheduling.
+    threads is kept for callers and must be an integer >= 0, but the
+    blocks run one after another whatever its value: both step bodies are
+    chains of small numpy calls that hold the interpreter lock, and a
+    thread pool over blocks ran slower than one thread (0.78x at n = 20,
+    p = 0.25). The results are the same for every value.
 
     Any replication that fails to converge raises NonConvergenceError
     naming the failed indices: with p > 0 a non-converged run means a
@@ -172,34 +164,12 @@ def run_ensemble(cfg: ExperimentConfig, threads: int = 1) -> EnsembleStats:
     """
     _check_int("threads", threads, 0)
     params, reps, x0 = cfg.params, cfg.reps, cfg.x0()
-    budget = {"tol": cfg.tol, "max_steps": cfg.max_steps}
-
-    if stream_layout(params) == "sparse":
-        units = reps
-
-        def unit(rep: int):
-            try:
-                outcome = run_consensus(params, x0, cfg.seed.replication(rep), **budget)
-            except NonConvergenceError:
-                return [np.nan], [cfg.max_steps]
-            return [outcome.value], [outcome.steps]
-
-    else:
-        units = -(-reps // _BLOCK_REPS)
-
-        def unit(block: int):
-            size = min(_BLOCK_REPS, reps - block * _BLOCK_REPS)
-            return run_block(params, x0, size, cfg.seed.block(block), **budget)
-
-    cpus = os.cpu_count() or 1
-    workers = min(threads or cpus, cpus, units)
-    if workers <= 1:
-        parts = list(map(unit, range(units)))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(unit, range(units)))
-    outcomes = np.concatenate([values for values, _ in parts])
-    steps = np.concatenate([counts for _, counts in parts])
+    parts = [
+        run_block(params, x0, min(_BLOCK_REPS, reps - start), cfg.seed.block(b), cfg.tol, cfg.max_steps)
+        for b, start in enumerate(range(0, reps, _BLOCK_REPS))
+    ]
+    outcomes = np.concatenate([values for values, _, _ in parts])
+    steps = np.concatenate([counts for _, counts, _ in parts])
     failed = np.flatnonzero(np.isnan(outcomes))  # a converged value is never NaN
     if failed.size:
         raise NonConvergenceError(

@@ -208,12 +208,12 @@ class TestSimulate:
         assert code == 3
         assert "converge" in err
 
-    @pytest.mark.parametrize("n,p,stream", [("20", "0.25", "dense-block"), ("200", "0.025", "sparse")])
+    @pytest.mark.parametrize("n,p,stream", [("20", "0.25", "dense-block"), ("200", "0.025", "sparse-block")])
     def test_provenance_names_the_stream(self, capsys, n, p, stream):
         argv = ["simulate", "--n", n, "--p", p, "--x0", "ramp", "--reps", "5", "--seed", "2"]
         code, record, _ = run_json(capsys, *argv)
         assert code == 0
-        assert record["schema_version"] == "3"
+        assert record["schema_version"] == "4"
         assert record["provenance"]["stream"] == stream
 
     def test_step_counts_in_provenance_not_results(self, capsys):
@@ -274,7 +274,7 @@ class TestFig1:
 
 
 class TestStreamContract:
-    """Golden digests of seeded output on the "dense-block" stream layout (schema "3").
+    """Golden digests of seeded output on the "dense-block" stream layout (schema "4").
 
     Any change to how replications consume their random streams (draw
     order, draws per step, seeding) changes these bytes; such a change

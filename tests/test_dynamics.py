@@ -8,16 +8,19 @@ from scipy import stats
 
 from erconsensus import dynamics
 from erconsensus.dynamics import (
-    _FIRST_CHUNK,
     ConsensusOutcome,
     NonConvergenceError,
-    _edge_draws,
+    _edges,
     _sparse_draws,
     _weights,
     run_block,
     run_consensus,
 )
 from erconsensus.graphs import GraphSeed, ModelParams
+
+# The first chunk of the old chunked run_consensus; the stops and budgets
+# around it stay as boundary cases of the per-step engine.
+FIRST_CHUNK = 8
 
 
 def _reference_run(params, x0, rng, tol=1e-10, max_steps=10**6):
@@ -44,12 +47,18 @@ def _sparse_reference_run(params, x0, rng, tol=1e-10, max_steps=10**6):
 
     The edge slots (i, j), i != j, of successive steps form one Bernoulli(p)
     sequence, step after step and row after row; an edge at slot position
-    pos is found by adding one Geometric(p) gap to the previous one.
+    pos is found by adding one Geometric(p) gap to the previous one, drawn
+    by the package's gap law ceil(E / -log1p(-p)), E standard exponential
+    (at p = 1 every gap is 1 and nothing is drawn).
     """
     n, p = params.n, params.p
     slots = n * (n - 1)
     x = np.array(x0, dtype=float)
-    edge = int(rng.geometric(p)) - 1  # position of the next edge from the start of the run
+
+    def gap():
+        return 1 if p == 1.0 else math.ceil(rng.standard_exponential() / -math.log1p(-p))
+
+    edge = gap() - 1  # position of the next edge from the start of the run
     steps = 0
     spread = float(x.max() - x.min())
     while spread >= tol:
@@ -60,7 +69,7 @@ def _sparse_reference_run(params, x0, rng, tol=1e-10, max_steps=10**6):
             i, j = divmod(edge - steps * slots, n - 1)
             rows.append(i)
             cols.append(j + (j >= i))
-            edge += int(rng.geometric(p))
+            edge += gap()
         rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
         degrees = np.bincount(rows, minlength=n)
         x = (x + np.bincount(rows, x[cols], minlength=n)) * (1.0 / (degrees + 1.0))
@@ -231,22 +240,24 @@ class TestRunConsensus:
 
 
 def _reference_block(params, x0, reps, rng, tol=1e-10, max_steps=10**6):
-    """run_block spelled out: one (A, n, n) draw per step, literal weights, no pieces."""
+    """run_block's dense body spelled out: one (A, n, n) draw per step, literal weights, no pieces."""
     n, p = params.n, params.p
-    values, steps = np.full(reps, np.nan), np.full(reps, max_steps)
+    values, steps, spreads = np.full(reps, np.nan), np.full(reps, max_steps), np.full(reps, np.nan)
     active, x = np.arange(reps), np.tile(np.asarray(x0, dtype=float), (reps, 1))
     for step in range(1, max_steps + 1):
         a = (rng.random((active.size, n, n)) < p).astype(float)
         a[:, np.arange(n), np.arange(n)] = 0.0
         w = (a + np.eye(n)) / (a.sum(axis=2) + 1.0)[:, :, None]
         x = np.matmul(w, x[:, :, None])[:, :, 0]
-        done = x.max(axis=1) - x.min(axis=1) < tol
+        spread = x.max(axis=1) - x.min(axis=1)
+        done = spread < tol
         values[active[done]] = x[done].mean(axis=1)
         steps[active[done]] = step
+        spreads[active] = spread
         active, x = active[~done], x[~done]
         if not active.size:
             break
-    return values, steps
+    return values, steps, spreads
 
 
 class TestRunBlock:
@@ -254,10 +265,11 @@ class TestRunBlock:
     def test_matches_reference_loop(self, n, p, reps):
         # At n = 50 a step of 30 replications is drawn in five pieces.
         params = ModelParams(n, p)
-        values, steps = run_block(params, _ramp(n), reps, GraphSeed(4).generator())
-        ref_values, ref_steps = _reference_block(params, _ramp(n), reps, GraphSeed(4).generator())
+        values, steps, spreads = run_block(params, _ramp(n), reps, GraphSeed(4).generator())
+        ref_values, ref_steps, ref_spreads = _reference_block(params, _ramp(n), reps, GraphSeed(4).generator())
         assert np.array_equal(values, ref_values)
         assert np.array_equal(steps, ref_steps)
+        assert np.array_equal(spreads, ref_spreads)
         assert np.all(steps > 0)
 
     @pytest.mark.parametrize("cap", [1, 100, 3 * 64 + 5])
@@ -266,31 +278,59 @@ class TestRunBlock:
         default = run_block(params, x0, 37, GraphSeed(5).generator())
         monkeypatch.setattr(dynamics, "_CHUNK_DOUBLES", cap)
         patched = run_block(params, x0, 37, GraphSeed(5).generator())
-        assert np.array_equal(default[0], patched[0])
-        assert np.array_equal(default[1], patched[1])
+        for ours, theirs in zip(default, patched):
+            assert np.array_equal(ours, theirs)
+
+    @pytest.mark.parametrize("cap", [1, 100, 3 * 64 + 5])
+    def test_sparse_piece_cap_does_not_change_outcomes(self, monkeypatch, cap):
+        # 37 replications at n = 200 fill three pieces of the default cap.
+        params, x0 = ModelParams(200, 0.025), _ramp(200)
+        assert _sparse_draws(200, 0.025)
+        default = run_block(params, x0, 37, GraphSeed(5).generator())
+        monkeypatch.setattr(dynamics, "_CHUNK_DOUBLES", cap)
+        patched = run_block(params, x0, 37, GraphSeed(5).generator())
+        for ours, theirs in zip(default, patched):
+            assert np.array_equal(ours, theirs)
+
+    @pytest.mark.parametrize(
+        "n,p", [pytest.param(n, p, id=str(n)) for n, p in [(6, 5 / 6), (20, 0.25), (50, 0.1), (60, 5 / 60), (200, 0.025)]]
+    )
+    def test_one_replication_is_run_consensus(self, n, p):
+        for seed in range(10):
+            values, steps, spreads = run_block(ModelParams(n, p), _ramp(n), 1, GraphSeed(seed).generator())
+            outcome = run_consensus(ModelParams(n, p), _ramp(n), GraphSeed(seed).generator())
+            assert outcome == ConsensusOutcome(value=values[0], steps=steps[0], spread=spreads[0])
+
+    def test_dense_pieces_respect_the_cap(self):
+        rng = _RecordingGenerator(GraphSeed(4).generator())
+        run_block(ModelParams(50, 0.1), _ramp(50), 30, rng)
+        assert {k for k, *_ in rng.shapes} <= {6, 5, 4, 3, 2, 1}  # 2**14 // 50**2 = 6 per piece
+        assert rng.shapes[:5] == [(6, 50, 50)] * 5
 
     def test_constant_x0_draws_nothing(self):
-        values, steps = run_block(ModelParams(4, 0.5), np.full(4, 2.5), 5, GraphSeed(1).generator())
+        values, steps, _ = run_block(ModelParams(4, 0.5), np.full(4, 2.5), 5, GraphSeed(1).generator())
         assert np.array_equal(values, np.full(5, 2.5))
         assert np.array_equal(steps, np.zeros(5))
 
     def test_complete_graph_averages_in_one_step(self):
         x0 = np.array([0.1, 0.9, 0.4, 0.6, 0.2])
-        values, steps = run_block(ModelParams(5, 1.0), x0, 3, GraphSeed(3).generator())
+        values, steps, spreads = run_block(ModelParams(5, 1.0), x0, 3, GraphSeed(3).generator())
         assert np.array_equal(steps, np.ones(3))
+        assert np.array_equal(spreads, np.zeros(3))
         assert np.max(np.abs(values - x0.mean())) < 1e-12
 
     def test_values_in_convex_hull(self):
         x0 = np.array([-1.0, 4.0, 0.5, 2.0])
-        values, _ = run_block(ModelParams(4, 0.4), x0, 50, GraphSeed(2).generator())
+        values, _, _ = run_block(ModelParams(4, 0.4), x0, 50, GraphSeed(2).generator())
         assert np.all((x0.min() <= values) & (values <= x0.max()))
 
     def test_every_failed_replication_is_nan_at_the_budget(self):
-        values, steps = run_block(
+        values, steps, spreads = run_block(
             ModelParams(20, 0.1), _ramp(20), 9, GraphSeed(9).generator(), tol=1e-300, max_steps=3
         )
         assert np.all(np.isnan(values))
         assert np.array_equal(steps, np.full(9, 3))
+        assert np.all(spreads > 0.0)
 
     def test_validates_inputs(self):
         params, rng = ModelParams(3, 0.5), GraphSeed(0).generator()
@@ -313,17 +353,17 @@ def _ramp(n):
 
 
 class TestChunkBoundaries:
-    """Steps are drawn in chunks; every outcome equals the per-step reference."""
+    """Stops and budgets around the old first chunk; every outcome equals the per-step reference."""
 
     @pytest.mark.parametrize("extra", [0, 1], ids=["last-of-first-chunk", "one-past-it"])
     def test_stop_at_first_chunk_boundary(self, extra):
         params, x0, tol = ModelParams(6, 0.5), _ramp(6), 1e-3
         for seed in range(200):
             reference = _reference_run(params, x0, GraphSeed(seed).generator(), tol=tol)
-            if reference.steps == _FIRST_CHUNK + extra:
+            if reference.steps == FIRST_CHUNK + extra:
                 break
         else:
-            pytest.fail(f"no seed stops after {_FIRST_CHUNK + extra} steps")
+            pytest.fail(f"no seed stops after {FIRST_CHUNK + extra} steps")
         assert run_consensus(params, x0, GraphSeed(seed).generator(), tol=tol) == reference
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-14])
@@ -348,7 +388,7 @@ class TestChunkBoundaries:
         fast = run_consensus(params, _ramp(n), GraphSeed(2).generator())
         assert fast == _reference_run(params, _ramp(n), GraphSeed(2).generator())
 
-    @pytest.mark.parametrize("max_steps", [5, _FIRST_CHUNK, 13, 3 * _FIRST_CHUNK + 1])
+    @pytest.mark.parametrize("max_steps", [5, FIRST_CHUNK, 13, 3 * FIRST_CHUNK + 1])
     def test_step_budget_ends_mid_or_on_chunk(self, max_steps):
         params, x0 = ModelParams(20, 0.1), _ramp(20)
         with pytest.raises(NonConvergenceError) as fast:
@@ -383,18 +423,6 @@ class TestDrawBudget:
         drawn = [k for k, *_ in rng.shapes]
         assert all(k * n * n <= 2**14 or k == 1 for k in drawn)
         assert sum(drawn) >= out.steps
-
-    def test_predicted_chunks_track_steps(self):
-        n, seeds = 20, 50
-        calls = drawn = taken = 0
-        for seed in range(seeds):
-            rng = _RecordingGenerator(GraphSeed(seed).generator())
-            out = run_consensus(ModelParams(n, 0.25), _ramp(n), rng)
-            calls += len(rng.shapes)
-            drawn += sum(k for k, *_ in rng.shapes)
-            taken += out.steps
-        assert drawn <= 1.25 * taken
-        assert calls <= 4 * seeds
 
 
 @pytest.fixture
@@ -434,10 +462,10 @@ class TestSparseSteps:
         params, x0, tol = ModelParams(6, 0.5), _ramp(6), 1e-3
         for seed in range(200):
             reference = _sparse_reference_run(params, x0, GraphSeed(seed).generator(), tol=tol)
-            if reference.steps == _FIRST_CHUNK + extra:
+            if reference.steps == FIRST_CHUNK + extra:
                 break
         else:
-            pytest.fail(f"no seed stops after {_FIRST_CHUNK + extra} steps")
+            pytest.fail(f"no seed stops after {FIRST_CHUNK + extra} steps")
         assert run_consensus(params, x0, GraphSeed(seed).generator(), tol=tol) == reference
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-14])
@@ -456,7 +484,7 @@ class TestSparseSteps:
         assert fast == _sparse_reference_run(ModelParams(7, p), x0, GraphSeed(4).generator())
         assert fast.steps == steps
 
-    @pytest.mark.parametrize("max_steps", [5, _FIRST_CHUNK, 13, 3 * _FIRST_CHUNK + 1])
+    @pytest.mark.parametrize("max_steps", [5, FIRST_CHUNK, 13, 3 * FIRST_CHUNK + 1])
     def test_step_budget_ends_mid_or_on_chunk(self, sparse_everywhere, max_steps):
         params, x0 = ModelParams(20, 0.1), _ramp(20)
         with pytest.raises(NonConvergenceError) as fast:
@@ -467,30 +495,37 @@ class TestSparseSteps:
         assert fast.value.spread == reference.value.spread > 0.0
 
     def test_vanishing_p_fails_to_converge(self):
-        # numpy saturates gaps this long at 2**63 - 1; the run still ends in the budget error.
+        # Gaps this long are capped at 2**62 before the int64 cast; the run still ends in the budget error.
         with pytest.raises(NonConvergenceError) as info:
             run_consensus(ModelParams(60, 1e-20), _ramp(60), GraphSeed(1).generator(), max_steps=50)
         assert info.value.steps == 50
         assert info.value.spread == _ramp(60).max() - _ramp(60).min()
 
     def test_chunking_does_not_change_the_edges(self):
+        # The piece split: the slots of 12 steps in one stretch, or in stretches of 1, 5, 2 and 4.
         n, p = 30, 0.05
-        whole = _edge_draws(n, p, GraphSeed(3).generator())(12)
-        draw = _edge_draws(n, p, GraphSeed(3).generator())
-        parts = [draw(k) for k in (1, 5, 2, 4)]
-        offsets = np.repeat([0, 1, 6, 8], [part[0].size for part in parts]) * n
-        assert np.array_equal(whole[0], np.concatenate([part[0] for part in parts]) + offsets)
-        for axis in (1, 2):
-            assert np.array_equal(whole[axis], np.concatenate([part[axis] for part in parts]))
+        slots = n * (n - 1)
+        whole, _ = _edges(12 * slots, p, np.empty(0, dtype=np.int64), GraphSeed(3).generator())
+        rng, pending, parts, offset = GraphSeed(3).generator(), np.empty(0, dtype=np.int64), [], 0
+        for k in (1, 5, 2, 4):
+            positions, pending = _edges(k * slots, p, pending, rng)
+            parts.append(positions + offset)
+            offset += k * slots
+        assert np.array_equal(whole, np.concatenate(parts))
 
 
 def _sparse_adjacency(n, p, seed, steps, chunk):
-    """Adjacency of `steps` sparse draws, stacked as (steps, n, n), drawn `chunk` steps at a time."""
-    draw = _edge_draws(n, p, GraphSeed(seed).generator())
+    """Adjacency of `steps` sparse draws, stacked as (steps, n, n), drawn `chunk` steps at a time.
+
+    Slot position s of a stretch is row s // (n - 1) of the stacked
+    adjacency and column s % (n - 1), with the row's own node skipped.
+    """
+    rng, pending = GraphSeed(seed).generator(), np.empty(0, dtype=np.int64)
     adj = np.zeros((steps, n, n), dtype=bool)
     for start in range(0, steps, chunk):
-        row, i, j = draw(chunk)
-        assert np.array_equal(row % n, i)
+        positions, pending = _edges(chunk * n * (n - 1), p, pending, rng)
+        row, j = np.divmod(positions, n - 1)
+        j += j >= row % n
         adj.reshape(steps * n, n)[start * n + row, j] = True
     return adj
 
