@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -35,7 +36,7 @@ from .montecarlo import (
 from .moments import consensus_variance
 from .oracle import ENUM_MAX_N, oracle_report
 
-SCHEMA_VERSION = "4"
+SCHEMA_VERSION = "5"
 ORACLE_THRESHOLD = 1e-10
 
 EXIT_OK = 0
@@ -94,19 +95,6 @@ def _parse_x0(text: str, n: int):
     return resolve_x0(spec, n)
 
 
-def _threads(args) -> int:
-    flag, value = "--threads", args.threads
-    if value is None:
-        flag, env = "CONSENSUS_THREADS", os.environ.get("CONSENSUS_THREADS")
-        try:
-            value = int(env) if env else 1
-        except ValueError:
-            raise UsageError(f"CONSENSUS_THREADS must be an integer, got {env!r}") from None
-    if value < 0:
-        raise UsageError(f"{flag} must be >= 0, got {value}")
-    return value
-
-
 def _writable(path: str) -> bool:
     if os.path.exists(path):
         return not os.path.isdir(path) and os.access(path, os.W_OK)
@@ -122,6 +110,8 @@ def _check_table_flags(args) -> None:
         raise UsageError(f"--n-max must be >= --n-min, got {args.n_max} < {args.n_min}")
     if args.gnuplot and args.output == "-":
         raise UsageError("--gnuplot needs --output to point at a file, not stdout")
+    if args.gnuplot and os.path.realpath(args.gnuplot) == os.path.realpath(args.output):
+        raise UsageError(f"--gnuplot: {args.gnuplot!r} is the --output file and would overwrite the table")
     for flag, path in (("--output", args.output), ("--gnuplot", args.gnuplot)):
         if path not in (None, "-") and not _writable(path):
             raise UsageError(f"{flag}: cannot write to {path!r}")
@@ -164,7 +154,7 @@ def cmd_simulate(args) -> int:
         tol=args.tol,
         max_steps=args.max_steps,
     )
-    stats = run_ensemble(cfg, threads=_threads(args))
+    stats = run_ensemble(cfg, threads=args.threads)
     analytic = consensus_variance(params, x0)
     diff = stats.variance - analytic.variance
     if stats.stderr_variance > 0.0:
@@ -255,7 +245,7 @@ def cmd_fig1(args) -> int:
         x0_spec=args.x0,
         tol=args.tol,
         max_steps=args.max_steps,
-        threads=_threads(args),
+        threads=args.threads,
     )
     _write_table(args, render_fig1_csv(rows), _GNUPLOT_FIG1)
     return EXIT_OK
@@ -266,8 +256,8 @@ def cmd_fig2(args) -> int:
         c_list = [float(part) for part in args.c.split(",")]
     except ValueError as exc:
         raise UsageError(f"--c must be comma-separated numbers, got {args.c!r}") from exc
-    if not all(c >= 1 for c in c_list):
-        raise UsageError(f"--c entries must be >= 1, got {args.c!r}")
+    if not all(math.isfinite(c) and c >= 1 for c in c_list):
+        raise UsageError(f"--c entries must be finite and >= 1, got {args.c!r}")
     _check_table_flags(args)
     rows = factor_sweep(c_list, range(args.n_min, args.n_max + 1))
     _write_table(args, render_fig2_csv(rows), _GNUPLOT_FIG2)
@@ -323,10 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     ensemble.add_argument(
         "--threads",
         type=int,
-        default=None,
-        help="accepted for compatibility and checked (>= 0; falls back to "
-        "$CONSENSUS_THREADS, then 1), but ignored: replications run on one thread, "
-        "and results never depend on it",
+        default=1,
+        help="accepted for compatibility and checked (>= 0, default 1), but ignored: "
+        "replications run on one thread, and results never depend on it",
     )
     table = argparse.ArgumentParser(add_help=False)
     table.add_argument("--n-min", type=int, required=True, help="smallest network size (>= 2)")

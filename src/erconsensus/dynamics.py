@@ -10,7 +10,7 @@ run_block is the one engine: it steps a block of replications together
 on one generator, and run_consensus is a block of one. Each step takes
 the replications still active, in index order and in pieces of at most
 _CHUNK_DOUBLES numbers, through one of two bodies chosen once per block
-from (n, p) by _sparse_draws:
+from p alone by _sparse_draws:
 
 - dense: the (A, n, n) uniforms of a piece's A replications, one weight
   build and one batched product.
@@ -99,21 +99,20 @@ class ConsensusOutcome:
     spread: float
 
 
-def _sparse_draws(n: int, p: float) -> bool:
-    """Whether a block at (n, p) takes the sparse step body: n > 50 and p <= 0.1.
+def _sparse_draws(p: float) -> bool:
+    """Whether a block at edge probability p takes the sparse step body: p <= 0.15.
 
     Measured in block mode (128 replications up to n = 100, 40 above,
-    ramp x0, one BLAS thread) over n = 5...400 and p = 5/n, 0.01...0.5:
-    from n = 10 on the sparse body was faster at every p <= 0.1 (1.2-2x
-    at p = 0.1, 1.4-3.8x at p = 0.05, 17x at n = 400, p = 5/n), within
-    1.5x either way at p = 0.15-0.2, and slower at every p >= 0.25, where
-    most slots hold edges. Sizes up to 50 stay dense whatever p, although
-    the sparse body would win there too at p <= 0.1: moving them changes
-    the stream of the criterion-6 sweep (c = 5, n = 5...50) and is left to
-    a change of its own. The cut stays below p = 1/3, the range where the
-    gap law matches numpy's geometric variates.
+    ramp x0, one BLAS thread) over n = 5...400, the crossover depends on
+    p, not n: the sparse body was faster at every n from 10 to 400 at
+    p <= 0.15 (1.1-1.6x at p = 0.15, 1.2-2.7x at p = 0.1), the two were
+    within 1.3x either way at p = 0.2, and the dense body won everywhere
+    at p >= 0.25, by up to 4x, as most slots hold edges. (At n = 5 the
+    dense body is about 5 % faster at every p.) The cut stays below
+    p = 1/3, the range where the gap law matches numpy's geometric
+    variates.
     """
-    return n > 50 and p <= 0.1
+    return p <= 0.15
 
 
 def _edges(slots: int, p: float, pending: np.ndarray, rng: np.random.Generator):
@@ -192,7 +191,7 @@ def run_consensus(
     and the last spread, rather than returning a truncated state.
 
     This is run_block with one replication, on the step body it picks for
-    (n, p). The dense body's outcome equals that of the loop that draws
+    p. The dense body's outcome equals that of the loop that draws
     rng.random((n, n)) per step, and the sparse body's that of the loop
     that draws one gap at a time, bit for bit. Sparse gaps are drawn in
     batches, so rng may be left advanced past the stopping step: do not
@@ -227,7 +226,7 @@ def run_block(
 
     Each step takes the replications still active, in index order, in
     pieces of at most 2**14 numbers (one replication at least), through
-    the body _sparse_draws(n, p) picks (see the module docstring):
+    the body _sparse_draws(p) picks (see the module docstring):
     n*n uniforms per dense replication, or its state plus its expected
     edges per sparse one. Consecutive uniform draws give the numbers one
     draw would, and sparse gaps drawn past a piece carry into the next,
@@ -245,7 +244,7 @@ def run_block(
     if spreads[0] < tol:
         values[:], steps[:] = x.mean(), 0
         return values, steps, spreads
-    sparse = _sparse_draws(n, p)
+    sparse = _sparse_draws(p)
     size = n + math.ceil(p * n * (n - 1)) if sparse else n * n  # numbers per replication
     piece = max(1, _CHUNK_DOUBLES // size)
     pending = np.empty(0, dtype=np.int64)  # sparse edge positions past the last piece

@@ -132,10 +132,10 @@ def stream_layout(params: ModelParams) -> str:
     """The random-stream layout of an ensemble at params: "dense-block" or "sparse-block".
 
     Either way replications go in blocks, each on one generator; the name
-    is the step body dynamics._sparse_draws picks for (n, p). See the
-    module docstring.
+    is the step body dynamics._sparse_draws picks from p alone: sparse at
+    p <= 0.15, dense above. See the module docstring.
     """
-    return "sparse-block" if _sparse_draws(params.n, params.p) else "dense-block"
+    return "sparse-block" if _sparse_draws(params.p) else "dense-block"
 
 
 def _runs(indices: np.ndarray, limit: int = 10) -> str:

@@ -71,6 +71,8 @@ class TestAnalytic:
                 "--gnuplot",
             ),
             (["fig1", "--c", "5", "--n-min", "5", "--n-max", "6", "--x0", "0,1"], "--x0"),
+            (["fig2", "--c", "5,inf", "--n-min", "5", "--n-max", "6"], "--c"),
+            (["fig2", "--c", "inf", "--n-min", "5", "--n-max", "6"], "--c"),
         ],
     )
     def test_usage_errors_name_the_flag(self, capsys, argv, needle):
@@ -95,6 +97,24 @@ class TestAnalytic:
         assert code == 2
         assert out == ""
         assert f"error: {flag}: " in err
+
+    @pytest.mark.parametrize("command", ["fig1", "fig2"])
+    @pytest.mark.parametrize("spelling", ["t.csv", "./t.csv"])
+    def test_gnuplot_over_the_output_fails_before_the_table_is_built(
+        self, capsys, monkeypatch, tmp_path, command, spelling
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the table was built")
+
+        monkeypatch.setattr(cli, "sweep_fixed_degree", never)
+        monkeypatch.setattr(cli, "factor_sweep", never)
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "--c", "5", "--n-min", "5", "--n-max", "7", "--output", "t.csv", "--gnuplot", spelling]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "error: --gnuplot: " in err
+        assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("command", ["analytic", "simulate"])
     @pytest.mark.parametrize("x0", ["nan,1", "1,inf", "const:nan"])
@@ -167,23 +187,11 @@ class TestSimulate:
         _, threaded, _ = run_json(capsys, *argv, "--threads", "4")
         assert first["results"] == second["results"] == threaded["results"]
 
-    def test_env_threads_fallback(self, capsys, monkeypatch):
-        argv = ["simulate", "--n", "4", "--p", "0.5", "--x0", "ramp", "--reps", "200", "--seed", "3"]
-        _, reference, _ = run_json(capsys, *argv)
-        monkeypatch.setenv("CONSENSUS_THREADS", "4")
-        code, record, _ = run_json(capsys, *argv)
-        assert code == 0
-        assert record["results"] == reference["results"]
-
-    @pytest.mark.parametrize("value", ["two", "1.5", "-1"])
-    def test_bad_env_threads_names_the_variable(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("CONSENSUS_THREADS", value)
-        argv = ["simulate", "--n", "4", "--p", "0.5", "--reps", "10"]
-        code, out, err = run_cli(capsys, *argv)
+    def test_negative_threads_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--n", "4", "--p", "0.5", "--reps", "10", "--threads", "-1")
         assert code == 2
         assert out == ""
-        assert "CONSENSUS_THREADS" in err
-        assert "--threads" not in err
+        assert "error: --threads: " in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -213,7 +221,7 @@ class TestSimulate:
         argv = ["simulate", "--n", n, "--p", p, "--x0", "ramp", "--reps", "5", "--seed", "2"]
         code, record, _ = run_json(capsys, *argv)
         assert code == 0
-        assert record["schema_version"] == "4"
+        assert record["schema_version"] == "5"
         assert record["provenance"]["stream"] == stream
 
     def test_step_counts_in_provenance_not_results(self, capsys):
@@ -274,7 +282,7 @@ class TestFig1:
 
 
 class TestStreamContract:
-    """Golden digests of seeded output on the "dense-block" stream layout (schema "4").
+    """Golden digests of seeded output on the "dense-block" and "sparse-block" stream layouts (schema "5").
 
     Any change to how replications consume their random streams (draw
     order, draws per step, seeding) changes these bytes; such a change
@@ -286,7 +294,7 @@ class TestStreamContract:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "4fcd5fa9f53fd38df73abe806f36f96e60a297ff2eefbbfbee51c9e13ec76aa5"
+        assert digest == "3710f411aabf4e7c9ccc258182c832bd5eea76f0a829bffe8549ec0bf766b8f7"
 
     def test_simulate_results(self, capsys):
         argv = ["simulate", "--n", "20", "--p", "0.25", "--x0", "ramp", "--reps", "200", "--seed", "5"]

@@ -261,7 +261,7 @@ def _reference_block(params, x0, reps, rng, tol=1e-10, max_steps=10**6):
 
 
 class TestRunBlock:
-    @pytest.mark.parametrize("n,p,reps", [(2, 0.5, 7), (6, 5 / 6, 40), (50, 0.1, 30)])
+    @pytest.mark.parametrize("n,p,reps", [(2, 0.5, 7), (6, 5 / 6, 40), (50, 0.2, 30)])
     def test_matches_reference_loop(self, n, p, reps):
         # At n = 50 a step of 30 replications is drawn in five pieces.
         params = ModelParams(n, p)
@@ -285,7 +285,7 @@ class TestRunBlock:
     def test_sparse_piece_cap_does_not_change_outcomes(self, monkeypatch, cap):
         # 37 replications at n = 200 fill three pieces of the default cap.
         params, x0 = ModelParams(200, 0.025), _ramp(200)
-        assert _sparse_draws(200, 0.025)
+        assert _sparse_draws(0.025)
         default = run_block(params, x0, 37, GraphSeed(5).generator())
         monkeypatch.setattr(dynamics, "_CHUNK_DOUBLES", cap)
         patched = run_block(params, x0, 37, GraphSeed(5).generator())
@@ -303,7 +303,7 @@ class TestRunBlock:
 
     def test_dense_pieces_respect_the_cap(self):
         rng = _RecordingGenerator(GraphSeed(4).generator())
-        run_block(ModelParams(50, 0.1), _ramp(50), 30, rng)
+        run_block(ModelParams(50, 0.2), _ramp(50), 30, rng)
         assert {k for k, *_ in rng.shapes} <= {6, 5, 4, 3, 2, 1}  # 2**14 // 50**2 = 6 per piece
         assert rng.shapes[:5] == [(6, 50, 50)] * 5
 
@@ -367,7 +367,7 @@ class TestChunkBoundaries:
         assert run_consensus(params, x0, GraphSeed(seed).generator(), tol=tol) == reference
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-14])
-    @pytest.mark.parametrize("n,p", [(3, 0.5), (6, 0.3), (20, 0.25), (50, 0.1)])
+    @pytest.mark.parametrize("n,p", [(3, 0.5), (6, 0.3), (20, 0.25), (50, 0.2)])
     def test_tolerances(self, n, p, tol):
         for seed in range(5):
             fast = run_consensus(ModelParams(n, p), _ramp(n), GraphSeed(seed).generator(), tol=tol)
@@ -390,7 +390,7 @@ class TestChunkBoundaries:
 
     @pytest.mark.parametrize("max_steps", [5, FIRST_CHUNK, 13, 3 * FIRST_CHUNK + 1])
     def test_step_budget_ends_mid_or_on_chunk(self, max_steps):
-        params, x0 = ModelParams(20, 0.1), _ramp(20)
+        params, x0 = ModelParams(20, 0.2), _ramp(20)
         with pytest.raises(NonConvergenceError) as fast:
             run_consensus(params, x0, GraphSeed(9).generator(), tol=1e-300, max_steps=max_steps)
         with pytest.raises(NonConvergenceError) as reference:
@@ -400,22 +400,27 @@ class TestChunkBoundaries:
 
 
 class _RecordingGenerator:
-    """A Generator stand-in that records the shape of every draw."""
+    """A Generator stand-in that records the shape of every uniform draw and the size of every gap draw."""
 
     def __init__(self, rng):
         self._rng = rng
         self.shapes = []
+        self.gaps = []
 
     def random(self, shape):
         self.shapes.append(shape)
         return self._rng.random(shape)
+
+    def standard_exponential(self, size):
+        self.gaps.append(size)
+        return self._rng.standard_exponential(size)
 
 
 class TestDrawBudget:
     @pytest.mark.parametrize(
         "n,p",
         [pytest.param(n, p, id=str(n)) for n, p in
-         [(2, 1.0), (20, 0.25), (50, 0.1), (90, 0.3), (91, 0.3), (127, 0.3), (128, 0.3)]],
+         [(2, 1.0), (20, 0.25), (50, 0.2), (90, 0.3), (91, 0.3), (127, 0.3), (128, 0.3)]],
     )
     def test_chunk_memory_cap(self, n, p):
         rng = _RecordingGenerator(GraphSeed(5).generator())
@@ -428,21 +433,39 @@ class TestDrawBudget:
 @pytest.fixture
 def sparse_everywhere(monkeypatch):
     """Send every run_consensus call through the sparse step body."""
-    monkeypatch.setattr(dynamics, "_sparse_draws", lambda n, p: True)
+    monkeypatch.setattr(dynamics, "_sparse_draws", lambda p: True)
 
 
 class TestStepPathChoice:
+    """The step body follows p alone: sparse at p <= 0.15, dense above, at every n."""
+
+    @pytest.mark.parametrize(
+        "p,sparse", [(0.01, True), (0.1, True), (0.15, True), (0.16, False), (0.25, False), (1.0, False)]
+    )
+    def test_same_body_at_every_size(self, p, sparse):
+        assert _sparse_draws(p) is sparse
+        for n in (5, 50, 400, 2000):
+            # One step of one replication: the sparse body draws gaps, the dense one uniforms.
+            rng = _RecordingGenerator(GraphSeed(1).generator())
+            run_block(ModelParams(n, p), _ramp(n), 1, rng, max_steps=1)
+            assert (bool(rng.gaps), bool(rng.shapes)) == (sparse, not sparse)
+
     @pytest.mark.parametrize("n", range(5, 51))
     def test_criterion_6_sweep_stays_dense(self, n):
-        assert not _sparse_draws(n, min(1.0, 5.0 / n))
+        # Only up to n = 33: from n = 34 on, p = 5/n <= 0.15 takes the sparse body.
+        assert _sparse_draws(min(1.0, 5.0 / n)) is (n >= 34)
 
-    @pytest.mark.parametrize("n,p", [(51, 0.1), (100, 0.05), (200, 0.025), (400, 0.0125), (2000, 0.0025)])
+    @pytest.mark.parametrize(
+        "n,p",
+        [(51, 0.1), (100, 0.05), (200, 0.025), (400, 0.0125), (2000, 0.0025), (50, 0.1), (20, 0.01),
+         (400, 0.11), (5, 0.15)],
+    )
     def test_sparse_below_the_density_cut(self, n, p):
-        assert _sparse_draws(n, p)
+        assert _sparse_draws(p)
 
-    @pytest.mark.parametrize("n,p", [(50, 0.1), (20, 0.01), (100, 0.25), (400, 0.11), (2000, 1.0)])
+    @pytest.mark.parametrize("n,p", [(100, 0.25), (2000, 1.0), (50, 0.2), (20, 0.16), (400, 0.151)])
     def test_dense_elsewhere(self, n, p):
-        assert not _sparse_draws(n, p)
+        assert not _sparse_draws(p)
 
 
 class TestSparseSteps:
@@ -452,7 +475,7 @@ class TestSparseSteps:
     @pytest.mark.parametrize("n,p", [(60, 5.0 / 60), (100, 0.05), (200, 0.025)])
     def test_chosen_sizes_match_reference(self, n, p, seed):
         params = ModelParams(n, p)
-        assert _sparse_draws(n, p)
+        assert _sparse_draws(p)
         fast = run_consensus(params, _ramp(n), GraphSeed(seed).generator())
         assert fast == _sparse_reference_run(params, _ramp(n), GraphSeed(seed).generator())
         assert fast.steps > 0

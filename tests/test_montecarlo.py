@@ -187,7 +187,7 @@ class TestRunEnsemble:
 
     @pytest.mark.parametrize("n,reps", [(100, 3000), (400, 2000), (2000, 500)])
     def test_sparse_steps_within_four_sigma(self, n, reps):
-        # p = 5/n takes the sparse step body from n = 51 on.
+        # p = 5/n takes the sparse step body from n = 34 on.
         params = ModelParams(n, 5.0 / n)
         cfg = ExperimentConfig(params=params, x0_spec="ramp", reps=reps, seed=GraphSeed(2026, stream=n))
         stats = run_ensemble(cfg)
@@ -197,13 +197,16 @@ class TestRunEnsemble:
 
 
 class TestDenseBlocks:
-    """Ensembles of the dense layout: blocks of _BLOCK_REPS on one generator each."""
+    """Ensembles in blocks of _BLOCK_REPS on one generator each, mostly of the dense layout."""
 
-    @pytest.mark.parametrize("n", [6, 20, 50])
-    def test_within_four_sigma_of_closed_form_and_reference(self, n):
-        # Replication count and seed were fixed before the first run.
+    @pytest.mark.parametrize(
+        "n,p", [pytest.param(n, 5.0 / n, id=str(n)) for n in (6, 20, 50)] + [pytest.param(50, 0.2, id="50-0.2")]
+    )
+    def test_within_four_sigma_of_closed_form_and_reference(self, n, p):
+        # Replication count and seed were fixed before the first run. At c = 5,
+        # n = 50 takes the sparse body; (50, 0.2) keeps a dense case at that size.
         reps = 2000
-        params = ModelParams(n, 5.0 / n)
+        params = ModelParams(n, p)
         x0 = resolve_x0("ramp", n)
         seed = GraphSeed(2026, stream=n)
         stats = run_ensemble(ExperimentConfig(params=params, x0_spec="ramp", reps=reps, seed=seed))
@@ -257,7 +260,7 @@ class TestSparseBlocks:
         reps, params = 2000, ModelParams(20, 0.25)
         cfg = ExperimentConfig(params=params, x0_spec="ramp", reps=reps, seed=GraphSeed(2027, stream=20))
         dense = run_ensemble(cfg)
-        monkeypatch.setattr(dynamics, "_sparse_draws", lambda n, p: True)
+        monkeypatch.setattr(dynamics, "_sparse_draws", lambda p: True)
         sparse = run_ensemble(cfg)
         assert abs(sparse.variance - dense.variance) <= 4.0 * math.hypot(sparse.stderr_variance, dense.stderr_variance)
         assert abs(sparse.mean - dense.mean) <= 4.0 * math.sqrt((sparse.variance + dense.variance) / reps)
@@ -295,11 +298,14 @@ class TestStepCounts:
 
 
 class TestStreamLayout:
-    def test_dense_at_every_fig1_size(self):
-        assert {stream_layout(ModelParams(n, min(1.0, 5.0 / n))) for n in range(5, 51)} == {"dense-block"}
+    def test_fig1_sizes_split_at_34(self):
+        layouts = [stream_layout(ModelParams(n, min(1.0, 5.0 / n))) for n in range(5, 51)]
+        assert layouts == ["dense-block"] * 29 + ["sparse-block"] * 17  # n = 5...33, then 34...50
 
     @pytest.mark.parametrize(
-        "n,p,layout", [(51, 0.1, "sparse-block"), (51, 0.11, "dense-block"), (400, 0.0125, "sparse-block")]
+        "n,p,layout",
+        [(51, 0.1, "sparse-block"), (51, 0.11, "sparse-block"), (400, 0.0125, "sparse-block"),
+         (5, 0.15, "sparse-block"), (400, 0.16, "dense-block")],
     )
     def test_follows_the_step_body(self, n, p, layout):
         assert stream_layout(ModelParams(n, p)) == layout
