@@ -37,8 +37,8 @@ print(f"enumerated E[W (x) W] vs closed form:  "
 
 estimate = left_unit_eigenvector(eww)
 gap = np.max(np.abs(estimate.vector - kron_left_eigenvector(params)))
-print(f"power-iterated Perron vector vs closed form: max |diff| = {gap:.2e} "
-      f"({estimate.iterations} iterations, residual {estimate.residual:.1e})")
+print(f"solved Perron vector vs closed form: max |diff| = {gap:.2e} "
+      f"(one linear solve, residual {estimate.residual:.1e})")
 
 x0 = np.array([0.0, 0.5, 1.0])
 enumerated = exact_variance(params, x0)

@@ -343,11 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "oracle", parents=[model], help=f"exact cross-check of the closed forms (n <= {ENUM_MAX_N})"
     )
-    p.add_argument(
-        "--allow-large",
-        action="store_true",
-        help=f"no effect: every n <= {ENUM_MAX_N} is enumerated; kept for old scripts",
-    )
     p.set_defaults(func=cmd_oracle)
 
     return parser

@@ -61,14 +61,16 @@ def _check_x0(x0, n: int | None = None) -> np.ndarray:
 
     The one input check for initial states. A NaN entry would otherwise
     pass a run as converged at step 0 (nan >= tol is False), and an inf
-    entry turns every state into NaN after one step.
+    entry turns every state into NaN after one step. |x_i| <= 1e75 keeps
+    fourth powers finite, as the jackknife standard error of a variance needs.
     """
     x = np.asarray(x0, dtype=float)
     if x.ndim != 1 or x.size == 0 or (n is not None and x.size != n):
         wanted = "a non-empty vector" if n is None else f"a length-{n} vector"
         raise ValueError(f"x0 must be {wanted}, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError(f"x0 entries must be finite, got {x[~np.isfinite(x)].tolist()}")
+    bad = ~(np.abs(x) <= 1e75)
+    if bad.any():
+        raise ValueError(f"x0 entries must be finite with |x| <= 1e75, got {x[bad].tolist()}")
     return x
 
 

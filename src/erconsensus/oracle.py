@@ -1,16 +1,17 @@
 """Enumerated ground truth for the closed forms.
 
 Enumerates every out-neighbour set of one node, builds the exact E[W]
-and E[W (x) W] from them, extracts Perron vectors by power iteration,
-and evaluates the agreement-value variance straight from the spectral
-identity
+and E[W (x) W] from them, solves one linear system for each Perron
+vector, and evaluates the agreement-value variance straight from the
+spectral identity
 
     var(x*) = [x0 (x) x0]^T v1(E[W (x) W]) - (x0^T v1(E[W]))^2
 
 so the analytic module has something independent to be measured against.
-The only model facts used are that rows of W are independent and that
-relabelling nodes maps one row's distribution onto every other's
-(moments._relabel); no entry class or binomial moment is used.
+The only model facts used are the weight rule, that rows of W are
+independent and that relabelling nodes maps one row's distribution onto
+every other's (moments._relabel); no entry class or binomial moment is
+used, and no code is shared with the simulator in dynamics.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _check_budget, _weights
 from .graphs import ModelParams, _check_x0
 from .moments import (
     _relabel,
@@ -40,11 +40,9 @@ __all__ = [
     "slem",
 ]
 
-# Measured on a 2-CPU VM: the 2^15 sets at n = 16 take 0.13 s and 82 MiB
-# of peak memory; each further node doubles both.
+# Measured on a 2-CPU VM: the 2^15 sets at n = 16 take 11-17 ms and 14 MiB
+# (42 MiB peak in a fresh process); each further node about doubles both.
 ENUM_MAX_N = 16
-POWER_ITERATION_TOL = 1e-13
-POWER_ITERATION_CAP = 10**6
 
 
 def enumerate_expected_matrices(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -52,21 +50,20 @@ def enumerate_expected_matrices(params: ModelParams) -> tuple[np.ndarray, np.nda
 
     Returns (exact_ew, exact_eww) with exact_eww indexed like the dense
     analytic assembly: row (i, r) = i*n + r, column (j, s) = j*n + s,
-    entry E[w_ij w_rs]. Each set with k neighbours has probability
-    p^k q^(n-1-k) and its weights come from the model's weight rule;
-    that gives m1 = E[w_0.] and m2 = E[w_0j w_0s]. Swapping labels 0 and
-    i carries them to row i. Distinct rows are independent, so block
-    (i, r) of E[W (x) W] is E[w_i.] (x) E[w_r.] for i != r.
+    entry E[w_ij w_rs]. Each set with d neighbours has probability
+    p^d q^(n-1-d) and, by the model's weight rule, row-0 weights
+    w_0j = ([j == 0] + a_0j)/(d + 1); that gives m1 = E[w_0.] and
+    m2 = E[w_0j w_0s]. Swapping labels 0 and i carries them to row i.
+    Distinct rows are independent, so block (i, r) of E[W (x) W] is
+    E[w_i.] (x) E[w_r.] for i != r.
     """
     n = params.n
     if n > ENUM_MAX_N:
         raise ValueError(f"n must be <= {ENUM_MAX_N} for enumeration, got {n}")
     sets = np.arange(2 ** (n - 1))[:, None] >> np.arange(n - 1) & 1
-    adj = np.zeros((len(sets), n, n), dtype=bool)
-    adj[:, 0, 1:] = sets
     degree = sets.sum(axis=1)
     prob = params.p**degree * params.q ** (n - 1 - degree)
-    rows = _weights(adj)[:, 0]
+    rows = np.column_stack([np.ones(len(sets)), sets]) / (degree + 1)[:, None]
     m1 = prob @ rows
     m2 = (rows * prob[:, None]).T @ rows
     ew = _relabel(m1)
@@ -79,7 +76,7 @@ def enumerate_expected_matrices(params: ModelParams) -> tuple[np.ndarray, np.nda
 
 @dataclass(frozen=True, eq=False)
 class EigenvectorEstimate:
-    """Perron vector estimate with its achieved residual max|v^T M - v^T|."""
+    """Perron vector, its residual max|v^T M - v^T| and the solves taken (always 1)."""
 
     vector: np.ndarray
     residual: float
@@ -93,35 +90,34 @@ def _square(m, min_size: int) -> np.ndarray:
     return m
 
 
-def left_unit_eigenvector(
-    m,
-    tol: float = POWER_ITERATION_TOL,
-    max_iterations: int = POWER_ITERATION_CAP,
-) -> EigenvectorEstimate:
-    """Left unit eigenvector of a positive row-stochastic matrix.
+def left_unit_eigenvector(m) -> EigenvectorEstimate:
+    """Left unit eigenvector (stationary distribution) of a row-stochastic matrix.
 
-    Power iteration on the transpose from the uniform vector, renormalized
-    to sum 1 each step, until max|v^T M - v^T| < tol. Strict positivity
-    makes the unit eigenvalue simple (Perron-Frobenius), so the iteration
-    converges geometrically; a healthy spectral gap keeps the default cap
-    far out of reach. A bad tol or max_iterations is rejected up front.
+    One linear solve, A v = e_last: A is M^T with each diagonal entry set
+    to minus its column's off-diagonal sum, so 1 - m_jj has no cancellation
+    even within rounding of I (Grassmann, Taksar & Heyman, Oper. Res. 33(5),
+    1985), and the last row of A holds ones, so sum(v) = 1. M needs one
+    closed class, as a positive M has; with several the unit eigenvalue is
+    not simple, and a singular system or a negative entry raises ValueError.
     """
     m = _square(m, 1)
-    _check_budget(tol, "max_iterations", max_iterations)
     if np.max(np.abs(m.sum(axis=1) - 1.0)) > 1e-8:
         raise ValueError("matrix rows must sum to 1")
-    size = m.shape[0]
-    v = np.full(size, 1.0 / size)
-    for iteration in range(1, max_iterations + 1):
-        v = v @ m
-        v /= v.sum()
-        residual = float(np.max(np.abs(v @ m - v)))
-        if residual < tol:
-            return EigenvectorEstimate(vector=v, residual=residual, iterations=iteration)
-    raise RuntimeError(
-        f"power iteration residual {residual:.3e} still >= {tol:.1e} "
-        f"after {max_iterations} iterations"
-    )
+    a = m.T.copy()
+    np.fill_diagonal(a, 0.0)
+    np.fill_diagonal(a, -a.sum(axis=0))
+    a[-1] = 1.0
+    rhs = np.zeros(len(a))
+    rhs[-1] = 1.0
+    try:
+        v = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError:
+        v = None
+    # A negative entry means the system was singular to rounding.
+    if v is None or v.min() < -1e-8:
+        raise ValueError("matrix is singular: its unit eigenvalue is not simple")
+    residual = float(np.max(np.abs(v @ m - v)))
+    return EigenvectorEstimate(vector=v, residual=residual, iterations=1)
 
 
 def slem(m) -> float:
@@ -138,7 +134,7 @@ def slem(m) -> float:
 
 
 def _enumerated_variance(params: ModelParams, x0):
-    """Enumerate, power-iterate, evaluate the spectral identity.
+    """Enumerate, solve for both Perron vectors, evaluate the spectral identity.
 
     Returns (E[W], E[W (x) W], v1(E[W (x) W]), variance) with the variance
     [x0 (x) x0]^T v1(E[W (x) W]) - (x0^T v1(E[W]))^2 left unclipped.
@@ -155,9 +151,9 @@ def exact_variance(params: ModelParams, x0) -> float:
     """Agreement-value variance straight from enumerated moments.
 
     Evaluates [x0 (x) x0]^T v1(E[W (x) W]) - (x0^T v1(E[W]))^2 with both
-    Perron vectors obtained by power iteration on the enumerated
-    matrices. Can come out a hair below zero from rounding; the raw value
-    is returned, never clipped.
+    Perron vectors solved for on the enumerated matrices. Can come out a
+    hair below zero from rounding; the raw value is returned, never
+    clipped.
     """
     return _enumerated_variance(params, x0)[3]
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -123,6 +124,23 @@ class TestAnalytic:
         assert code == 2
         assert out == ""
         assert "--x0" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["analytic", "simulate", "oracle"])
+    def test_overflowing_x0_is_a_usage_error(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--n", "3", "--p", "0.5", "--x0", "1e200,0,-1e200")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --x0: x0 entries must be finite with |x| <= 1e75")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["analytic", "simulate"])
+    def test_x0_at_the_bound_runs_clean(self, capsys, command):
+        # The JSON encoder rejects inf, so exit 0 means every moment stayed finite.
+        argv = [command, "--n", "3", "--p", "0.5", "--x0", "1e75,0,-1e75"]
+        code, _, err = run_cli(capsys, *argv, *(["--reps", "200"] if command == "simulate" else []))
+        assert code == 0
+        assert err == ""
 
     @pytest.mark.parametrize("epoch", ["abc", "1e9", "9" * 20])
     def test_bad_source_date_epoch_names_the_variable(self, src_env, epoch):
@@ -348,13 +366,26 @@ class TestOracle:
         assert code == 0
         assert all(v < 1e-10 for v in record["results"]["max_abs_discrepancy"].values())
 
-    @pytest.mark.parametrize("extra", [[], ["--allow-large"]], ids=["plain", "allow-large"])
-    def test_n_above_cap_names_n(self, capsys, extra):
+    @pytest.mark.parametrize(
+        "extra,needle",
+        [([], f"error: --n: n must be <= {ENUM_MAX_N}"),
+         (["--allow-large"], "unrecognized arguments: --allow-large")],
+        ids=["plain", "allow-large"],
+    )
+    def test_n_above_cap_names_n(self, capsys, extra, needle):
+        # --allow-large had no effect and is gone; the parser now rejects it.
         n = str(ENUM_MAX_N + 1)
         code, out, err = run_cli(capsys, "oracle", "--n", n, "--p", "0.5", *extra)
         assert code == 2
-        assert err.startswith(f"error: --n: n must be <= {ENUM_MAX_N}")
+        assert needle in err
         assert out == ""
+
+    def test_small_p_runs_clean_and_fast(self, capsys):
+        start = time.perf_counter()
+        code, record, _ = run_json(capsys, "oracle", "--n", "5", "--p", "1e-6")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert all(v < 1e-10 for v in record["results"]["max_abs_discrepancy"].values())
 
     def test_cap_size_runs_clean(self, capsys):
         n = ENUM_MAX_N

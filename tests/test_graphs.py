@@ -159,3 +159,11 @@ class TestCheckX0:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
             _check_x0([0.0, bad, 1.0], 3)
+
+    @pytest.mark.parametrize("big", [1e76, -1e200])
+    def test_rejects_entries_whose_moments_overflow(self, big):
+        with pytest.raises(ValueError, match=r"^x0 entries must be finite with \|x\| <= 1e75"):
+            _check_x0([0.0, big, 1.0], 3)
+
+    def test_accepts_the_bound(self):
+        assert np.array_equal(_check_x0([-1e75, 0.0, 1e75], 3), [-1e75, 0.0, 1e75])
