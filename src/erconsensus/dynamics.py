@@ -12,8 +12,12 @@ the replications still active, in index order and in pieces of at most
 _CHUNK_DOUBLES numbers, through one of two bodies chosen once per block
 from p alone by _sparse_draws:
 
-- dense: the (A, n, n) uniforms of a piece's A replications, one weight
-  build and one batched product.
+- dense: the A n^2 slots (i, j) of a piece's A replications, diagonal
+  included, take one byte each of the generator's raw 64-bit words; a
+  byte is compared with the first eight binary digits of p, and the rare
+  tie is settled by a double from a second stream, seeded once per block
+  by the generator's first raw word (_byte_edges). Then one batched product of A + I with [x, 1] gives
+  each node's neighborhood sum and size (_average).
 - sparse: the A n(n-1) edge slots of a piece are the next stretch of one
   Bernoulli(p) sequence that runs on over pieces and steps. Its edges are
   found by geometric gap skipping (Batagelj & Brandes, Phys. Rev. E 71,
@@ -21,9 +25,10 @@ from p alone by _sparse_draws:
   (deg + 1) costs O(n + edges) per replication and builds no n x n array.
 
 Replications leave the block as they converge. Either body draws one
-sequence whatever the piece size, so the outcomes depend only on the
-generator's initial state; the generator may be left advanced past the
-stopping step.
+sequence whatever the piece size (unused bytes of the last raw word, and
+gaps drawn past a piece, carry into the next), so the outcomes depend
+only on the generator's initial state; the generator may be left
+advanced past the stopping step.
 """
 
 from __future__ import annotations
@@ -48,9 +53,9 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_STEPS = 10**6
 
 # Numbers per piece at most (128 KiB of doubles): a dense replication
-# counts its n*n uniforms, a sparse one its state plus its expected edges.
+# counts its n*n slots, a sparse one its state plus its expected edges.
 # A piece holds one replication at least, so a block of any size holds no
-# more uniforms, weights or edges than one piece needs.
+# more slot bytes, adjacency or edges than one piece needs.
 _CHUNK_DOUBLES = 2**14
 
 
@@ -61,26 +66,6 @@ class NonConvergenceError(RuntimeError):
         super().__init__(message)
         self.steps = steps
         self.spread = spread
-
-
-def _weights(adj) -> np.ndarray:
-    """Row-stochastic weights of realizations stacked as (..., n, n).
-
-    w_ij = (a_ij + [i == j]) / (d_i + 1): node i averages its own state
-    with those of its d_i out-neighbors. The implicit self-loop keeps the
-    normalizer positive even for isolated nodes. adj is a bool or 0/1
-    array; its diagonal is ignored (overwritten in a new float array, so
-    the input is never written).
-    """
-    w = np.array(adj, dtype=float, order="C")
-    if w.ndim < 2 or w.shape[-1] != w.shape[-2]:
-        raise ValueError(f"adjacency must be square in its last two axes, got shape {w.shape}")
-    n = w.shape[-1]
-    w.reshape(*w.shape[:-2], n * n)[..., :: n + 1] = 1.0
-    # Row sums by one matrix-vector product (exact: they are small
-    # integers), and w * (1/s) equals w / s bit for bit as w is 0 or 1.
-    w *= (1.0 / (w.reshape(-1, n) @ np.ones(n))).reshape(*w.shape[:-1], 1)
-    return w
 
 
 def _check_budget(tol: float, cap_name: str, cap: int) -> None:
@@ -100,19 +85,18 @@ class ConsensusOutcome:
 
 
 def _sparse_draws(p: float) -> bool:
-    """Whether a block at edge probability p takes the sparse step body: p <= 0.15.
+    """Whether a block at edge probability p takes the sparse step body: p <= 0.09.
 
     Measured in block mode (128 replications up to n = 100, 40 above,
-    ramp x0, one BLAS thread) over n = 5...400, the crossover depends on
-    p, not n: the sparse body was faster at every n from 10 to 400 at
-    p <= 0.15 (1.1-1.6x at p = 0.15, 1.2-2.7x at p = 0.1), the two were
-    within 1.3x either way at p = 0.2, and the dense body won everywhere
-    at p >= 0.25, by up to 4x, as most slots hold edges. (At n = 5 the
-    dense body is about 5 % faster at every p.) The cut stays below
-    p = 1/3, the range where the gap law matches numpy's geometric
-    variates.
+    ramp x0, one BLAS thread) over n = 10...400, the crossover depends on
+    p, not n: the sparse body was faster at every n at p <= 0.05 (by
+    1.1-2.1x), the two were within 1.4x either way at p = 0.08, and the
+    dense body was faster or even at p >= 0.1 at every n, by up to 3.8x
+    at p = 0.2: it costs a few ns per slot, edge or not, and the sparse
+    body pays per edge. The cut stays below p = 1/3, the range where the
+    gap law matches numpy's geometric variates.
     """
-    return p <= 0.15
+    return p <= 0.09
 
 
 def _edges(slots: int, p: float, pending: np.ndarray, rng: np.random.Generator):
@@ -176,6 +160,57 @@ def _sparse_step(x: np.ndarray, out: np.ndarray, p: float, pending: np.ndarray, 
     return pending
 
 
+def _byte_edges(slots: int, p: float, spare: np.ndarray, rng, tie: np.random.Generator):
+    """Edges among the next `slots` slots of one Bernoulli(p) byte sequence.
+
+    Slot s takes byte s of a stream that runs on over calls: the bytes of
+    rng's raw 64-bit words, least significant byte first, after the spare
+    bytes left over from the previous word (empty at the start). With
+    t = floor(256 p), a byte below t is an edge and a byte above t is not;
+    a tie (probability 1/256) is an edge when a double drawn from tie is
+    below the remainder 256 p - t, the ties taking their doubles in slot
+    order. 256 p - t is exact, so P(edge) = p to within 2**-61, from
+    about 8 random bits per slot: a byte settles the first eight binary
+    digits of p, and only a tie needs more (Knuth & Yao, "The complexity
+    of nonuniform random number generation", 1976).
+
+    Returns the slots as a bool array and the new spare, so the edges
+    depend only on the initial states of rng and tie, not on how the
+    sequence is cut into stretches.
+    """
+    words = rng.bit_generator.random_raw(max(0, -(-(slots - spare.size) // 8)))
+    stream = np.concatenate((spare, words.astype("<u8", copy=False).view(np.uint8)))
+    cut = math.floor(256.0 * p)
+    draw, spare = stream[:slots], stream[slots:]
+    edges = draw < cut
+    ties = np.nonzero(draw == cut)[0]
+    edges[ties] = tie.random(ties.size) < 256.0 * p - cut
+    return edges, spare
+
+
+def _average(adj, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """One averaging step W x for the 0/1 adjacency stack adj (..., n, n) and states x (..., n).
+
+    w_ij = (a_ij + [i == j]) / (d_i + 1): node i averages its own state
+    with those of its d_i out-neighbors. The implicit self-loop keeps the
+    normalizer positive even for isolated nodes. adj's diagonal is
+    ignored (overwritten in a new float copy, so the input is never
+    written). One batched product of A + I with [x, 1] gives the sums
+    s0 = x_i + sum of the neighbors' states and s1 = d_i + 1 (a small
+    integer, exact), and the result is s0 * (1/s1). Every row of a
+    complete graph computes the same dot product, so p = 1 agrees in one
+    step with spread exactly 0.
+    """
+    w = np.array(adj, dtype=float)
+    n = w.shape[-1]
+    w.reshape(*w.shape[:-2], n * n)[..., :: n + 1] = 1.0
+    xs = np.empty(x.shape + (2,))
+    xs[..., 0] = x
+    xs[..., 1] = 1.0
+    sums = np.matmul(w, xs)
+    return np.multiply(sums[..., 0], 1.0 / sums[..., 1], out=out)
+
+
 def run_consensus(
     params: ModelParams,
     x0,
@@ -191,9 +226,11 @@ def run_consensus(
     and the last spread, rather than returning a truncated state.
 
     This is run_block with one replication, on the step body it picks for
-    p. The dense body's outcome equals that of the loop that draws
-    rng.random((n, n)) per step, and the sparse body's that of the loop
-    that draws one gap at a time, bit for bit. Sparse gaps are drawn in
+    p. The dense body's outcome equals that of the loop that takes one
+    byte per slot of the n*n slots of each step, settles each tie with
+    the next double of the tie stream and applies the weights
+    (A + I)/(d + 1); the sparse body's equals that of the loop that draws
+    one gap at a time, bit for bit. Raw words and gaps are drawn in
     batches, so rng may be left advanced past the stopping step: do not
     reuse it expecting the position of a per-step loop.
     """
@@ -227,12 +264,13 @@ def run_block(
     Each step takes the replications still active, in index order, in
     pieces of at most 2**14 numbers (one replication at least), through
     the body _sparse_draws(p) picks (see the module docstring):
-    n*n uniforms per dense replication, or its state plus its expected
-    edges per sparse one. Consecutive uniform draws give the numbers one
-    draw would, and sparse gaps drawn past a piece carry into the next,
-    so the piece size changes neither the stream nor any outcome. Then
-    every replication whose spread fell below tol records its value, step
-    and spread and leaves the block.
+    n*n slots per dense replication, or its state plus its expected edges
+    per sparse one. The dense body's tie stream is default_rng(w) for w
+    the first raw word of rng, and the slot bytes start at the second.
+    Slot bytes left in a piece's last raw word, and sparse gaps drawn
+    past a piece, carry into the next, so the piece size changes neither
+    the streams nor any outcome. Then every replication whose spread fell
+    below tol records its value, step and spread and leaves the block.
     """
     _check_budget(tol, "max_steps", max_steps)
     _check_int("reps", reps, 1)
@@ -248,6 +286,8 @@ def run_block(
     size = n + math.ceil(p * n * (n - 1)) if sparse else n * n  # numbers per replication
     piece = max(1, _CHUNK_DOUBLES // size)
     pending = np.empty(0, dtype=np.int64)  # sparse edge positions past the last piece
+    spare = np.empty(0, dtype=np.uint8)  # dense slot bytes left in the last raw word
+    tie = None if sparse else np.random.default_rng(int(rng.bit_generator.random_raw()))
     active = np.arange(reps)
     state = np.tile(x, (reps, 1))
     for step in range(1, max_steps + 1):
@@ -257,10 +297,8 @@ def run_block(
             if sparse:
                 pending = _sparse_step(state[a:b], new[a:b], p, pending, rng)
             else:
-                # One expression, so no piece's weights outlive its product.
-                np.matmul(
-                    _weights(rng.random((b - a, n, n)) < p), state[a:b, :, None], out=new[a:b, :, None]
-                )
+                edges, spare = _byte_edges((b - a) * n * n, p, spare, rng, tie)
+                _average(edges.reshape(b - a, n, n), state[a:b], out=new[a:b])
         spread = new.max(axis=1) - new.min(axis=1)
         done = spread < tol
         if done.any():

@@ -108,8 +108,11 @@ def jackknife_variance_stderr(values) -> float:
 
     Leave-one-out variances come from the centered sums in O(reps);
     no fourth-moment plug-in for the unknown outcome distribution is
-    needed. Returns 0.0 for fewer than three values or identical values.
-    values must be a 1-D sequence of finite numbers.
+    needed. The centered values are scaled by a power of two to below 1
+    before any squaring and the result scaled back, which is exact, so
+    finite inputs of any size give a finite result whenever it is
+    representable. Returns 0.0 for fewer than three values or identical
+    values. values must be a 1-D sequence of finite numbers.
     """
     x = np.asarray(values, dtype=float)
     if x.ndim != 1:
@@ -120,22 +123,26 @@ def jackknife_variance_stderr(values) -> float:
     if r < 3 or np.ptp(x) == 0.0:
         return 0.0
     x = x - x.mean()  # translation-invariant; centering tames cancellation
+    exponent = int(np.frexp(np.abs(x).max())[1])
+    x = np.ldexp(x, -exponent)  # fourth powers of these cannot overflow
     s1 = float(x.sum())
     s2 = float(x @ x)
     mean_loo = (s1 - x) / (r - 1)
     ss_loo = s2 - x**2 - (r - 1) * mean_loo**2
     var_loo = ss_loo / (r - 2)
-    return float(np.sqrt((r - 1) / r * np.sum((var_loo - var_loo.mean()) ** 2)))
+    return float(np.ldexp(np.sqrt((r - 1) / r * np.sum((var_loo - var_loo.mean()) ** 2)), 2 * exponent))
 
 
 def stream_layout(params: ModelParams) -> str:
-    """The random-stream layout of an ensemble at params: "dense-block" or "sparse-block".
+    """The random-stream layout of an ensemble at params: "dense-byte-block" or "sparse-block".
 
     Either way replications go in blocks, each on one generator; the name
     is the step body dynamics._sparse_draws picks from p alone: sparse at
-    p <= 0.15, dense above. See the module docstring.
+    p <= 0.09 (geometric gaps), dense above (one byte of the generator's
+    raw words per slot, ties settled from a stream it seeds). See the
+    module docstring.
     """
-    return "sparse-block" if _sparse_draws(params.p) else "dense-block"
+    return "sparse-block" if _sparse_draws(params.p) else "dense-byte-block"
 
 
 def _runs(indices: np.ndarray, limit: int = 10) -> str:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from erconsensus import cli
@@ -234,13 +235,25 @@ class TestSimulate:
         assert code == 3
         assert "converge" in err
 
-    @pytest.mark.parametrize("n,p,stream", [("20", "0.25", "dense-block"), ("200", "0.025", "sparse-block")])
+    @pytest.mark.parametrize("n,p,stream", [("20", "0.25", "dense-byte-block"), ("200", "0.025", "sparse-block")])
     def test_provenance_names_the_stream(self, capsys, n, p, stream):
         argv = ["simulate", "--n", n, "--p", p, "--x0", "ramp", "--reps", "5", "--seed", "2"]
         code, record, _ = run_json(capsys, *argv)
         assert code == 0
-        assert record["schema_version"] == "5"
+        assert record["schema_version"] == "6"
         assert record["provenance"]["stream"] == stream
+
+    def test_provenance_names_numpy_and_the_bit_generator(self, capsys):
+        # The dense stream is a function of the bit generator's raw words.
+        argv = ["simulate", "--n", "6", "--p", "0.5", "--x0", "ramp", "--reps", "5", "--seed", "2"]
+        code, record, _ = run_json(capsys, *argv)
+        assert code == 0
+        assert record["provenance"]["numpy"] == np.__version__
+        assert record["provenance"]["bit_generator"] == "PCG64"
+        assert set(record["results"]) == {
+            "empirical_mean", "empirical_variance", "stderr_variance", "analytic_mean",
+            "analytic_variance", "variance_z", "reps_used", "nonconverged",
+        }
 
     def test_step_counts_in_provenance_not_results(self, capsys):
         argv = ["simulate", "--n", "5", "--p", "1", "--x0", "ramp", "--reps", "10", "--seed", "0"]
@@ -300,7 +313,7 @@ class TestFig1:
 
 
 class TestStreamContract:
-    """Golden digests of seeded output on the "dense-block" and "sparse-block" stream layouts (schema "5").
+    """Golden digests of seeded output on the "dense-byte-block" and "sparse-block" stream layouts (schema "6").
 
     Any change to how replications consume their random streams (draw
     order, draws per step, seeding) changes these bytes; such a change
@@ -312,14 +325,14 @@ class TestStreamContract:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "3710f411aabf4e7c9ccc258182c832bd5eea76f0a829bffe8549ec0bf766b8f7"
+        assert digest == "959ea9293d7641f790ae334200d597b34f669482d9e6071e7d0c8549165ed197"
 
     def test_simulate_results(self, capsys):
         argv = ["simulate", "--n", "20", "--p", "0.25", "--x0", "ramp", "--reps", "200", "--seed", "5"]
         code, record, _ = run_json(capsys, *argv)
         assert code == 0
         digest = hashlib.sha256(json.dumps(record["results"], sort_keys=True).encode()).hexdigest()
-        assert digest == "dcfdb948dda5fe3ce53c693e1e13f336e5ef60fc8bf6f1698bf42bd025f928b5"
+        assert digest == "1d13c2e7612cc5437367c441178115aee401db402f2dd62713f2014e804fa342"
 
 
 class TestFig2:
@@ -392,6 +405,28 @@ class TestOracle:
         code, record, _ = run_json(capsys, "oracle", "--n", str(n), "--p", str(5 / n))
         assert code == 0
         assert all(v < 1e-10 for v in record["results"]["max_abs_discrepancy"].values())
+
+    def test_variance_threshold_follows_the_dispersion_of_x0(self, capsys):
+        # Exact variance 8.96e10; a discrepancy of 3.4e-3 is a relative error of 4e-14.
+        code, record, err = run_json(capsys, "oracle", "--n", "5", "--p", "0.5", "--x0", "0,1e6,2e6,3e6,4e6")
+        assert code == 0, err
+        assert record["results"]["variance_threshold"] == 1e-10 * 2e12  # x0's mean squared deviation
+        assert record["results"]["threshold"] == 1e-10
+
+    def test_relative_variance_error_still_fails(self, capsys, monkeypatch):
+        real = cli.oracle_report
+
+        def off(params, x0, allow_large=False):
+            report = real(params, x0, allow_large=allow_large)
+            closed = report.closed_form_variance * (1.0 + 1e-6)
+            object.__setattr__(report, "closed_form_variance", closed)
+            object.__setattr__(report, "variance_discrepancy", abs(report.exact_variance - closed))
+            return report
+
+        monkeypatch.setattr(cli, "oracle_report", off)
+        code, _, err = run_cli(capsys, "oracle", "--n", "5", "--p", "0.5", "--x0", "0,1e6,2e6,3e6,4e6")
+        assert code == 1
+        assert "variance discrepancy" in err
 
     def test_threshold_violation_exit_code(self, capsys, monkeypatch):
         real = cli.oracle_report

@@ -10,9 +10,10 @@ from erconsensus import dynamics
 from erconsensus.dynamics import (
     ConsensusOutcome,
     NonConvergenceError,
+    _average,
+    _byte_edges,
     _edges,
     _sparse_draws,
-    _weights,
     run_block,
     run_consensus,
 )
@@ -23,20 +24,59 @@ from erconsensus.graphs import GraphSeed, ModelParams
 FIRST_CHUNK = 8
 
 
+class _SlotBytes:
+    """The dense body's slot bytes spelled out: rng's raw 64-bit words one at
+    a time, byte k of a word being (word >> 8k) & 255 for k = 0, ..., 7."""
+
+    def __init__(self, rng):
+        self.rng, self.pending = rng, []
+
+    def take(self, count):
+        while len(self.pending) < count:
+            word = int(self.rng.bit_generator.random_raw())
+            self.pending += [word >> (8 * k) & 0xFF for k in range(8)]
+        taken, self.pending = self.pending[:count], self.pending[count:]
+        return taken
+
+
+def _literal_edges(slot_bytes, p, tie):
+    """Slot by slot: a byte below floor(256 p) is an edge and one above it is
+    not; a tie is an edge when the tie stream's next double is below 256 p - floor(256 p)."""
+    cut = math.floor(256 * p)
+    return np.array([b < cut or (b == cut and tie.random() < 256 * p - cut) for b in slot_bytes], dtype=float)
+
+
+def _literal_step(adj, x):
+    """x <- W x with w_ij = (a_ij + [i == j]) / (d_i + 1), a drawn diagonal ignored.
+
+    The neighborhood sums come from the product (A + I) [x, 1], the BLAS
+    call the package makes: another summation order would round
+    differently. The normalizer is the literal 1 / (d + 1).
+    """
+    n = x.size
+    a = adj.copy()
+    np.fill_diagonal(a, 0.0)
+    d = a.sum(axis=1)
+    sums = (a + np.eye(n)) @ np.column_stack((x, np.ones(n)))
+    return sums[:, 0] * (1.0 / (d + 1.0))
+
+
 def _reference_run(params, x0, rng, tol=1e-10, max_steps=10**6):
-    """run_consensus spelled out the long way, one literal update per step."""
+    """run_consensus spelled out the long way: n*n slot bytes and one literal update per step.
+
+    The tie stream is seeded by rng's first raw word; the slot bytes
+    start at the second.
+    """
     n, p = params.n, params.p
+    tie = np.random.default_rng(int(rng.bit_generator.random_raw()))
+    slot_bytes = _SlotBytes(rng)
     x = np.array(x0, dtype=float)
     steps = 0
     spread = float(x.max() - x.min())
     while spread >= tol:
         if steps >= max_steps:
             raise NonConvergenceError("reference run did not converge", steps=steps, spread=spread)
-        a = (rng.random((n, n)) < p).astype(float)
-        np.fill_diagonal(a, 0.0)
-        d = a.sum(axis=1)
-        w = (a + np.eye(n)) / (d + 1.0)[:, None]
-        x = w @ x
+        x = _literal_step(_literal_edges(slot_bytes.take(n * n), p, tie).reshape(n, n), x)
         steps += 1
         spread = float(x.max() - x.min())
     return ConsensusOutcome(value=float(x.mean()), steps=steps, spread=spread)
@@ -78,7 +118,16 @@ def _sparse_reference_run(params, x0, rng, tol=1e-10, max_steps=10**6):
     return ConsensusOutcome(value=float(x.mean()), steps=steps, spread=spread)
 
 
+def _weights(adj):
+    """The weights _average applies to the 0/1 adjacency stack adj, read back a column at a time: W e_j."""
+    adj = np.asarray(adj)
+    n = adj.shape[-1]
+    return np.stack([_average(adj, np.broadcast_to(e, adj.shape[:-1])) for e in np.eye(n)], axis=-1)
+
+
 class TestWeightMatrix:
+    """The row-stochastic weights of the dense update, read back through _average."""
+
     def test_empty_graph_is_identity(self):
         w = _weights(np.zeros((3, 3), dtype=bool))
         assert np.array_equal(w, np.eye(3))
@@ -118,24 +167,24 @@ class TestWeightMatrix:
 
 
 class TestStep:
-    """One update x -> W x with W from the weight builder."""
+    """One update x -> W x by _average."""
 
     def test_identity(self):
         x = np.array([3.0, -1.0, 2.0])
-        assert np.array_equal(_weights(np.zeros((3, 3))) @ x, x)
+        assert np.array_equal(_average(np.zeros((3, 3)), x), x)
 
     def test_ones_fixed_point(self):
-        w = _weights([[0, 1, 0], [1, 0, 1], [0, 0, 0]])
-        assert np.max(np.abs(w @ np.ones(3) - 1.0)) < 1e-15
+        out = _average([[0, 1, 0], [1, 0, 1], [0, 0, 0]], np.ones(3))
+        assert np.max(np.abs(out - 1.0)) < 1e-15
 
     def test_hand_example(self):
-        out = _weights([[0, 1], [0, 0]]) @ np.array([0.0, 1.0])
+        out = _average([[0, 1], [0, 0]], np.array([0.0, 1.0]))
         assert np.array_equal(out, [0.5, 1.0])
 
     def test_dimension_mismatch(self):
         for shape in [(3,), (2, 3), (4, 2, 3)]:
             with pytest.raises(ValueError):
-                _weights(np.zeros(shape))
+                _average(np.zeros(shape), np.zeros(shape[:-1]))
 
     @given(
         mask=st.integers(min_value=0, max_value=2**12 - 1),
@@ -149,9 +198,8 @@ class TestStep:
     def test_convexity(self, mask, x):
         adj = np.zeros((4, 4))
         adj[~np.eye(4, dtype=bool)] = [mask >> bit & 1 for bit in range(12)]
-        w = _weights(adj)
         x = np.array(x)
-        out = w @ x
+        out = _average(adj, x)
         slack = 1e-12 * (1.0 + np.max(np.abs(x)))
         assert np.all(out >= x.min() - slack)
         assert np.all(out <= x.max() + slack)
@@ -179,10 +227,12 @@ class TestRunConsensus:
     def test_spread_non_increasing_along_path(self):
         n, p = 6, 0.3
         rng = GraphSeed(17).generator()
+        tie, spare = np.random.default_rng(int(rng.bit_generator.random_raw())), np.empty(0, dtype=np.uint8)
         x = np.array([0.0, 1.0, 0.2, 0.8, 0.5, 0.3])
         spread = np.ptp(x)
         for _ in range(40):
-            x = _weights(rng.random((n, n)) < p) @ x
+            adj, spare = _byte_edges(n * n, p, spare, rng, tie)
+            x = _average(adj.reshape(n, n), x)
             new_spread = np.ptp(x)
             assert new_spread <= spread + 1e-12 * (1.0 + spread)
             spread = new_spread
@@ -196,6 +246,12 @@ class TestRunConsensus:
         reference = _reference_run(params, x0, GraphSeed(seed).generator())
         assert fast == reference
         assert fast.steps > 0
+
+    def test_any_bit_generator(self):
+        # The dense body reads raw words only, so a bit generator without jumped serves too.
+        params, x0 = ModelParams(6, 0.5), _ramp(6)
+        fast = run_consensus(params, x0, np.random.Generator(np.random.SFC64(3)))
+        assert fast == _reference_run(params, x0, np.random.Generator(np.random.SFC64(3)))
 
     def test_non_convergence_raises_distinctly(self):
         with pytest.raises(NonConvergenceError) as info:
@@ -240,15 +296,16 @@ class TestRunConsensus:
 
 
 def _reference_block(params, x0, reps, rng, tol=1e-10, max_steps=10**6):
-    """run_block's dense body spelled out: one (A, n, n) draw per step, literal weights, no pieces."""
+    """run_block's dense body spelled out: each step the n*n slot bytes of every active
+    replication in index order, ties in slot order, literal weights, no pieces."""
     n, p = params.n, params.p
+    tie = np.random.default_rng(int(rng.bit_generator.random_raw()))
+    slot_bytes = _SlotBytes(rng)
     values, steps, spreads = np.full(reps, np.nan), np.full(reps, max_steps), np.full(reps, np.nan)
     active, x = np.arange(reps), np.tile(np.asarray(x0, dtype=float), (reps, 1))
     for step in range(1, max_steps + 1):
-        a = (rng.random((active.size, n, n)) < p).astype(float)
-        a[:, np.arange(n), np.arange(n)] = 0.0
-        w = (a + np.eye(n)) / (a.sum(axis=2) + 1.0)[:, :, None]
-        x = np.matmul(w, x[:, :, None])[:, :, 0]
+        adj = _literal_edges(slot_bytes.take(active.size * n * n), p, tie).reshape(active.size, n, n)
+        x = np.array([_literal_step(a, state) for a, state in zip(adj, x)])
         spread = x.max(axis=1) - x.min(axis=1)
         done = spread < tol
         values[active[done]] = x[done].mean(axis=1)
@@ -304,8 +361,10 @@ class TestRunBlock:
     def test_dense_pieces_respect_the_cap(self):
         rng = _RecordingGenerator(GraphSeed(4).generator())
         run_block(ModelParams(50, 0.2), _ramp(50), 30, rng)
-        assert {k for k, *_ in rng.shapes} <= {6, 5, 4, 3, 2, 1}  # 2**14 // 50**2 = 6 per piece
-        assert rng.shapes[:5] == [(6, 50, 50)] * 5
+        # One word seeds the tie stream; then 2**14 // 50**2 = 6 replications
+        # per piece: 15000 slot bytes, 1875 raw words.
+        assert max(rng.words) <= 1875
+        assert rng.words[:6] == [1] + [1875] * 5
 
     def test_constant_x0_draws_nothing(self):
         values, steps, _ = run_block(ModelParams(4, 0.5), np.full(4, 2.5), 5, GraphSeed(1).generator())
@@ -400,16 +459,20 @@ class TestChunkBoundaries:
 
 
 class _RecordingGenerator:
-    """A Generator stand-in that records the shape of every uniform draw and the size of every gap draw."""
+    """A Generator stand-in that records the size of every raw-word draw and of every gap draw."""
 
     def __init__(self, rng):
         self._rng = rng
-        self.shapes = []
+        self.words = []
         self.gaps = []
 
-    def random(self, shape):
-        self.shapes.append(shape)
-        return self._rng.random(shape)
+    @property
+    def bit_generator(self):
+        return self  # the dense body reads its raw words from here
+
+    def random_raw(self, size=None):
+        self.words.append(1 if size is None else size)
+        return self._rng.bit_generator.random_raw(size)
 
     def standard_exponential(self, size):
         self.gaps.append(size)
@@ -425,9 +488,9 @@ class TestDrawBudget:
     def test_chunk_memory_cap(self, n, p):
         rng = _RecordingGenerator(GraphSeed(5).generator())
         out = run_consensus(ModelParams(n, p), _ramp(n), rng, tol=1e-14)
-        drawn = [k for k, *_ in rng.shapes]
-        assert all(k * n * n <= 2**14 or k == 1 for k in drawn)
-        assert sum(drawn) >= out.steps
+        # A piece holds 2**14 slots or one replication, and its last word may be partly spare.
+        assert all(8 * (words - 1) < max(2**14, n * n) for words in rng.words)
+        assert 8 * sum(rng.words) >= out.steps * n * n
 
 
 @pytest.fixture
@@ -437,33 +500,39 @@ def sparse_everywhere(monkeypatch):
 
 
 class TestStepPathChoice:
-    """The step body follows p alone: sparse at p <= 0.15, dense above, at every n."""
+    """The step body follows p alone: sparse at p <= 0.09, dense above, at every n."""
 
     @pytest.mark.parametrize(
-        "p,sparse", [(0.01, True), (0.1, True), (0.15, True), (0.16, False), (0.25, False), (1.0, False)]
+        "p,sparse",
+        [(0.01, True), (0.05, True), (0.09, True), (0.1, False), (0.15, False), (0.16, False), (0.25, False),
+         (1.0, False)],
     )
     def test_same_body_at_every_size(self, p, sparse):
         assert _sparse_draws(p) is sparse
         for n in (5, 50, 400, 2000):
-            # One step of one replication: the sparse body draws gaps, the dense one uniforms.
+            # One step of one replication: the sparse body draws gaps, the dense one raw words.
             rng = _RecordingGenerator(GraphSeed(1).generator())
             run_block(ModelParams(n, p), _ramp(n), 1, rng, max_steps=1)
-            assert (bool(rng.gaps), bool(rng.shapes)) == (sparse, not sparse)
+            assert (bool(rng.gaps), bool(rng.words)) == (sparse, not sparse)
 
     @pytest.mark.parametrize("n", range(5, 51))
     def test_criterion_6_sweep_stays_dense(self, n):
-        # Only up to n = 33: from n = 34 on, p = 5/n <= 0.15 takes the sparse body.
-        assert _sparse_draws(min(1.0, 5.0 / n)) is (n >= 34)
+        # Every size: p = 5/n >= 0.1 is above the cut.
+        assert not _sparse_draws(min(1.0, 5.0 / n))
 
     @pytest.mark.parametrize(
         "n,p",
-        [(51, 0.1), (100, 0.05), (200, 0.025), (400, 0.0125), (2000, 0.0025), (50, 0.1), (20, 0.01),
-         (400, 0.11), (5, 0.15)],
+        [(100, 0.05), (200, 0.025), (400, 0.0125), (2000, 0.0025), (20, 0.01), (51, 0.09), (400, 0.09),
+         (5, 0.08)],
     )
     def test_sparse_below_the_density_cut(self, n, p):
         assert _sparse_draws(p)
 
-    @pytest.mark.parametrize("n,p", [(100, 0.25), (2000, 1.0), (50, 0.2), (20, 0.16), (400, 0.151)])
+    @pytest.mark.parametrize(
+        "n,p",
+        [(100, 0.25), (2000, 1.0), (50, 0.2), (20, 0.16), (400, 0.151), (51, 0.1), (50, 0.1), (400, 0.11),
+         (5, 0.15), (400, 0.0901)],
+    )
     def test_dense_elsewhere(self, n, p):
         assert not _sparse_draws(p)
 

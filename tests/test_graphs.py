@@ -4,14 +4,25 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from erconsensus.dynamics import _weights
+from erconsensus.dynamics import _average, _byte_edges
 from erconsensus.graphs import GraphSeed, ModelParams, _check_x0
 from erconsensus.oracle import enumerate_expected_matrices
 
 
+def _sample(slots, p, seed) -> np.ndarray:
+    """The first `slots` slots of the dense body's sampler on a fresh generator, as the body sets it up."""
+    rng = GraphSeed(seed).generator()
+    tie = np.random.default_rng(int(rng.bit_generator.random_raw()))
+    edges, _ = _byte_edges(slots, p, np.empty(0, dtype=np.uint8), rng, tie)
+    return edges
+
+
 def _degrees(adj) -> np.ndarray:
-    """Out-degrees of drawn graphs, read back from the weights: 1/w_ii - 1."""
-    return np.rint(1.0 / np.diagonal(_weights(adj), axis1=-2, axis2=-1) - 1.0).astype(int)
+    """Out-degrees of drawn graphs as the dense update sees them: 1/w_ii - 1, w_ii = (W e_i)_i by _average."""
+    adj = np.asarray(adj)
+    n = adj.shape[-1]
+    diagonal = [_average(adj, np.broadcast_to(e, adj.shape[:-1]))[..., i] for i, e in enumerate(np.eye(n))]
+    return np.rint(1.0 / np.stack(diagonal, axis=-1) - 1.0).astype(int)
 
 
 class TestModelParams:
@@ -87,29 +98,64 @@ class TestGraphSeed:
 
 
 class TestSampleGraph:
-    """The per-step draw rng.random((n, n)) < p, read through the weights."""
+    """The dense body's per-slot sampler (_byte_edges), read through the weights of _average."""
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_p_one_gives_complete_digraph(self, n):
-        adj = GraphSeed(0).generator().random((n, n)) < 1.0
+        adj = _sample(n * n, 1.0, seed=0).reshape(n, n)
         assert np.all(_degrees(adj) == n - 1)
 
     def test_out_degrees_consistent(self):
-        adj = GraphSeed(5).generator().random((8, 8)) < 0.3
+        adj = _sample(64, 0.3, seed=5).reshape(8, 8)
         np.fill_diagonal(adj, True)  # a drawn diagonal must not count as an edge
         assert np.array_equal(_degrees(adj), adj.sum(axis=1) - 1)
+
+    def test_drawn_diagonal_is_ignored(self):
+        adj = _sample(5 * 9 * 9, 0.4, seed=8).reshape(5, 9, 9)
+        x = GraphSeed(9).generator().random((5, 9))
+        flipped = adj.copy()
+        flipped[:, np.arange(9), np.arange(9)] ^= True
+        assert np.array_equal(_average(adj, x), _average(flipped, x))
 
     def test_edge_frequency_binomial_ci(self):
         # 5e4 graphs on 2 nodes = 1e5 Bernoulli slots; 3-sigma band.
         draws = 50_000
-        adj = GraphSeed(123).generator().random((draws, 2, 2)) < 0.5
+        adj = _sample(4 * draws, 0.5, seed=123).reshape(draws, 2, 2)
         freq = _degrees(adj).sum() / (2 * draws)
         assert abs(freq - 0.5) <= 3.0 * math.sqrt(0.25 / (2 * draws))
+
+    @pytest.mark.parametrize("p", [1 / 256, 64 / 256, 64 / 256 + 1e-9, 0.1, 5 / 34, 0.999, 1.0])
+    def test_edge_frequency_within_4se(self, p):
+        # 2**22 slots; the dyadic p have no tie edges, and 64/256 + 1e-9 almost none.
+        slots = 2**22
+        freq = _sample(slots, p, seed=14).mean()
+        assert abs(freq - p) <= 4.0 * math.sqrt(p * (1.0 - p) / slots)
+
+    def test_ties_are_settled_by_the_remainder(self):
+        # One stream at three p with floor(256 p) = 64: the same bytes tie and take the
+        # same doubles, so the edges nest, and the remainder 0.5 turns half the ties into
+        # edges: Binomial(slots, 1/512) of them.
+        slots = 2**20
+        low, tiny, half = (_sample(slots, p, seed=15) for p in (64 / 256, 64 / 256 + 1e-9, 64.5 / 256))
+        assert not (low & ~tiny).any()
+        assert not (tiny & ~half).any()
+        added = np.count_nonzero(half & ~low)
+        assert abs(added - slots / 512) <= 4.0 * math.sqrt(slots / 512 * (1.0 - 1 / 512))
+
+    def test_lag_one_independence_across_byte_lanes(self):
+        # Slot s is byte s % 8 of its raw word. For each lane k, the pairs (8w + k, 8w + k + 1)
+        # share no slot, so the count of pairs that are both edges is Binomial(words, p^2).
+        p, words = 0.3, 2**19
+        edges = _sample(8 * words + 1, p, seed=16)
+        for lane in range(8):
+            both = np.count_nonzero(edges[lane : 8 * words : 8] & edges[lane + 1 :: 8][:words])
+            z = (both - words * p * p) / math.sqrt(words * p * p * (1.0 - p * p))
+            assert abs(z) <= 4.0, (lane, z)
 
     def test_out_degree_chi_square_gof(self):
         # Rows are independent, so pooling them gives >= 1e5 degree samples.
         n, p, graphs = 6, 0.35, 17_000
-        adj = GraphSeed(2024).generator().random((graphs, n, n)) < p
+        adj = _sample(graphs * n * n, p, seed=2024).reshape(graphs, n, n)
         degrees = _degrees(adj).ravel()
         observed = np.bincount(degrees, minlength=n)
         expected = stats.binom.pmf(np.arange(n), n - 1, p) * degrees.size
@@ -142,7 +188,7 @@ class TestEnumeration:
 
     def test_n2_p_one_concentrates_on_complete(self):
         ew, _ = enumerate_expected_matrices(ModelParams(2, 1.0))
-        assert np.array_equal(ew, _weights([[0, 1], [1, 0]]))
+        assert np.array_equal(ew, [[0.5, 0.5], [0.5, 0.5]])
 
 
 class TestCheckX0:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erconsensus import dynamics, montecarlo
 from erconsensus.dynamics import NonConvergenceError, run_block, run_consensus
@@ -77,6 +79,29 @@ class TestJackknife:
         large = jackknife_variance_stderr(rng.normal(size=20_000))
         assert large < small
 
+    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6).map(lambda v: round(v, 6)), min_size=3, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_power_of_two_scaling_changes_no_bit(self, values):
+        # The same sums without the scaling, as computed before it was added. Values on a
+        # 1e-6 grid keep their fourth powers clear of underflow, which the scaling avoids
+        # and the unscaled sums do not (at [0, 0, 1e-104] they return 0.0).
+        x = np.asarray(values, dtype=float)
+        if np.ptp(x) == 0.0:
+            return
+        r = x.size
+        x = x - x.mean()
+        mean_loo = (float(x.sum()) - x) / (r - 1)
+        var_loo = (float(x @ x) - x**2 - (r - 1) * mean_loo**2) / (r - 2)
+        unscaled = float(np.sqrt((r - 1) / r * np.sum((var_loo - var_loo.mean()) ** 2)))
+        assert jackknife_variance_stderr(values) == unscaled
+
+    def test_huge_values_stay_finite(self):
+        values = np.array([1e100, 0.0, -1e100, 5.0])
+        with np.errstate(all="raise"):
+            stderr = jackknife_variance_stderr(values)
+        assert np.isfinite(stderr)
+        assert stderr == 2.0**400 * jackknife_variance_stderr(values / 2.0**200)
+
 
 def _config(n=8, p=0.5, reps=64, seed=13, **kwargs):
     return ExperimentConfig(
@@ -150,8 +175,10 @@ class TestRunEnsemble:
             _config(max_steps=max_steps)
 
     def test_fatal_nonconvergence_lists_indices(self):
+        # A two-node replication converges in two steps only if a step draws both
+        # edges: at p = 0.5 all 50 do with probability 0.4375**50, about 1e-18.
         cfg = ExperimentConfig(
-            params=ModelParams(2, 0.9),
+            params=ModelParams(2, 0.5),
             x0_spec=[0.0, 1.0],
             reps=50,
             seed=GraphSeed(1),
@@ -298,14 +325,14 @@ class TestStepCounts:
 
 
 class TestStreamLayout:
-    def test_fig1_sizes_split_at_34(self):
+    def test_fig1_sizes_are_all_dense(self):
         layouts = [stream_layout(ModelParams(n, min(1.0, 5.0 / n))) for n in range(5, 51)]
-        assert layouts == ["dense-block"] * 29 + ["sparse-block"] * 17  # n = 5...33, then 34...50
+        assert layouts == ["dense-byte-block"] * 46  # p = 5/n >= 0.1 at every n = 5...50
 
     @pytest.mark.parametrize(
         "n,p,layout",
-        [(51, 0.1, "sparse-block"), (51, 0.11, "sparse-block"), (400, 0.0125, "sparse-block"),
-         (5, 0.15, "sparse-block"), (400, 0.16, "dense-block")],
+        [(51, 0.1, "dense-byte-block"), (51, 0.11, "dense-byte-block"), (400, 0.0125, "sparse-block"),
+         (5, 0.15, "dense-byte-block"), (400, 0.16, "dense-byte-block"), (51, 0.09, "sparse-block")],
     )
     def test_follows_the_step_body(self, n, p, layout):
         assert stream_layout(ModelParams(n, p)) == layout
