@@ -294,6 +294,8 @@ def cmd_oracle(args) -> int:
         "variance_threshold": thresholds["variance"],
     }
     record = _record(args, {"n": args.n, "p": args.p, "x0": args.x0}, results)
+    # How closely each solved Perron vector satisfies v^T M = v^T.
+    record["provenance"]["solve_residual"] = {"ew": report.ew_residual, "eww": report.eww_residual}
     _emit_json(record, sys.stdout)
     worst = max(discrepancies, key=lambda name: discrepancies[name] / thresholds[name])
     if discrepancies[worst] > thresholds[worst]:

@@ -8,21 +8,27 @@ shrink; a run stops once it drops below tolerance.
 
 run_block is the one engine: it steps a block of replications together
 on one generator, and run_consensus is a block of one. Each step takes
-the replications still active, in index order and in pieces of at most
-_CHUNK_DOUBLES numbers, through one of two bodies chosen once per block
-from p alone by _sparse_draws:
+the replications still active, in index order and in pieces, through
+one of two bodies chosen once per block from p alone by _sparse_draws;
+each body has its own piece budget:
 
-- dense: the A n^2 slots (i, j) of a piece's A replications, diagonal
-  included, take one byte each of the generator's raw 64-bit words; a
-  byte is compared with the first eight binary digits of p, and the rare
-  tie is settled by a double from a second stream, seeded once per block
-  by the generator's first raw word (_byte_edges). Then one batched product of A + I with [x, 1] gives
-  each node's neighborhood sum and size (_average).
-- sparse: the A n(n-1) edge slots of a piece are the next stretch of one
-  Bernoulli(p) sequence that runs on over pieces and steps. Its edges are
-  found by geometric gap skipping (Batagelj & Brandes, Phys. Rev. E 71,
-  036113, 2005), and the update x <- (x + bincount(rows, x[cols])) /
-  (deg + 1) costs O(n + edges) per replication and builds no n x n array.
+- dense: a piece holds up to _DENSE_SLOTS slots, n^2 per replication.
+  The A n^2 slots (i, j) of a piece's A replications, diagonal included,
+  take one byte each of the generator's raw 64-bit words; a byte is
+  compared with the first eight binary digits of p, and the rare tie is
+  settled by a double from a second stream, seeded once per block by the
+  generator's first raw word. The 0/1 slots go straight into a float
+  A + I stack, and one batched product of A + I with [x, 1] gives each
+  node's neighborhood sum and size (_dense_piece). The A + I, [x, 1] and
+  product stacks are one workspace per block, sized to one piece and
+  reused by every piece and step (_dense_workspace).
+- sparse: a piece holds up to _SPARSE_NUMBERS numbers, a replication
+  counting its state plus its expected edges. The A n(n-1) edge slots
+  of a piece are the next stretch of one Bernoulli(p) sequence that runs
+  on over pieces and steps. Its edges are found by geometric gap
+  skipping (Batagelj & Brandes, Phys. Rev. E 71, 036113, 2005), and the
+  update x <- (x + bincount(rows, x[cols])) / (deg + 1) costs O(n +
+  edges) per replication and builds no n x n array.
 
 Replications leave the block as they converge. Either body draws one
 sequence whatever the piece size (unused bytes of the last raw word, and
@@ -52,11 +58,16 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_STEPS = 10**6
 
-# Numbers per piece at most (128 KiB of doubles): a dense replication
-# counts its n*n slots, a sparse one its state plus its expected edges.
-# A piece holds one replication at least, so a block of any size holds no
-# more slot bytes, adjacency or edges than one piece needs.
-_CHUNK_DOUBLES = 2**14
+# Piece budgets, one per step body; a piece holds one replication at
+# least, so a block of any size holds no more slot bytes, adjacency or
+# edges than one piece needs. A dense replication counts its n*n slots,
+# and a dense piece of 2**16 of them is 512 KiB of float A + I: against
+# 2**14, a fig1 pass took 0.76x the time for +2 % peak RSS, and larger
+# pieces gained nothing beyond the noise for 1-2 MiB more. A sparse
+# replication counts its state plus its expected edges; 2**16 of those
+# made the n = 100...400 ensembles 2.3x slower than 2**14.
+_DENSE_SLOTS = 2**16
+_SPARSE_NUMBERS = 2**14
 
 
 class NonConvergenceError(RuntimeError):
@@ -160,55 +171,67 @@ def _sparse_step(x: np.ndarray, out: np.ndarray, p: float, pending: np.ndarray, 
     return pending
 
 
-def _byte_edges(slots: int, p: float, spare: np.ndarray, rng, tie: np.random.Generator):
-    """Edges among the next `slots` slots of one Bernoulli(p) byte sequence.
+def _dense_workspace(size: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dense body's arrays for pieces of up to `size` replications of n nodes.
 
-    Slot s takes byte s of a stream that runs on over calls: the bytes of
-    rng's raw 64-bit words, least significant byte first, after the spare
-    bytes left over from the previous word (empty at the start). With
-    t = floor(256 p), a byte below t is an edge and a byte above t is not;
-    a tie (probability 1/256) is an edge when a double drawn from tie is
-    below the remainder 256 p - t, the ties taking their doubles in slot
-    order. 256 p - t is exact, so P(edge) = p to within 2**-61, from
-    about 8 random bits per slot: a byte settles the first eight binary
-    digits of p, and only a tie needs more (Knuth & Yao, "The complexity
-    of nonuniform random number generation", 1976).
-
-    Returns the slots as a bool array and the new spare, so the edges
-    depend only on the initial states of rng and tie, not on how the
-    sequence is cut into stretches.
+    The float A + I stack (size, n, n), the [x, 1] stack (size, n, 2)
+    with its ones column written here, once, and the product stack
+    (size, n, 2). _dense_piece overwrites the rest on every piece.
     """
-    words = rng.bit_generator.random_raw(max(0, -(-(slots - spare.size) // 8)))
-    stream = np.concatenate((spare, words.astype("<u8", copy=False).view(np.uint8)))
-    cut = math.floor(256.0 * p)
-    draw, spare = stream[:slots], stream[slots:]
-    edges = draw < cut
-    ties = np.nonzero(draw == cut)[0]
-    edges[ties] = tie.random(ties.size) < 256.0 * p - cut
-    return edges, spare
-
-
-def _average(adj, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """One averaging step W x for the 0/1 adjacency stack adj (..., n, n) and states x (..., n).
-
-    w_ij = (a_ij + [i == j]) / (d_i + 1): node i averages its own state
-    with those of its d_i out-neighbors. The implicit self-loop keeps the
-    normalizer positive even for isolated nodes. adj's diagonal is
-    ignored (overwritten in a new float copy, so the input is never
-    written). One batched product of A + I with [x, 1] gives the sums
-    s0 = x_i + sum of the neighbors' states and s1 = d_i + 1 (a small
-    integer, exact), and the result is s0 * (1/s1). Every row of a
-    complete graph computes the same dot product, so p = 1 agrees in one
-    step with spread exactly 0.
-    """
-    w = np.array(adj, dtype=float)
-    n = w.shape[-1]
-    w.reshape(*w.shape[:-2], n * n)[..., :: n + 1] = 1.0
-    xs = np.empty(x.shape + (2,))
-    xs[..., 0] = x
+    xs = np.empty((size, n, 2))
     xs[..., 1] = 1.0
-    sums = np.matmul(w, xs)
-    return np.multiply(sums[..., 0], 1.0 / sums[..., 1], out=out)
+    return np.empty((size, n, n)), xs, np.empty((size, n, 2))
+
+
+def _dense_piece(x: np.ndarray, out: np.ndarray, p: float, spare: np.ndarray, raw, tie, work) -> np.ndarray:
+    """One dense step of the (A, n) states x into out, in the workspace work; returns the new spare.
+
+    The A n^2 slots (i, j) of the piece, diagonal included, take the next
+    bytes of one stream that runs on over pieces and steps: the bytes of
+    the raw 64-bit words raw(k) returns, least significant byte first,
+    after the spare bytes left over from the previous word (empty at the
+    start). With t = floor(256 p), a byte below t is an edge and a byte
+    above t is not; a tie (probability 1/256) is an edge when a double
+    drawn from tie is below the remainder 256 p - t, the ties taking
+    their doubles in slot order. 256 p - t is exact, so P(edge) = p to
+    within 2**-61, from about 8 random bits per slot: a byte settles the
+    first eight binary digits of p, and only a tie needs more (Knuth &
+    Yao, "The complexity of nonuniform random number generation", 1976).
+    The edges depend only on the initial states of raw and tie, not on
+    how the stream is cut into pieces.
+
+    The 0/1 slots are written straight into the float A + I stack of
+    work, whose diagonal is then set to 1, so a drawn diagonal is
+    ignored: w_ij = (a_ij + [i == j]) / (d_i + 1), node i averaging its
+    own state with those of its d_i out-neighbors (the self-loop keeps
+    the normalizer positive for isolated nodes). One batched product of
+    A + I with [x, 1] gives the sums s0 = x_i + the neighbors' states and
+    s1 = d_i + 1 (a small integer, exact), and out = s0 * (1/s1). Every
+    row of a complete graph computes the same dot product, so p = 1
+    agrees in one step with spread exactly 0. x is not written.
+    """
+    a, n = x.shape
+    adj, xs, sums = work
+    if a != len(adj):
+        adj, xs, sums = adj[:a], xs[:a], sums[:a]
+    slots = a * n * n
+    stream = raw(-(-(slots - spare.size) // 8)).astype("<u8", copy=False).view(np.uint8)
+    if spare.size:
+        stream = np.concatenate((spare, stream))
+    draw = stream[:slots]
+    flat = adj.reshape(slots)
+    cut = math.floor(256.0 * p)
+    np.less(draw, cut, out=flat, casting="unsafe")
+    ties = (draw == cut).nonzero()[0]
+    if ties.size:  # no ties, no tie draw: the tie stream is the same either way
+        flat[ties] = tie.random(ties.size) < 256.0 * p - cut
+    flat.reshape(a, n * n)[:, :: n + 1] = 1.0
+    np.copyto(xs[..., 0], x)
+    np.matmul(adj, xs, out=sums)
+    s1 = sums[..., 1]
+    np.divide(1.0, s1, out=s1)
+    np.multiply(sums[..., 0], s1, out=out)
+    return stream[slots:]
 
 
 def run_consensus(
@@ -226,13 +249,15 @@ def run_consensus(
     and the last spread, rather than returning a truncated state.
 
     This is run_block with one replication, on the step body it picks for
-    p. The dense body's outcome equals that of the loop that takes one
-    byte per slot of the n*n slots of each step, settles each tie with
-    the next double of the tie stream and applies the weights
-    (A + I)/(d + 1); the sparse body's equals that of the loop that draws
-    one gap at a time, bit for bit. Raw words and gaps are drawn in
-    batches, so rng may be left advanced past the stopping step: do not
-    reuse it expecting the position of a per-step loop.
+    p; the dense body's workspace then holds one replication, allocated
+    once per run and reused by every step. The dense body's outcome
+    equals that of the loop that takes one byte per slot of the n*n slots
+    of each step, settles each tie with the next double of the tie stream
+    and applies the weights (A + I)/(d + 1); the sparse body's equals
+    that of the loop that draws one gap at a time, bit for bit. Raw words
+    and gaps are drawn in batches, so rng may be left advanced past the
+    stopping step: do not reuse it expecting the position of a per-step
+    loop.
     """
     values, steps, spreads = run_block(params, x0, 1, rng, tol, max_steps)
     if np.isnan(values[0]):
@@ -262,10 +287,12 @@ def run_block(
     [min(x0), max(x0)].
 
     Each step takes the replications still active, in index order, in
-    pieces of at most 2**14 numbers (one replication at least), through
-    the body _sparse_draws(p) picks (see the module docstring):
-    n*n slots per dense replication, or its state plus its expected edges
-    per sparse one. The dense body's tie stream is default_rng(w) for w
+    pieces (one replication at least) through the body _sparse_draws(p)
+    picks (see the module docstring): up to 2**16 slots, n*n per
+    replication, in a dense piece, or up to 2**14 numbers, a
+    replication's state plus its expected edges, in a sparse one. The
+    dense body allocates its workspace once per block, sized to
+    min(piece, reps) replications. Its tie stream is default_rng(w) for w
     the first raw word of rng, and the slot bytes start at the second.
     Slot bytes left in a piece's last raw word, and sparse gaps drawn
     past a piece, carry into the next, so the piece size changes neither
@@ -283,22 +310,25 @@ def run_block(
         values[:], steps[:] = x.mean(), 0
         return values, steps, spreads
     sparse = _sparse_draws(p)
-    size = n + math.ceil(p * n * (n - 1)) if sparse else n * n  # numbers per replication
-    piece = max(1, _CHUNK_DOUBLES // size)
-    pending = np.empty(0, dtype=np.int64)  # sparse edge positions past the last piece
-    spare = np.empty(0, dtype=np.uint8)  # dense slot bytes left in the last raw word
-    tie = None if sparse else np.random.default_rng(int(rng.bit_generator.random_raw()))
+    if sparse:
+        piece = max(1, _SPARSE_NUMBERS // (n + math.ceil(p * n * (n - 1))))
+        pending = np.empty(0, dtype=np.int64)  # edge positions past the last piece
+    else:
+        piece = max(1, _DENSE_SLOTS // (n * n))
+        raw = rng.bit_generator.random_raw
+        tie = np.random.default_rng(int(raw()))
+        spare = np.empty(0, dtype=np.uint8)  # slot bytes left in the last raw word
+        work = _dense_workspace(min(piece, reps), n)
     active = np.arange(reps)
     state = np.tile(x, (reps, 1))
     for step in range(1, max_steps + 1):
         new = np.empty_like(state)
         for a in range(0, active.size, piece):
-            b = min(a + piece, active.size)
+            b = a + piece
             if sparse:
                 pending = _sparse_step(state[a:b], new[a:b], p, pending, rng)
             else:
-                edges, spare = _byte_edges((b - a) * n * n, p, spare, rng, tie)
-                _average(edges.reshape(b - a, n, n), state[a:b], out=new[a:b])
+                spare = _dense_piece(state[a:b], new[a:b], p, spare, raw, tie, work)
         spread = new.max(axis=1) - new.min(axis=1)
         done = spread < tol
         if done.any():

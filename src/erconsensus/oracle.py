@@ -7,11 +7,12 @@ spectral identity
 
     var(x*) = [x0 (x) x0]^T v1(E[W (x) W]) - (x0^T v1(E[W]))^2
 
-so the analytic module has something independent to be measured against.
-The only model facts used are the weight rule, that rows of W are
-independent and that relabelling nodes maps one row's distribution onto
-every other's (moments._relabel); no entry class or binomial moment is
-used, and no code is shared with the simulator in dynamics.
+taken at x0 - mean(x0), to which it is invariant, so the analytic
+module has something independent to be measured against. The only
+model facts used are the weight rule, that rows of W are independent
+and that relabelling nodes maps one row's distribution onto every
+other's (moments._relabel); no entry class or binomial moment is used,
+and no code is shared with the simulator in dynamics.
 """
 
 from __future__ import annotations
@@ -90,6 +91,28 @@ def _square(m, min_size: int) -> np.ndarray:
     return m
 
 
+def _closed_classes(m: np.ndarray) -> int:
+    """The number of closed classes of m's support graph, with an edge i -> j where m_ij > 0.
+
+    The support of (I + M)^(2^k) is reachability within 2^k steps, so
+    ceil(log2(n - 1)) boolean squarings give full reachability. A state
+    that every state reaches lies in every closed class, so finding one
+    ends the count at 1 (a positive M at once, with no squaring).
+    Otherwise a state is in a closed class when every state it reaches
+    reaches it back, and its class is its row of the reachability.
+    """
+    reach = (m > 0.0) | np.eye(len(m), dtype=bool)
+    span = 1  # reach holds the paths of up to span steps
+    while not reach.all(axis=0).any():
+        if span >= len(m) - 1:
+            closed = ~(reach & ~reach.T).any(axis=1)
+            return len(np.unique(reach[closed], axis=0))
+        paths = reach.astype(float)
+        reach = paths @ paths > 0.0
+        span *= 2
+    return 1
+
+
 def left_unit_eigenvector(m) -> EigenvectorEstimate:
     """Left unit eigenvector (stationary distribution) of a row-stochastic matrix.
 
@@ -98,11 +121,16 @@ def left_unit_eigenvector(m) -> EigenvectorEstimate:
     even within rounding of I (Grassmann, Taksar & Heyman, Oper. Res. 33(5),
     1985), and the last row of A holds ones, so sum(v) = 1. M needs one
     closed class, as a positive M has; with several the unit eigenvalue is
-    not simple, and a singular system or a negative entry raises ValueError.
+    not simple, and ValueError names their count, found on M's support
+    graph before any solve. A system that is still singular, or a
+    solution with a negative entry, raises ValueError too.
     """
     m = _square(m, 1)
     if np.max(np.abs(m.sum(axis=1) - 1.0)) > 1e-8:
         raise ValueError("matrix rows must sum to 1")
+    classes = _closed_classes(m)
+    if classes > 1:
+        raise ValueError(f"matrix has {classes} closed classes: its unit eigenvalue is not simple")
     a = m.T.copy()
     np.fill_diagonal(a, 0.0)
     np.fill_diagonal(a, -a.sum(axis=0))
@@ -136,31 +164,40 @@ def slem(m) -> float:
 def _enumerated_variance(params: ModelParams, x0):
     """Enumerate, solve for both Perron vectors, evaluate the spectral identity.
 
-    Returns (E[W], E[W (x) W], v1(E[W (x) W]), variance) with the variance
-    [x0 (x) x0]^T v1(E[W (x) W]) - (x0^T v1(E[W]))^2 left unclipped.
+    Returns (E[W], E[W (x) W], the estimates of v1(E[W]) and
+    v1(E[W (x) W]), variance) with the variance left unclipped. It is
+    evaluated on x0 - mean(x0): every v1 sums to 1, so the identity is
+    translation-invariant, and centring keeps a large common offset of x0
+    from cancelling terms of size ||x0||^2.
     """
     x0 = _check_x0(x0, params.n)
+    centred = x0 - x0.mean()
     ew, eww = enumerate_expected_matrices(params)
-    v_small = left_unit_eigenvector(ew).vector
-    v_big = left_unit_eigenvector(eww).vector
-    variance = float(np.kron(x0, x0) @ v_big) - float(x0 @ v_small) ** 2
-    return ew, eww, v_big, variance
+    small = left_unit_eigenvector(ew)
+    big = left_unit_eigenvector(eww)
+    variance = float(np.kron(centred, centred) @ big.vector) - float(centred @ small.vector) ** 2
+    return ew, eww, small, big, variance
 
 
 def exact_variance(params: ModelParams, x0) -> float:
     """Agreement-value variance straight from enumerated moments.
 
-    Evaluates [x0 (x) x0]^T v1(E[W (x) W]) - (x0^T v1(E[W]))^2 with both
-    Perron vectors solved for on the enumerated matrices. Can come out a
-    hair below zero from rounding; the raw value is returned, never
-    clipped.
+    Evaluates [c (x) c]^T v1(E[W (x) W]) - (c^T v1(E[W]))^2 for the
+    centred c = x0 - mean(x0), which equals the spectral identity at x0
+    itself, with both Perron vectors solved for on the enumerated
+    matrices. Can come out a hair below zero from rounding; the raw value
+    is returned, never clipped.
     """
-    return _enumerated_variance(params, x0)[3]
+    return _enumerated_variance(params, x0)[4]
 
 
 @dataclass(frozen=True, eq=False)
 class OracleReport:
-    """Enumeration vs closed forms, discrepancies reported unclipped."""
+    """Enumeration vs closed forms, discrepancies reported unclipped.
+
+    ew_residual and eww_residual are the solve residuals max|v^T M - v^T|
+    of the Perron vectors of the enumerated E[W] and E[W (x) W].
+    """
 
     exact_ew: np.ndarray
     exact_eww: np.ndarray
@@ -170,6 +207,8 @@ class OracleReport:
     eww_discrepancy: float
     eigenvector_discrepancy: float
     variance_discrepancy: float
+    ew_residual: float
+    eww_residual: float
 
     @property
     def max_abs_discrepancy(self) -> float:
@@ -186,7 +225,7 @@ def oracle_report(params: ModelParams, x0, allow_large: bool = False) -> OracleR
 
     allow_large is accepted and ignored: every n <= ENUM_MAX_N is enumerated.
     """
-    ew, eww, v_big, enumerated_variance = _enumerated_variance(params, x0)
+    ew, eww, small, big, enumerated_variance = _enumerated_variance(params, x0)
     closed = consensus_variance(params, x0)
     return OracleReport(
         exact_ew=ew,
@@ -195,6 +234,8 @@ def oracle_report(params: ModelParams, x0, allow_large: bool = False) -> OracleR
         closed_form_variance=closed.variance,
         ew_discrepancy=float(np.max(np.abs(ew - expected_weight_matrix(params)))),
         eww_discrepancy=float(np.max(np.abs(eww - expected_kron_matrix(params)))),
-        eigenvector_discrepancy=float(np.max(np.abs(v_big - kron_left_eigenvector(params)))),
+        eigenvector_discrepancy=float(np.max(np.abs(big.vector - kron_left_eigenvector(params)))),
         variance_discrepancy=abs(enumerated_variance - closed.variance),
+        ew_residual=small.residual,
+        eww_residual=big.residual,
     )

@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from erconsensus.dynamics import _dense_piece, _dense_workspace
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -50,3 +52,28 @@ def _entry_class(m, i, r, j, s):
 def entry_class():
     """The six-class table of E[W (x) W]: entry_class(m, i, r, j, s) -> class value."""
     return _entry_class
+
+
+def _dense_update(adj, x):
+    """x -> W x for the 0/1 adjacency stack adj (..., n, n) and states x (..., n), by the package's dense piece.
+
+    adj goes in as the piece's slot bytes at p = 1/2, where a byte below
+    128 is an edge: byte 0 where adj is nonzero and 255 elsewhere, so no
+    byte ties and no tie draw. The diagonal goes in as drawn.
+    """
+    adj, x = np.asarray(adj), np.asarray(x, dtype=float)
+    n = adj.shape[-1]
+    slot_bytes = np.where(adj.reshape(-1) != 0, 0, 255).astype(np.uint8)
+    words = np.concatenate((slot_bytes, np.full(-slot_bytes.size % 8, 255, dtype=np.uint8))).view("<u8")
+    states = x.reshape(-1, n)
+    out = np.empty_like(states)
+    work = _dense_workspace(len(states), n)
+    spare = _dense_piece(states, out, 0.5, np.empty(0, dtype=np.uint8), lambda size: words[:size], None, work)
+    assert spare.size == -slot_bytes.size % 8
+    return out.reshape(x.shape)
+
+
+@pytest.fixture(scope="session")
+def dense_update():
+    """The dense body's update for a given adjacency: dense_update(adj, x) -> W x."""
+    return _dense_update

@@ -428,6 +428,41 @@ class TestOracle:
         assert code == 1
         assert "variance discrepancy" in err
 
+    @pytest.mark.parametrize(
+        "x0", ["const:1e6", "1000000.2,1000000.4,1000000.6,1000000.8,1000001"], ids=["const", "offset-ramp"]
+    )
+    def test_large_common_offset_runs_clean(self, capsys, x0):
+        # Both used to exit 1: the identity cancelled terms of size ||x0||^2 = 5e12.
+        code, record, err = run_json(capsys, "oracle", "--n", "5", "--p", "0.5", "--x0", x0)
+        assert code == 0, err
+        assert record["results"]["max_abs_discrepancy"]["variance"] < 1e-15
+
+    def test_offset_variance_error_still_fails(self, capsys, monkeypatch):
+        real = cli.oracle_report
+
+        def off(params, x0, allow_large=False):
+            report = real(params, x0, allow_large=allow_large)
+            closed = report.closed_form_variance * (1.0 + 1e-6)
+            object.__setattr__(report, "closed_form_variance", closed)
+            object.__setattr__(report, "variance_discrepancy", abs(report.exact_variance - closed))
+            return report
+
+        monkeypatch.setattr(cli, "oracle_report", off)
+        x0 = "1000000.2,1000000.4,1000000.6,1000000.8,1000001"
+        code, _, err = run_cli(capsys, "oracle", "--n", "5", "--p", "0.5", "--x0", x0)
+        assert code == 1
+        assert "variance discrepancy" in err
+
+    def test_provenance_carries_the_solve_residuals(self, capsys):
+        code, record, _ = run_json(capsys, "oracle", "--n", "4", "--p", "0.3")
+        assert code == 0
+        residual = record["provenance"]["solve_residual"]
+        assert set(residual) == {"ew", "eww"}
+        assert all(0.0 <= value < 1e-13 for value in residual.values())
+        assert set(record["results"]) == {
+            "max_abs_discrepancy", "exact_variance", "closed_form_variance", "threshold", "variance_threshold"
+        }
+
     def test_threshold_violation_exit_code(self, capsys, monkeypatch):
         real = cli.oracle_report
 

@@ -10,8 +10,8 @@ from erconsensus import dynamics
 from erconsensus.dynamics import (
     ConsensusOutcome,
     NonConvergenceError,
-    _average,
-    _byte_edges,
+    _dense_piece,
+    _dense_workspace,
     _edges,
     _sparse_draws,
     run_block,
@@ -118,33 +118,33 @@ def _sparse_reference_run(params, x0, rng, tol=1e-10, max_steps=10**6):
     return ConsensusOutcome(value=float(x.mean()), steps=steps, spread=spread)
 
 
-def _weights(adj):
-    """The weights _average applies to the 0/1 adjacency stack adj, read back a column at a time: W e_j."""
+def _weights(dense_update, adj):
+    """The weights the dense piece applies to the 0/1 adjacency stack adj, read back a column at a time: W e_j."""
     adj = np.asarray(adj)
     n = adj.shape[-1]
-    return np.stack([_average(adj, np.broadcast_to(e, adj.shape[:-1])) for e in np.eye(n)], axis=-1)
+    return np.stack([dense_update(adj, np.broadcast_to(e, adj.shape[:-1])) for e in np.eye(n)], axis=-1)
 
 
 class TestWeightMatrix:
-    """The row-stochastic weights of the dense update, read back through _average."""
+    """The row-stochastic weights of the dense update, read back through the package's dense piece."""
 
-    def test_empty_graph_is_identity(self):
-        w = _weights(np.zeros((3, 3), dtype=bool))
+    def test_empty_graph_is_identity(self, dense_update):
+        w = _weights(dense_update, np.zeros((3, 3), dtype=bool))
         assert np.array_equal(w, np.eye(3))
 
-    def test_complete_two_node(self):
-        w = _weights([[0, 1], [1, 0]])
+    def test_complete_two_node(self, dense_update):
+        w = _weights(dense_update, [[0, 1], [1, 0]])
         assert np.array_equal(w, [[0.5, 0.5], [0.5, 0.5]])
 
-    def test_single_edge(self):
-        w = _weights([[0, 1], [0, 0]])
+    def test_single_edge(self, dense_update):
+        w = _weights(dense_update, [[0, 1], [0, 0]])
         assert np.array_equal(w, [[0.5, 0.5], [0.0, 1.0]])
 
     @pytest.mark.parametrize("p", [0.2, 0.7, 1.0])
-    def test_rows_stochastic_and_diagonal(self, p):
+    def test_rows_stochastic_and_diagonal(self, dense_update, p):
         n = 9
         adj = GraphSeed(42).generator().random((20, n, n)) < p
-        w = _weights(adj)
+        w = _weights(dense_update, adj)
         assert np.max(np.abs(w.sum(axis=-1) - 1.0)) < 1e-12
         assert np.all(w >= 0.0)
         off_diagonal_degrees = adj.sum(axis=-1) - np.diagonal(adj, axis1=-2, axis2=-1)
@@ -152,39 +152,63 @@ class TestWeightMatrix:
         assert np.array_equal(np.diagonal(w, axis1=-2, axis2=-1), expected_diag)
         assert np.all(np.diagonal(w, axis1=-2, axis2=-1) >= 1.0 / n)
 
-    def test_batch_matches_one_at_a_time(self, all_graphs):
+    def test_batch_matches_one_at_a_time(self, dense_update, all_graphs):
         adj = np.array([graph for graph, _ in all_graphs(3)])
-        batch = _weights(adj)
+        batch = _weights(dense_update, adj)
         for k in range(64):
-            assert np.array_equal(batch[k], _weights(adj[k]))
+            assert np.array_equal(batch[k], _weights(dense_update, adj[k]))
 
     def test_input_is_not_written(self):
-        adj = np.array([[1.0, 1.0], [0.0, 1.0]])
-        before = adj.copy()
-        _weights(adj)
-        _weights(adj.T)
-        assert np.array_equal(adj, before)
+        # The piece writes its workspace and out, never the states it reads.
+        rng = GraphSeed(6).generator()
+        x = rng.random((4, 5))
+        before = x.copy()
+        out = np.empty_like(x)
+        tie = np.random.default_rng(0)
+        _dense_piece(x, out, 0.4, np.empty(0, dtype=np.uint8), rng.bit_generator.random_raw, tie, _dense_workspace(4, 5))
+        assert np.array_equal(x, before)
+        assert not np.array_equal(out, before)
 
 
 class TestStep:
-    """One update x -> W x by _average."""
+    """One update x -> W x by the package's dense piece."""
 
-    def test_identity(self):
+    def test_identity(self, dense_update):
         x = np.array([3.0, -1.0, 2.0])
-        assert np.array_equal(_average(np.zeros((3, 3)), x), x)
+        assert np.array_equal(dense_update(np.zeros((3, 3)), x), x)
 
-    def test_ones_fixed_point(self):
-        out = _average([[0, 1, 0], [1, 0, 1], [0, 0, 0]], np.ones(3))
+    def test_ones_fixed_point(self, dense_update):
+        out = dense_update([[0, 1, 0], [1, 0, 1], [0, 0, 0]], np.ones(3))
         assert np.max(np.abs(out - 1.0)) < 1e-15
 
-    def test_hand_example(self):
-        out = _average([[0, 1], [0, 0]], np.array([0.0, 1.0]))
+    def test_hand_example(self, dense_update):
+        out = dense_update([[0, 1], [0, 0]], np.array([0.0, 1.0]))
         assert np.array_equal(out, [0.5, 1.0])
 
     def test_dimension_mismatch(self):
-        for shape in [(3,), (2, 3), (4, 2, 3)]:
+        # States wider than the workspace, or more replications than it holds, are refused.
+        work = _dense_workspace(2, 3)
+        for shape in [(2, 4), (3, 3), (1, 2)]:
+            rng = GraphSeed(0).generator()
             with pytest.raises(ValueError):
-                _average(np.zeros(shape), np.zeros(shape[:-1]))
+                _dense_piece(np.zeros(shape), np.empty(shape), 0.5, np.empty(0, dtype=np.uint8), rng.bit_generator.random_raw, rng, work)
+
+    def test_workspace_reuse_leaves_no_trace(self, dense_update):
+        # Every piece in one workspace equals the same piece in a fresh one: full, short, then full again.
+        n, p = 7, 0.35
+        rng = GraphSeed(12).generator()
+        raw, tie = rng.bit_generator.random_raw, np.random.default_rng(int(rng.bit_generator.random_raw()))
+        fresh = GraphSeed(12).generator()
+        fresh_raw, fresh_tie = fresh.bit_generator.random_raw, np.random.default_rng(int(fresh.bit_generator.random_raw()))
+        work = _dense_workspace(5, n)
+        spare = fresh_spare = np.empty(0, dtype=np.uint8)
+        for reps in (5, 2, 5, 1, 5):
+            x = GraphSeed(reps).generator().random((reps, n))
+            reused, alone = np.empty_like(x), np.empty_like(x)
+            spare = _dense_piece(x, reused, p, spare, raw, tie, work)
+            fresh_spare = _dense_piece(x, alone, p, fresh_spare, fresh_raw, fresh_tie, _dense_workspace(reps, n))
+            assert np.array_equal(reused, alone)
+            assert np.array_equal(spare, fresh_spare)
 
     @given(
         mask=st.integers(min_value=0, max_value=2**12 - 1),
@@ -195,11 +219,11 @@ class TestStep:
         ),
     )
     @settings(max_examples=60, deadline=None)
-    def test_convexity(self, mask, x):
+    def test_convexity(self, dense_update, mask, x):
         adj = np.zeros((4, 4))
         adj[~np.eye(4, dtype=bool)] = [mask >> bit & 1 for bit in range(12)]
         x = np.array(x)
-        out = _average(adj, x)
+        out = dense_update(adj, x)
         slack = 1e-12 * (1.0 + np.max(np.abs(x)))
         assert np.all(out >= x.min() - slack)
         assert np.all(out <= x.max() + slack)
@@ -227,12 +251,14 @@ class TestRunConsensus:
     def test_spread_non_increasing_along_path(self):
         n, p = 6, 0.3
         rng = GraphSeed(17).generator()
-        tie, spare = np.random.default_rng(int(rng.bit_generator.random_raw())), np.empty(0, dtype=np.uint8)
-        x = np.array([0.0, 1.0, 0.2, 0.8, 0.5, 0.3])
+        raw = rng.bit_generator.random_raw
+        tie, spare, work = np.random.default_rng(int(raw())), np.empty(0, dtype=np.uint8), _dense_workspace(1, n)
+        x = np.array([[0.0, 1.0, 0.2, 0.8, 0.5, 0.3]])
         spread = np.ptp(x)
         for _ in range(40):
-            adj, spare = _byte_edges(n * n, p, spare, rng, tie)
-            x = _average(adj.reshape(n, n), x)
+            new = np.empty_like(x)
+            spare = _dense_piece(x, new, p, spare, raw, tie, work)
+            x = new
             new_spread = np.ptp(x)
             assert new_spread <= spread + 1e-12 * (1.0 + spread)
             spread = new_spread
@@ -320,7 +346,7 @@ def _reference_block(params, x0, reps, rng, tol=1e-10, max_steps=10**6):
 class TestRunBlock:
     @pytest.mark.parametrize("n,p,reps", [(2, 0.5, 7), (6, 5 / 6, 40), (50, 0.2, 30)])
     def test_matches_reference_loop(self, n, p, reps):
-        # At n = 50 a step of 30 replications is drawn in five pieces.
+        # At n = 50 a step of 30 replications is drawn in two pieces, 26 and 4.
         params = ModelParams(n, p)
         values, steps, spreads = run_block(params, _ramp(n), reps, GraphSeed(4).generator())
         ref_values, ref_steps, ref_spreads = _reference_block(params, _ramp(n), reps, GraphSeed(4).generator())
@@ -333,10 +359,21 @@ class TestRunBlock:
     def test_piece_cap_does_not_change_outcomes(self, monkeypatch, cap):
         params, x0 = ModelParams(8, 0.4), _ramp(8)
         default = run_block(params, x0, 37, GraphSeed(5).generator())
-        monkeypatch.setattr(dynamics, "_CHUNK_DOUBLES", cap)
+        monkeypatch.setattr(dynamics, "_DENSE_SLOTS", cap)
         patched = run_block(params, x0, 37, GraphSeed(5).generator())
         for ours, theirs in zip(default, patched):
             assert np.array_equal(ours, theirs)
+
+    def test_short_pieces_in_a_shrinking_block(self, monkeypatch):
+        # 37 replications at n = 50 in pieces of 13/13/11 (26/11 by default): the
+        # last piece is short, and the active set later shrinks below the workspace.
+        params, x0 = ModelParams(50, 0.2), _ramp(50)
+        default = run_block(params, x0, 37, GraphSeed(5).generator())
+        monkeypatch.setattr(dynamics, "_DENSE_SLOTS", 13 * 50 * 50)
+        patched = run_block(params, x0, 37, GraphSeed(5).generator())
+        for ours, theirs in zip(default, patched):
+            assert np.array_equal(ours, theirs)
+        assert len(set(default[1])) > 1  # replications left at different steps
 
     @pytest.mark.parametrize("cap", [1, 100, 3 * 64 + 5])
     def test_sparse_piece_cap_does_not_change_outcomes(self, monkeypatch, cap):
@@ -344,7 +381,7 @@ class TestRunBlock:
         params, x0 = ModelParams(200, 0.025), _ramp(200)
         assert _sparse_draws(0.025)
         default = run_block(params, x0, 37, GraphSeed(5).generator())
-        monkeypatch.setattr(dynamics, "_CHUNK_DOUBLES", cap)
+        monkeypatch.setattr(dynamics, "_SPARSE_NUMBERS", cap)
         patched = run_block(params, x0, 37, GraphSeed(5).generator())
         for ours, theirs in zip(default, patched):
             assert np.array_equal(ours, theirs)
@@ -361,10 +398,10 @@ class TestRunBlock:
     def test_dense_pieces_respect_the_cap(self):
         rng = _RecordingGenerator(GraphSeed(4).generator())
         run_block(ModelParams(50, 0.2), _ramp(50), 30, rng)
-        # One word seeds the tie stream; then 2**14 // 50**2 = 6 replications
-        # per piece: 15000 slot bytes, 1875 raw words.
-        assert max(rng.words) <= 1875
-        assert rng.words[:6] == [1] + [1875] * 5
+        # One word seeds the tie stream; then 2**16 // 50**2 = 26 replications
+        # per piece: 65000 slot bytes, 8125 raw words, and the other 4 in 1250.
+        assert max(rng.words) <= 8125
+        assert rng.words[:4] == [1, 8125, 1250, 8125]
 
     def test_constant_x0_draws_nothing(self):
         values, steps, _ = run_block(ModelParams(4, 0.5), np.full(4, 2.5), 5, GraphSeed(1).generator())
@@ -488,7 +525,7 @@ class TestDrawBudget:
     def test_chunk_memory_cap(self, n, p):
         rng = _RecordingGenerator(GraphSeed(5).generator())
         out = run_consensus(ModelParams(n, p), _ramp(n), rng, tol=1e-14)
-        # A piece holds 2**14 slots or one replication, and its last word may be partly spare.
+        # A single run's piece is its one replication, n*n slots, and its last word may be partly spare.
         assert all(8 * (words - 1) < max(2**14, n * n) for words in rng.words)
         assert 8 * sum(rng.words) >= out.steps * n * n
 

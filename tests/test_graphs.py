@@ -4,24 +4,42 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from erconsensus.dynamics import _average, _byte_edges
+from erconsensus.dynamics import _dense_piece, _dense_workspace
 from erconsensus.graphs import GraphSeed, ModelParams, _check_x0
 from erconsensus.oracle import enumerate_expected_matrices
 
+# Slot-level samples are read off the diagonal of 64-node graphs: the dense
+# piece overwrites the diagonal slots it draws with the 1 of A + I.
+SLOT_N = 64
 
-def _sample(slots, p, seed) -> np.ndarray:
-    """The first `slots` slots of the dense body's sampler on a fresh generator, as the body sets it up."""
+
+def _sample(graphs, n, p, seed) -> np.ndarray:
+    """The first `graphs` n-node graphs of the dense body on a fresh generator, as it sets them up.
+
+    One piece, read back from the workspace as bools: the drawn edges off
+    the diagonal and True on it.
+    """
     rng = GraphSeed(seed).generator()
-    tie = np.random.default_rng(int(rng.bit_generator.random_raw()))
-    edges, _ = _byte_edges(slots, p, np.empty(0, dtype=np.uint8), rng, tie)
-    return edges
+    raw = rng.bit_generator.random_raw
+    tie = np.random.default_rng(int(raw()))
+    work = _dense_workspace(graphs, n)
+    x = np.zeros((graphs, n))
+    _dense_piece(x, np.empty_like(x), p, np.empty(0, dtype=np.uint8), raw, tie, work)
+    return work[0] != 0.0
 
 
-def _degrees(adj) -> np.ndarray:
-    """Out-degrees of drawn graphs as the dense update sees them: 1/w_ii - 1, w_ii = (W e_i)_i by _average."""
+def _slots(count, p, seed) -> tuple[np.ndarray, np.ndarray]:
+    """The first `count` slots of the dense body's sampler (a multiple of SLOT_N**2), and which are off the diagonal."""
+    edges = _sample(count // SLOT_N**2, SLOT_N, p, seed).reshape(-1)
+    off = np.tile(~np.eye(SLOT_N, dtype=bool).reshape(-1), count // SLOT_N**2)
+    return edges, off
+
+
+def _degrees(dense_update, adj) -> np.ndarray:
+    """Out-degrees of graphs as the dense update sees them: 1/w_ii - 1, w_ii = (W e_i)_i by the dense piece."""
     adj = np.asarray(adj)
     n = adj.shape[-1]
-    diagonal = [_average(adj, np.broadcast_to(e, adj.shape[:-1]))[..., i] for i, e in enumerate(np.eye(n))]
+    diagonal = [dense_update(adj, np.broadcast_to(e, adj.shape[:-1]))[..., i] for i, e in enumerate(np.eye(n))]
     return np.rint(1.0 / np.stack(diagonal, axis=-1) - 1.0).astype(int)
 
 
@@ -98,45 +116,46 @@ class TestGraphSeed:
 
 
 class TestSampleGraph:
-    """The dense body's per-slot sampler (_byte_edges), read through the weights of _average."""
+    """The dense body's per-slot sampler (_dense_piece), read through the weights it applies."""
 
     @pytest.mark.parametrize("n", [3, 5])
-    def test_p_one_gives_complete_digraph(self, n):
-        adj = _sample(n * n, 1.0, seed=0).reshape(n, n)
-        assert np.all(_degrees(adj) == n - 1)
+    def test_p_one_gives_complete_digraph(self, dense_update, n):
+        adj = _sample(1, n, 1.0, seed=0)[0]
+        assert np.all(_degrees(dense_update, adj) == n - 1)
 
-    def test_out_degrees_consistent(self):
-        adj = _sample(64, 0.3, seed=5).reshape(8, 8)
+    def test_out_degrees_consistent(self, dense_update):
+        adj = _sample(1, 8, 0.3, seed=5)[0]
         np.fill_diagonal(adj, True)  # a drawn diagonal must not count as an edge
-        assert np.array_equal(_degrees(adj), adj.sum(axis=1) - 1)
+        assert np.array_equal(_degrees(dense_update, adj), adj.sum(axis=1) - 1)
 
-    def test_drawn_diagonal_is_ignored(self):
-        adj = _sample(5 * 9 * 9, 0.4, seed=8).reshape(5, 9, 9)
+    def test_drawn_diagonal_is_ignored(self, dense_update):
+        adj = _sample(5, 9, 0.4, seed=8)
         x = GraphSeed(9).generator().random((5, 9))
         flipped = adj.copy()
         flipped[:, np.arange(9), np.arange(9)] ^= True
-        assert np.array_equal(_average(adj, x), _average(flipped, x))
+        assert np.array_equal(dense_update(adj, x), dense_update(flipped, x))
 
-    def test_edge_frequency_binomial_ci(self):
+    def test_edge_frequency_binomial_ci(self, dense_update):
         # 5e4 graphs on 2 nodes = 1e5 Bernoulli slots; 3-sigma band.
         draws = 50_000
-        adj = _sample(4 * draws, 0.5, seed=123).reshape(draws, 2, 2)
-        freq = _degrees(adj).sum() / (2 * draws)
+        adj = _sample(draws, 2, 0.5, seed=123)
+        freq = _degrees(dense_update, adj).sum() / (2 * draws)
         assert abs(freq - 0.5) <= 3.0 * math.sqrt(0.25 / (2 * draws))
 
     @pytest.mark.parametrize("p", [1 / 256, 64 / 256, 64 / 256 + 1e-9, 0.1, 5 / 34, 0.999, 1.0])
     def test_edge_frequency_within_4se(self, p):
         # 2**22 slots; the dyadic p have no tie edges, and 64/256 + 1e-9 almost none.
-        slots = 2**22
-        freq = _sample(slots, p, seed=14).mean()
+        edges, off = _slots(2**22, p, seed=14)
+        slots = np.count_nonzero(off)
+        freq = np.count_nonzero(edges[off]) / slots
         assert abs(freq - p) <= 4.0 * math.sqrt(p * (1.0 - p) / slots)
 
     def test_ties_are_settled_by_the_remainder(self):
         # One stream at three p with floor(256 p) = 64: the same bytes tie and take the
         # same doubles, so the edges nest, and the remainder 0.5 turns half the ties into
         # edges: Binomial(slots, 1/512) of them.
-        slots = 2**20
-        low, tiny, half = (_sample(slots, p, seed=15) for p in (64 / 256, 64 / 256 + 1e-9, 64.5 / 256))
+        (low, off), (tiny, _), (half, _) = (_slots(2**20, p, seed=15) for p in (64 / 256, 64 / 256 + 1e-9, 64.5 / 256))
+        slots = np.count_nonzero(off)
         assert not (low & ~tiny).any()
         assert not (tiny & ~half).any()
         added = np.count_nonzero(half & ~low)
@@ -144,19 +163,23 @@ class TestSampleGraph:
 
     def test_lag_one_independence_across_byte_lanes(self):
         # Slot s is byte s % 8 of its raw word. For each lane k, the pairs (8w + k, 8w + k + 1)
-        # share no slot, so the count of pairs that are both edges is Binomial(words, p^2).
+        # share no slot, so the count of pairs off the diagonal that are both edges is
+        # Binomial(pairs, p^2).
         p, words = 0.3, 2**19
-        edges = _sample(8 * words + 1, p, seed=16)
+        edges, off = _slots(8 * words, p, seed=16)
         for lane in range(8):
-            both = np.count_nonzero(edges[lane : 8 * words : 8] & edges[lane + 1 :: 8][:words])
-            z = (both - words * p * p) / math.sqrt(words * p * p * (1.0 - p * p))
+            first, second = slice(lane, 8 * words - 1, 8), slice(lane + 1, None, 8)
+            pairs = off[first] & off[second]
+            both = np.count_nonzero(edges[first] & edges[second] & pairs)
+            count = np.count_nonzero(pairs)
+            z = (both - count * p * p) / math.sqrt(count * p * p * (1.0 - p * p))
             assert abs(z) <= 4.0, (lane, z)
 
-    def test_out_degree_chi_square_gof(self):
+    def test_out_degree_chi_square_gof(self, dense_update):
         # Rows are independent, so pooling them gives >= 1e5 degree samples.
         n, p, graphs = 6, 0.35, 17_000
-        adj = _sample(graphs * n * n, p, seed=2024).reshape(graphs, n, n)
-        degrees = _degrees(adj).ravel()
+        adj = _sample(graphs, n, p, seed=2024)
+        degrees = _degrees(dense_update, adj).ravel()
         observed = np.bincount(degrees, minlength=n)
         expected = stats.binom.pmf(np.arange(n), n - 1, p) * degrees.size
         assert expected.min() > 5.0  # no tail merging needed at this (n, p)

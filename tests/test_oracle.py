@@ -129,6 +129,21 @@ class TestAcrossFig1Range:
         report = oracle_report(ModelParams(n, p), resolve_x0("ramp", n))
         assert report.max_abs_discrepancy < 1e-10
 
+    @pytest.mark.parametrize("n", [2, 5, ENUM_MAX_N])
+    def test_variance_ignores_a_common_offset(self, n):
+        # The identity is translation-invariant; a constant x0 agrees on itself.
+        params, x0 = ModelParams(n, min(1.0, 5 / n)), resolve_x0("ramp", n)
+        assert exact_variance(params, np.full(n, 1e6)) == 0.0
+        assert exact_variance(params, x0 + 1e6) == pytest.approx(exact_variance(params, x0), rel=1e-9)
+
+    def test_report_carries_both_solve_residuals(self):
+        params, x0 = ModelParams(5, 0.5), resolve_x0("ramp", 5)
+        report = oracle_report(params, x0)
+        ew, eww = enumerate_expected_matrices(params)
+        assert report.ew_residual == left_unit_eigenvector(ew).residual
+        assert report.eww_residual == left_unit_eigenvector(eww).residual
+        assert 0.0 <= max(report.ew_residual, report.eww_residual) < 1e-13
+
     def test_ramp_variance_peaks_at_n10(self):
         # 9.0308e-4, 9.0484e-4 and 8.8979e-4 at n = 9, 10, 11, with no closed form involved.
         var = {n: exact_variance(ModelParams(n, 5 / n), resolve_x0("ramp", n)) for n in (9, 10, 11)}
@@ -172,8 +187,8 @@ class TestLeftUnitEigenvector:
             left_unit_eigenvector(m)
 
     def test_refuses_a_negative_solution(self):
-        # Two closed classes, interleaved: the solve meets a rounding-sized pivot,
-        # not a zero one, and returns entries far below zero.
+        # Two closed classes, interleaved: the solve alone meets a rounding-sized
+        # pivot, not a zero one, and returns entries far below zero.
         rng = np.random.default_rng(175)
         m = np.zeros((6, 6))
         m[:3, :3], m[3:, 3:] = rng.random((3, 3)), rng.random((3, 3))
@@ -181,6 +196,42 @@ class TestLeftUnitEigenvector:
         perm = rng.permutation(6)
         with pytest.raises(ValueError, match="unit eigenvalue is not simple"):
             left_unit_eigenvector(m[perm][:, perm])
+
+    def test_refuses_every_reducible_block_matrix_of_a_scan(self):
+        # Random stochastic blocks (2-3 of them, 1-4 states each) on the diagonal,
+        # states relabelled: each block is a closed class. Without the class count
+        # the solve returned a vector for about one matrix in six.
+        rng = np.random.default_rng(2000)
+        for _ in range(2000):
+            sizes = rng.integers(1, 5, size=rng.integers(2, 4))
+            m = np.zeros((sizes.sum(), sizes.sum()))
+            for start, size in zip(np.cumsum(sizes) - sizes, sizes):
+                m[start : start + size, start : start + size] = rng.random((size, size))
+            m /= m.sum(axis=1, keepdims=True)
+            perm = rng.permutation(len(m))
+            with pytest.raises(ValueError, match=f"^matrix has {len(sizes)} closed classes"):
+                left_unit_eigenvector(m[perm][:, perm])
+
+    def test_counts_closed_classes_past_transient_states(self):
+        # States 0 and 1 are transient and lead into the closed classes {2} and {3, 4}.
+        m = np.array([
+            [0.2, 0.3, 0.5, 0.0, 0.0],
+            [0.0, 0.5, 0.0, 0.5, 0.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.1, 0.9],
+            [0.0, 0.0, 0.0, 0.6, 0.4],
+        ])
+        with pytest.raises(ValueError, match="^matrix has 2 closed classes"):
+            left_unit_eigenvector(m)
+        m[2] = [0.0, 0.0, 0.5, 0.5, 0.0]  # {2} now leads into {3, 4}: one closed class
+        assert np.max(np.abs(left_unit_eigenvector(m).vector - [0.0, 0.0, 0.0, 0.4, 0.6])) < 1e-15
+
+    def test_one_closed_class_reached_only_by_long_paths(self):
+        # A cycle 0 -> 1 -> ... -> 7 -> 0 with self-loops: every state reaches every
+        # other, but only in up to 7 steps, so the count needs its squarings.
+        n = 8
+        m = 0.5 * (np.eye(n) + np.roll(np.eye(n), 1, axis=1))
+        assert np.max(np.abs(left_unit_eigenvector(m).vector - 1 / n)) < 1e-15
 
     def test_validates_input(self):
         with pytest.raises(ValueError):
