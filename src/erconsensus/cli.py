@@ -25,14 +25,13 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_TOL, NonConvergenceError
+from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_TOL, NonConvergenceError, stream_layout
 from .graphs import GraphSeed, ModelParams
 from .montecarlo import (
     ExperimentConfig,
     factor_sweep,
     resolve_x0,
     run_ensemble,
-    stream_layout,
     sweep_fixed_degree,
 )
 from .moments import consensus_variance

@@ -1,40 +1,54 @@
 """Averaging dynamics x(k) = W_k x(k-1) over freshly sampled graphs.
 
-Each step draws a graph realization, turns it into a row-stochastic
-weight matrix (every node averages itself with its out-neighbors) and
-applies it to the state. Row-stochasticity keeps every state inside the
-convex hull of the previous ones, so the spread max(x) - min(x) can only
-shrink; a run stops once it drops below tolerance.
+Each step draws a graph realization and has every node average its own
+state with those of its d_i out-neighbors, w_ij = (a_ij + [i == j]) /
+(d_i + 1); the self-loop keeps the normalizer positive for isolated
+nodes, and a drawn diagonal is ignored. Row-stochasticity keeps every
+state inside the convex hull of the previous ones, so the spread
+max(x) - min(x) can only shrink; a run stops once it drops below
+tolerance.
 
 run_block is the one engine: it steps a block of replications together
 on one generator, and run_consensus is a block of one. Each step takes
-the replications still active, in index order and in pieces, through
-one of two bodies chosen once per block from p alone by _sparse_draws;
-each body has its own piece budget:
+the replications still active, in index order, in pieces of one
+replication at least, through one of two step bodies, chosen once per
+block by stream_layout(params). The body fixes how the graphs are drawn
+from the generator, so its name is the stream layout:
 
-- dense: a piece holds up to _DENSE_SLOTS slots, n^2 per replication.
-  The A n^2 slots (i, j) of a piece's A replications, diagonal included,
-  take one byte each of the generator's raw 64-bit words; a byte is
-  compared with the first eight binary digits of p, and the rare tie is
-  settled by a double from a second stream, seeded once per block by the
-  generator's first raw word. The 0/1 slots go straight into a float
-  A + I stack, and one batched product of A + I with [x, 1] gives each
-  node's neighborhood sum and size (_dense_piece). The A + I, [x, 1] and
-  product stacks are one workspace per block, sized to one piece and
-  reused by every piece and step (_dense_workspace).
-- sparse: a piece holds up to _SPARSE_NUMBERS numbers, a replication
-  counting its state plus its expected edges. The A n(n-1) edge slots
-  of a piece are the next stretch of one Bernoulli(p) sequence that runs
-  on over pieces and steps. Its edges are found by geometric gap
-  skipping (Batagelj & Brandes, Phys. Rev. E 71, 036113, 2005), and the
-  update x <- (x + bincount(rows, x[cols])) / (deg + 1) costs O(n +
-  edges) per replication and builds no n x n array.
+- "dense-byte-block": a piece holds up to _DENSE_SLOTS slots, n^2 per
+  replication. The slots (i, j) of its replications, diagonal included,
+  take one byte each of the generator's raw 64-bit words, least
+  significant byte first. With t = floor(256 p), a byte below t is an
+  edge and a byte above t is not; a tie (probability 1/256) is an edge
+  when a double from the tie stream is below the remainder 256 p - t,
+  the ties taking their doubles in slot order. 256 p - t is exact, so
+  P(edge) = p to within 2**-61, from about 8 random bits per slot: a
+  byte settles the first eight binary digits of p, and only a tie needs
+  more (Knuth & Yao, "The complexity of nonuniform random number
+  generation", 1976). The tie stream is default_rng(w) for w the
+  block generator's first raw word; the slot bytes start at the second.
+  The 0/1 slots go straight into a float A + I stack, and one batched
+  product of A + I with [x, 1] gives each node's neighborhood sum s0 and
+  size s1 = d + 1, so x <- s0 * (1/s1). The A + I, [x, 1] and product
+  stacks are one workspace per block, sized to one piece or the block,
+  whichever holds fewer replications, and reused by every piece and step.
+- "sparse-block": a piece holds up to _SPARSE_NUMBERS numbers, a
+  replication counting its state plus its expected edges. The n(n - 1)
+  edge slots (i, j), i != j, of a piece's replications, row after row,
+  are the next stretch of one Bernoulli(p) sequence, whose edges are
+  found by geometric gaps ceil(E / -log1p(-p)), E standard exponential
+  (Batagelj & Brandes, Phys. Rev. E 71, 036113, 2005). The update
+  x <- (x + bincount(rows, x[cols])) / (deg + 1) costs O(n + edges) per
+  replication and builds no n x n array.
 
-Replications leave the block as they converge. Either body draws one
-sequence whatever the piece size (unused bytes of the last raw word, and
-gaps drawn past a piece, carry into the next), so the outcomes depend
-only on the generator's initial state; the generator may be left
-advanced past the stopping step.
+Either stream runs on over pieces and steps: slot bytes left in a
+piece's last raw word, and gaps drawn past a piece, carry into the next.
+So the piece size changes no outcome, and the outcomes depend only on
+the generator's initial state: a dense run equals the loop that takes
+n^2 slot bytes per step and applies the weights above, a sparse run the
+loop that draws one gap at a time, bit for bit. Raw words and gaps are
+drawn in batches, so the generator may be left advanced past the
+stopping step: give every run a fresh one.
 """
 
 from __future__ import annotations
@@ -53,19 +67,18 @@ __all__ = [
     "NonConvergenceError",
     "run_block",
     "run_consensus",
+    "stream_layout",
 ]
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_STEPS = 10**6
 
-# Piece budgets, one per step body; a piece holds one replication at
-# least, so a block of any size holds no more slot bytes, adjacency or
-# edges than one piece needs. A dense replication counts its n*n slots,
-# and a dense piece of 2**16 of them is 512 KiB of float A + I: against
-# 2**14, a fig1 pass took 0.76x the time for +2 % peak RSS, and larger
-# pieces gained nothing beyond the noise for 1-2 MiB more. A sparse
-# replication counts its state plus its expected edges; 2**16 of those
-# made the n = 100...400 ensembles 2.3x slower than 2**14.
+# Piece budgets (see the module docstring): a block of any size holds no
+# more slot bytes, adjacency or edges than one piece needs. A dense piece
+# of 2**16 slots is 512 KiB of float A + I: against 2**14, a fig1 pass
+# took 0.76x the time for +2 % peak RSS, and larger pieces gained nothing
+# beyond the noise for 1-2 MiB more. 2**16 sparse numbers made the
+# n = 100...400 ensembles 2.3x slower than 2**14.
 _DENSE_SLOTS = 2**16
 _SPARSE_NUMBERS = 2**14
 
@@ -95,9 +108,10 @@ class ConsensusOutcome:
     spread: float
 
 
-def _sparse_draws(p: float) -> bool:
-    """Whether a block at edge probability p takes the sparse step body: p <= 0.09.
+def stream_layout(params: ModelParams) -> str:
+    """The step body of a block at params, "sparse-block" at p <= 0.09, else "dense-byte-block".
 
+    The name is the block's stream layout (see the module docstring).
     Measured in block mode (128 replications up to n = 100, 40 above,
     ramp x0, one BLAS thread) over n = 10...400, the crossover depends on
     p, not n: the sparse body was faster at every n at p <= 0.05 (by
@@ -107,25 +121,22 @@ def _sparse_draws(p: float) -> bool:
     body pays per edge. The cut stays below p = 1/3, the range where the
     gap law matches numpy's geometric variates.
     """
-    return p <= 0.09
+    return "sparse-block" if params.p <= 0.09 else "dense-byte-block"
 
 
 def _edges(slots: int, p: float, pending: np.ndarray, rng: np.random.Generator):
     """Edge positions among the next `slots` slots of one Bernoulli(p) sequence.
 
     pending holds the positions drawn past the previous stretch, counted
-    from its end (empty at the start of a sequence). The gaps between
-    edges are Geometric(p) on 1, 2, ..., by the package's gap law
-    ceil(E / -log1p(-p)) with E standard exponential: for p < 1/3 numpy's
-    rng.geometric(p) inverts the same way, so the two agree bit for bit
-    there. p = 1 draws nothing (every slot holds an edge), and gaps are
-    capped at 2**62 before the int64 cast (at p = 1e-20 one is about
-    1e20); no run reaches that far. Gaps are drawn in batches sized to
-    cover the stretch.
+    from its end (empty at the start of a sequence). The gaps follow the
+    law of the module docstring, which numpy's rng.geometric(p) also
+    inverts for p < 1/3, so the two agree bit for bit there. p = 1 draws
+    nothing (every slot holds an edge), and gaps are capped at 2**62
+    before the int64 cast (at p = 1e-20 one is about 1e20); no run
+    reaches that far. Gaps are drawn in batches sized to cover the
+    stretch.
 
-    Returns the sorted positions in [0, slots) and the new pending, so
-    the edges depend only on rng's initial state, not on how the sequence
-    is cut into stretches.
+    Returns the sorted positions in [0, slots) and the new pending.
     """
     pos, last = pending, int(pending[-1]) if pending.size else -1
     while last < slots:
@@ -186,29 +197,12 @@ def _dense_workspace(size: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndar
 def _dense_piece(x: np.ndarray, out: np.ndarray, p: float, spare: np.ndarray, raw, tie, work) -> np.ndarray:
     """One dense step of the (A, n) states x into out, in the workspace work; returns the new spare.
 
-    The A n^2 slots (i, j) of the piece, diagonal included, take the next
-    bytes of one stream that runs on over pieces and steps: the bytes of
-    the raw 64-bit words raw(k) returns, least significant byte first,
-    after the spare bytes left over from the previous word (empty at the
-    start). With t = floor(256 p), a byte below t is an edge and a byte
-    above t is not; a tie (probability 1/256) is an edge when a double
-    drawn from tie is below the remainder 256 p - t, the ties taking
-    their doubles in slot order. 256 p - t is exact, so P(edge) = p to
-    within 2**-61, from about 8 random bits per slot: a byte settles the
-    first eight binary digits of p, and only a tie needs more (Knuth &
-    Yao, "The complexity of nonuniform random number generation", 1976).
-    The edges depend only on the initial states of raw and tie, not on
-    how the stream is cut into pieces.
-
-    The 0/1 slots are written straight into the float A + I stack of
-    work, whose diagonal is then set to 1, so a drawn diagonal is
-    ignored: w_ij = (a_ij + [i == j]) / (d_i + 1), node i averaging its
-    own state with those of its d_i out-neighbors (the self-loop keeps
-    the normalizer positive for isolated nodes). One batched product of
-    A + I with [x, 1] gives the sums s0 = x_i + the neighbors' states and
-    s1 = d_i + 1 (a small integer, exact), and out = s0 * (1/s1). Every
-    row of a complete graph computes the same dot product, so p = 1
-    agrees in one step with spread exactly 0. x is not written.
+    The slot bytes are the spare bytes left from the previous raw word
+    (empty at the start), then those of the words raw(k) returns; tie
+    settles the ties (see the module docstring). A holds at most the
+    workspace's replications. Every row of a complete graph computes the
+    same dot product, so p = 1 agrees in one step with spread exactly 0.
+    x is not written.
     """
     a, n = x.shape
     adj, xs, sums = work
@@ -248,16 +242,8 @@ def run_consensus(
     that exhausts max_steps raises NonConvergenceError, carrying the steps
     and the last spread, rather than returning a truncated state.
 
-    This is run_block with one replication, on the step body it picks for
-    p; the dense body's workspace then holds one replication, allocated
-    once per run and reused by every step. The dense body's outcome
-    equals that of the loop that takes one byte per slot of the n*n slots
-    of each step, settles each tie with the next double of the tie stream
-    and applies the weights (A + I)/(d + 1); the sparse body's equals
-    that of the loop that draws one gap at a time, bit for bit. Raw words
-    and gaps are drawn in batches, so rng may be left advanced past the
-    stopping step: do not reuse it expecting the position of a per-step
-    loop.
+    This is run_block with one replication; rng may be left advanced
+    past the stopping step (see the module docstring).
     """
     values, steps, spreads = run_block(params, x0, 1, rng, tol, max_steps)
     if np.isnan(values[0]):
@@ -286,18 +272,10 @@ def run_block(
     spread; a converged value is never NaN, since it lies in
     [min(x0), max(x0)].
 
-    Each step takes the replications still active, in index order, in
-    pieces (one replication at least) through the body _sparse_draws(p)
-    picks (see the module docstring): up to 2**16 slots, n*n per
-    replication, in a dense piece, or up to 2**14 numbers, a
-    replication's state plus its expected edges, in a sparse one. The
-    dense body allocates its workspace once per block, sized to
-    min(piece, reps) replications. Its tie stream is default_rng(w) for w
-    the first raw word of rng, and the slot bytes start at the second.
-    Slot bytes left in a piece's last raw word, and sparse gaps drawn
-    past a piece, carry into the next, so the piece size changes neither
-    the streams nor any outcome. Then every replication whose spread fell
-    below tol records its value, step and spread and leaves the block.
+    Each step takes the replications still active through the body
+    stream_layout(params) names (see the module docstring); then every
+    replication whose spread fell below tol records its value, step and
+    spread and leaves the block.
     """
     _check_budget(tol, "max_steps", max_steps)
     _check_int("reps", reps, 1)
@@ -309,7 +287,7 @@ def run_block(
     if spreads[0] < tol:
         values[:], steps[:] = x.mean(), 0
         return values, steps, spreads
-    sparse = _sparse_draws(p)
+    sparse = stream_layout(params) == "sparse-block"
     if sparse:
         piece = max(1, _SPARSE_NUMBERS // (n + math.ceil(p * n * (n - 1))))
         pending = np.empty(0, dtype=np.int64)  # edge positions past the last piece

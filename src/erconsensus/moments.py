@@ -375,8 +375,8 @@ def peak_size(c: float, n_max: int) -> int:
     slightly to the right of the peak of the x0-independent factor
     n(1 - rho)/delta (e.g. sizes 10 vs 9 for c = 5).
     """
-    if c < 1:
-        raise ValueError(f"c must be >= 1, got {c}")
+    if not 1.0 <= c < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"c must be finite and >= 1, got {c}")
     n_start = math.floor(c) + 1
     if n_max < n_start:
         raise ValueError(f"n_max must exceed c = {c}, got {n_max}")

@@ -4,8 +4,8 @@ A replication is one full consensus run on its own random-graph path;
 an ensemble aggregates many replications into mean/variance estimates
 that the closed forms can be checked against. Replications go in fixed
 blocks of _BLOCK_REPS, and block b steps its replications together
-(dynamics.run_block) on one generator, GraphSeed.block(b). Its step body,
-dense or sparse, names the stream layout (stream_layout).
+(dynamics.run_block) on one generator, GraphSeed.block(b); the dynamics
+module docstring describes the random streams.
 
 The blocks are fixed by the configuration alone and their outcomes are
 concatenated in block order, so results are bit-identical for any
@@ -14,12 +14,13 @@ thread count: threads is accepted and checked, and does nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_TOL, NonConvergenceError, run_block
-from .dynamics import _check_budget, _sparse_draws
+from .dynamics import _check_budget
 from .graphs import GraphSeed, ModelParams, _check_int, _check_x0
 from .moments import consensus_variance, variance_factor
 
@@ -32,7 +33,6 @@ __all__ = [
     "jackknife_variance_stderr",
     "resolve_x0",
     "run_ensemble",
-    "stream_layout",
     "sweep_fixed_degree",
 ]
 
@@ -133,18 +133,6 @@ def jackknife_variance_stderr(values) -> float:
     return float(np.ldexp(np.sqrt((r - 1) / r * np.sum((var_loo - var_loo.mean()) ** 2)), 2 * exponent))
 
 
-def stream_layout(params: ModelParams) -> str:
-    """The random-stream layout of an ensemble at params: "dense-byte-block" or "sparse-block".
-
-    Either way replications go in blocks, each on one generator; the name
-    is the step body dynamics._sparse_draws picks from p alone: sparse at
-    p <= 0.09 (geometric gaps), dense above (one byte of the generator's
-    raw words per slot, ties settled from a stream it seeds). See the
-    module docstring.
-    """
-    return "sparse-block" if _sparse_draws(params.p) else "dense-byte-block"
-
-
 def _runs(indices: np.ndarray, limit: int = 10) -> str:
     """Sorted indices as runs, at most limit of them: [0, 1, 2, 5] -> '0-2, 5'."""
     runs = np.split(indices, np.flatnonzero(np.diff(indices) != 1) + 1)
@@ -156,8 +144,7 @@ def run_ensemble(cfg: ExperimentConfig, threads: int = 1) -> EnsembleStats:
     """Run cfg.reps independent consensus paths and aggregate the values.
 
     The replications go in blocks of _BLOCK_REPS (the last may be
-    shorter); block b runs dynamics.run_block on cfg.seed.block(b). See
-    stream_layout.
+    shorter); block b runs dynamics.run_block on cfg.seed.block(b).
 
     threads is kept for callers and must be an integer >= 0, but the
     blocks run one after another whatever its value: both step bodies are
@@ -202,6 +189,12 @@ def run_ensemble(cfg: ExperimentConfig, threads: int = 1) -> EnsembleStats:
     )
 
 
+def _check_degree(c: float) -> None:
+    """Reject an expected degree c that is not finite and > 0; p = c/n would be out of range."""
+    if not 0.0 < c < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"c must be finite and > 0, got {c}")
+
+
 @dataclass(frozen=True)
 class SweepRow:
     """One network size of a fixed-expected-degree sweep."""
@@ -233,12 +226,13 @@ def sweep_fixed_degree(
     stream n under the base seed, so rows are independent and the whole
     table is reproducible for a fixed (seed, reps) regardless of threads.
     """
+    _check_degree(c)
     rows = []
     for n in n_range:
-        n = int(n)
+        _check_int("n", n, 2)
         if n < c:
             raise ValueError(f"n = {n} is below c = {c}, which would need p > 1")
-        p = 1.0 if n == c else c / n
+        p = c / n
         params = ModelParams(n, p)
         x0 = resolve_x0(x0_spec, n)
         cfg = ExperimentConfig(
@@ -283,10 +277,9 @@ def factor_sweep(c_list, n_range) -> list[FactorRow]:
     """
     rows = []
     for c in c_list:
+        _check_degree(c)
         for n in n_range:
-            n = int(n)
-            if n < c:
-                continue
-            p = 1.0 if n == c else c / n
-            rows.append(FactorRow(c=float(c), n=n, factor=variance_factor(ModelParams(n, p))))
+            _check_int("n", n, 2)
+            if n >= c:
+                rows.append(FactorRow(c=float(c), n=n, factor=variance_factor(ModelParams(n, c / n))))
     return rows

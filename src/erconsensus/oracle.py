@@ -119,13 +119,16 @@ def left_unit_eigenvector(m) -> EigenvectorEstimate:
     One linear solve, A v = e_last: A is M^T with each diagonal entry set
     to minus its column's off-diagonal sum, so 1 - m_jj has no cancellation
     even within rounding of I (Grassmann, Taksar & Heyman, Oper. Res. 33(5),
-    1985), and the last row of A holds ones, so sum(v) = 1. M needs one
-    closed class, as a positive M has; with several the unit eigenvalue is
+    1985), and the last row of A holds ones, so sum(v) = 1. M's entries
+    must be finite and >= 0 and its rows sum to 1. M needs one closed
+    class, as a positive M has; with several the unit eigenvalue is
     not simple, and ValueError names their count, found on M's support
     graph before any solve. A system that is still singular, or a
     solution with a negative entry, raises ValueError too.
     """
     m = _square(m, 1)
+    if not (np.isfinite(m).all() and m.min() >= 0.0):
+        raise ValueError("matrix entries must be finite and >= 0")
     if np.max(np.abs(m.sum(axis=1) - 1.0)) > 1e-8:
         raise ValueError("matrix rows must sum to 1")
     classes = _closed_classes(m)

@@ -13,15 +13,35 @@ from erconsensus.dynamics import (
     _dense_piece,
     _dense_workspace,
     _edges,
-    _sparse_draws,
     run_block,
     run_consensus,
+    stream_layout,
 )
 from erconsensus.graphs import GraphSeed, ModelParams
 
 # The first chunk of the old chunked run_consensus; the stops and budgets
 # around it stay as boundary cases of the per-step engine.
 FIRST_CHUNK = 8
+
+DENSE, SPARSE = "dense-byte-block", "sparse-block"
+
+
+def _named(cases):
+    """{id: values} for value tuples, each named as pytest names it: its values joined by '-'."""
+    return {"-".join(map(str, case)): case for case in cases}
+
+
+def _bodies(dense, sparse=None):
+    """Parameters (body, *values) of one test over both step bodies, from {id: values} per body.
+
+    A dense case is named by its id alone, as p > 0.09 picks the dense
+    body anyway; a sparse case is named 'sparse-' + its id. sparse
+    defaults to the dense cases.
+    """
+    sparse = dense if sparse is None else sparse
+    return [pytest.param(DENSE, *values, id=key) for key, values in dense.items()] + [
+        pytest.param(SPARSE, *values, id=f"sparse-{key}") for key, values in sparse.items()
+    ]
 
 
 class _SlotBytes:
@@ -355,11 +375,17 @@ class TestRunBlock:
         assert np.array_equal(spreads, ref_spreads)
         assert np.all(steps > 0)
 
-    @pytest.mark.parametrize("cap", [1, 100, 3 * 64 + 5])
-    def test_piece_cap_does_not_change_outcomes(self, monkeypatch, cap):
-        params, x0 = ModelParams(8, 0.4), _ramp(8)
+    @pytest.mark.parametrize(
+        "body,n,p,cap",
+        _bodies({str(cap): (8, 0.4, cap) for cap in (1, 100, 3 * 64 + 5)},
+                {str(cap): (200, 0.025, cap) for cap in (1, 100, 3 * 64 + 5)}),
+    )
+    def test_piece_cap_does_not_change_outcomes(self, monkeypatch, body, n, p, cap):
+        # 37 replications at n = 200 fill three sparse pieces of the default budget.
+        params, x0 = ModelParams(n, p), _ramp(n)
+        assert stream_layout(params) == body
         default = run_block(params, x0, 37, GraphSeed(5).generator())
-        monkeypatch.setattr(dynamics, "_DENSE_SLOTS", cap)
+        monkeypatch.setattr(dynamics, {DENSE: "_DENSE_SLOTS", SPARSE: "_SPARSE_NUMBERS"}[body], cap)
         patched = run_block(params, x0, 37, GraphSeed(5).generator())
         for ours, theirs in zip(default, patched):
             assert np.array_equal(ours, theirs)
@@ -374,17 +400,6 @@ class TestRunBlock:
         for ours, theirs in zip(default, patched):
             assert np.array_equal(ours, theirs)
         assert len(set(default[1])) > 1  # replications left at different steps
-
-    @pytest.mark.parametrize("cap", [1, 100, 3 * 64 + 5])
-    def test_sparse_piece_cap_does_not_change_outcomes(self, monkeypatch, cap):
-        # 37 replications at n = 200 fill three pieces of the default cap.
-        params, x0 = ModelParams(200, 0.025), _ramp(200)
-        assert _sparse_draws(0.025)
-        default = run_block(params, x0, 37, GraphSeed(5).generator())
-        monkeypatch.setattr(dynamics, "_SPARSE_NUMBERS", cap)
-        patched = run_block(params, x0, 37, GraphSeed(5).generator())
-        for ours, theirs in zip(default, patched):
-            assert np.array_equal(ours, theirs)
 
     @pytest.mark.parametrize(
         "n,p", [pytest.param(n, p, id=str(n)) for n, p in [(6, 5 / 6), (20, 0.25), (50, 0.1), (60, 5 / 60), (200, 0.025)]]
@@ -448,34 +463,54 @@ def _ramp(n):
     return np.arange(1, n + 1) / n
 
 
-class TestChunkBoundaries:
-    """Stops and budgets around the old first chunk; every outcome equals the per-step reference."""
+@pytest.fixture
+def on_body(monkeypatch):
+    """on_body(body) sends every run through that step body and returns the body's per-step reference."""
 
-    @pytest.mark.parametrize("extra", [0, 1], ids=["last-of-first-chunk", "one-past-it"])
-    def test_stop_at_first_chunk_boundary(self, extra):
+    def force(body):
+        monkeypatch.setattr(dynamics, "stream_layout", lambda params: body)
+        return {DENSE: _reference_run, SPARSE: _sparse_reference_run}[body]
+
+    return force
+
+
+class TestChunkBoundaries:
+    """Stops and budgets around the old first chunk on both step bodies; every outcome equals the body's reference."""
+
+    @pytest.mark.parametrize("body,extra", _bodies({"last-of-first-chunk": (0,), "one-past-it": (1,)}))
+    def test_stop_at_first_chunk_boundary(self, on_body, body, extra):
+        reference_run = on_body(body)
         params, x0, tol = ModelParams(6, 0.5), _ramp(6), 1e-3
         for seed in range(200):
-            reference = _reference_run(params, x0, GraphSeed(seed).generator(), tol=tol)
+            reference = reference_run(params, x0, GraphSeed(seed).generator(), tol=tol)
             if reference.steps == FIRST_CHUNK + extra:
                 break
         else:
             pytest.fail(f"no seed stops after {FIRST_CHUNK + extra} steps")
         assert run_consensus(params, x0, GraphSeed(seed).generator(), tol=tol) == reference
 
-    @pytest.mark.parametrize("tol", [1e-3, 1e-14])
-    @pytest.mark.parametrize("n,p", [(3, 0.5), (6, 0.3), (20, 0.25), (50, 0.2)])
-    def test_tolerances(self, n, p, tol):
+    @pytest.mark.parametrize(
+        "body,n,p,tol",
+        _bodies(
+            _named((n, p, tol) for tol in (1e-3, 1e-14) for n, p in [(3, 0.5), (6, 0.3), (20, 0.25), (50, 0.2)]),
+            _named((n, p, tol) for tol in (1e-3, 1e-14)
+                   for n, p in [(2, 0.5), (6, 0.3), (20, 0.25), (70, 0.05), (150, 0.02)]),
+        ),
+    )
+    def test_tolerances(self, on_body, body, n, p, tol):
+        reference_run = on_body(body)
         for seed in range(5):
             fast = run_consensus(ModelParams(n, p), _ramp(n), GraphSeed(seed).generator(), tol=tol)
-            reference = _reference_run(ModelParams(n, p), _ramp(n), GraphSeed(seed).generator(), tol=tol)
+            reference = reference_run(ModelParams(n, p), _ramp(n), GraphSeed(seed).generator(), tol=tol)
             assert fast == reference
 
     @pytest.mark.parametrize(
-        "p,x0,steps", [(1.0, _ramp(7), 1), (0.4, np.full(7, 0.3), 0)], ids=["one-step", "zero-steps"]
+        "body,p,x0,steps", _bodies({"one-step": (1.0, _ramp(7), 1), "zero-steps": (0.4, np.full(7, 0.3), 0)})
     )
-    def test_trivial_runs(self, p, x0, steps):
+    def test_trivial_runs(self, on_body, body, p, x0, steps):
+        reference_run = on_body(body)
         fast = run_consensus(ModelParams(7, p), x0, GraphSeed(4).generator())
-        assert fast == _reference_run(ModelParams(7, p), x0, GraphSeed(4).generator())
+        assert fast == reference_run(ModelParams(7, p), x0, GraphSeed(4).generator())
         assert fast.steps == steps
 
     @pytest.mark.parametrize("n", [127, 128, 130])
@@ -484,13 +519,18 @@ class TestChunkBoundaries:
         fast = run_consensus(params, _ramp(n), GraphSeed(2).generator())
         assert fast == _reference_run(params, _ramp(n), GraphSeed(2).generator())
 
-    @pytest.mark.parametrize("max_steps", [5, FIRST_CHUNK, 13, 3 * FIRST_CHUNK + 1])
-    def test_step_budget_ends_mid_or_on_chunk(self, max_steps):
-        params, x0 = ModelParams(20, 0.2), _ramp(20)
+    @pytest.mark.parametrize(
+        "body,p,max_steps",
+        _bodies({str(k): (0.2, k) for k in (5, FIRST_CHUNK, 13, 3 * FIRST_CHUNK + 1)},
+                {str(k): (0.1, k) for k in (5, FIRST_CHUNK, 13, 3 * FIRST_CHUNK + 1)}),
+    )
+    def test_step_budget_ends_mid_or_on_chunk(self, on_body, body, p, max_steps):
+        reference_run = on_body(body)
+        params, x0 = ModelParams(20, p), _ramp(20)
         with pytest.raises(NonConvergenceError) as fast:
             run_consensus(params, x0, GraphSeed(9).generator(), tol=1e-300, max_steps=max_steps)
         with pytest.raises(NonConvergenceError) as reference:
-            _reference_run(params, x0, GraphSeed(9).generator(), tol=1e-300, max_steps=max_steps)
+            reference_run(params, x0, GraphSeed(9).generator(), tol=1e-300, max_steps=max_steps)
         assert fast.value.steps == reference.value.steps == max_steps
         assert fast.value.spread == reference.value.spread > 0.0
 
@@ -530,14 +570,8 @@ class TestDrawBudget:
         assert 8 * sum(rng.words) >= out.steps * n * n
 
 
-@pytest.fixture
-def sparse_everywhere(monkeypatch):
-    """Send every run_consensus call through the sparse step body."""
-    monkeypatch.setattr(dynamics, "_sparse_draws", lambda p: True)
-
-
 class TestStepPathChoice:
-    """The step body follows p alone: sparse at p <= 0.09, dense above, at every n."""
+    """The step body, which names the stream layout, follows p alone: sparse at p <= 0.09, dense above, at every n."""
 
     @pytest.mark.parametrize(
         "p,sparse",
@@ -545,8 +579,8 @@ class TestStepPathChoice:
          (1.0, False)],
     )
     def test_same_body_at_every_size(self, p, sparse):
-        assert _sparse_draws(p) is sparse
         for n in (5, 50, 400, 2000):
+            assert stream_layout(ModelParams(n, p)) == (SPARSE if sparse else DENSE)
             # One step of one replication: the sparse body draws gaps, the dense one raw words.
             rng = _RecordingGenerator(GraphSeed(1).generator())
             run_block(ModelParams(n, p), _ramp(n), 1, rng, max_steps=1)
@@ -555,7 +589,7 @@ class TestStepPathChoice:
     @pytest.mark.parametrize("n", range(5, 51))
     def test_criterion_6_sweep_stays_dense(self, n):
         # Every size: p = 5/n >= 0.1 is above the cut.
-        assert not _sparse_draws(min(1.0, 5.0 / n))
+        assert stream_layout(ModelParams(n, min(1.0, 5.0 / n))) == DENSE
 
     @pytest.mark.parametrize(
         "n,p",
@@ -563,15 +597,15 @@ class TestStepPathChoice:
          (5, 0.08)],
     )
     def test_sparse_below_the_density_cut(self, n, p):
-        assert _sparse_draws(p)
+        assert stream_layout(ModelParams(n, p)) == SPARSE
 
     @pytest.mark.parametrize(
         "n,p",
         [(100, 0.25), (2000, 1.0), (50, 0.2), (20, 0.16), (400, 0.151), (51, 0.1), (50, 0.1), (400, 0.11),
-         (5, 0.15), (400, 0.0901)],
+         (5, 0.15), (400, 0.0901), (51, 0.11), (400, 0.16)],
     )
     def test_dense_elsewhere(self, n, p):
-        assert not _sparse_draws(p)
+        assert stream_layout(ModelParams(n, p)) == DENSE
 
 
 class TestSparseSteps:
@@ -581,47 +615,10 @@ class TestSparseSteps:
     @pytest.mark.parametrize("n,p", [(60, 5.0 / 60), (100, 0.05), (200, 0.025)])
     def test_chosen_sizes_match_reference(self, n, p, seed):
         params = ModelParams(n, p)
-        assert _sparse_draws(p)
+        assert stream_layout(params) == SPARSE
         fast = run_consensus(params, _ramp(n), GraphSeed(seed).generator())
         assert fast == _sparse_reference_run(params, _ramp(n), GraphSeed(seed).generator())
         assert fast.steps > 0
-
-    @pytest.mark.parametrize("extra", [0, 1], ids=["last-of-first-chunk", "one-past-it"])
-    def test_stop_at_first_chunk_boundary(self, sparse_everywhere, extra):
-        params, x0, tol = ModelParams(6, 0.5), _ramp(6), 1e-3
-        for seed in range(200):
-            reference = _sparse_reference_run(params, x0, GraphSeed(seed).generator(), tol=tol)
-            if reference.steps == FIRST_CHUNK + extra:
-                break
-        else:
-            pytest.fail(f"no seed stops after {FIRST_CHUNK + extra} steps")
-        assert run_consensus(params, x0, GraphSeed(seed).generator(), tol=tol) == reference
-
-    @pytest.mark.parametrize("tol", [1e-3, 1e-14])
-    @pytest.mark.parametrize("n,p", [(2, 0.5), (6, 0.3), (20, 0.25), (70, 0.05), (150, 0.02)])
-    def test_tolerances(self, sparse_everywhere, n, p, tol):
-        for seed in range(5):
-            fast = run_consensus(ModelParams(n, p), _ramp(n), GraphSeed(seed).generator(), tol=tol)
-            reference = _sparse_reference_run(ModelParams(n, p), _ramp(n), GraphSeed(seed).generator(), tol=tol)
-            assert fast == reference
-
-    @pytest.mark.parametrize(
-        "p,x0,steps", [(1.0, _ramp(7), 1), (0.4, np.full(7, 0.3), 0)], ids=["p-one", "constant-x0"]
-    )
-    def test_trivial_runs(self, sparse_everywhere, p, x0, steps):
-        fast = run_consensus(ModelParams(7, p), x0, GraphSeed(4).generator())
-        assert fast == _sparse_reference_run(ModelParams(7, p), x0, GraphSeed(4).generator())
-        assert fast.steps == steps
-
-    @pytest.mark.parametrize("max_steps", [5, FIRST_CHUNK, 13, 3 * FIRST_CHUNK + 1])
-    def test_step_budget_ends_mid_or_on_chunk(self, sparse_everywhere, max_steps):
-        params, x0 = ModelParams(20, 0.1), _ramp(20)
-        with pytest.raises(NonConvergenceError) as fast:
-            run_consensus(params, x0, GraphSeed(9).generator(), tol=1e-300, max_steps=max_steps)
-        with pytest.raises(NonConvergenceError) as reference:
-            _sparse_reference_run(params, x0, GraphSeed(9).generator(), tol=1e-300, max_steps=max_steps)
-        assert fast.value.steps == reference.value.steps == max_steps
-        assert fast.value.spread == reference.value.spread > 0.0
 
     def test_vanishing_p_fails_to_converge(self):
         # Gaps this long are capped at 2**62 before the int64 cast; the run still ends in the budget error.

@@ -548,6 +548,12 @@ class TestPeakSize:
         with pytest.raises(ValueError):
             peak_size(5.0, 5)
 
+    @pytest.mark.parametrize("c", [math.inf, math.nan])
+    def test_rejects_a_non_finite_degree_by_name(self, c):
+        # inf overflowed in floor() and NaN failed there with a message that named no argument.
+        with pytest.raises(ValueError, match="^c must be finite and >= 1"):
+            peak_size(c, 50)
+
     def test_excludes_left_endpoint(self):
         # n = c itself has zero variance and is outside the scanned domain.
         assert peak_size(5.0, 6) == 6

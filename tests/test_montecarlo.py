@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erconsensus import dynamics, montecarlo
-from erconsensus.dynamics import NonConvergenceError, run_block, run_consensus
+from erconsensus.dynamics import NonConvergenceError, run_block, run_consensus, stream_layout
 from erconsensus.graphs import GraphSeed, ModelParams
 from erconsensus.montecarlo import (
     EnsembleStats,
@@ -15,7 +15,6 @@ from erconsensus.montecarlo import (
     jackknife_variance_stderr,
     resolve_x0,
     run_ensemble,
-    stream_layout,
     sweep_fixed_degree,
 )
 from erconsensus.moments import consensus_variance, variance_factor
@@ -224,14 +223,14 @@ class TestRunEnsemble:
 
 
 class TestDenseBlocks:
-    """Ensembles in blocks of _BLOCK_REPS on one generator each, mostly of the dense layout."""
+    """Ensembles in blocks of _BLOCK_REPS on one generator each, of the dense layout."""
 
     @pytest.mark.parametrize(
         "n,p", [pytest.param(n, 5.0 / n, id=str(n)) for n in (6, 20, 50)] + [pytest.param(50, 0.2, id="50-0.2")]
     )
     def test_within_four_sigma_of_closed_form_and_reference(self, n, p):
-        # Replication count and seed were fixed before the first run. At c = 5,
-        # n = 50 takes the sparse body; (50, 0.2) keeps a dense case at that size.
+        # Replication count and seed were fixed before the first run. Every case
+        # takes the dense body: p = 5/n is 0.1 at n = 50, above the 0.09 cut.
         reps = 2000
         params = ModelParams(n, p)
         x0 = resolve_x0("ramp", n)
@@ -287,7 +286,7 @@ class TestSparseBlocks:
         reps, params = 2000, ModelParams(20, 0.25)
         cfg = ExperimentConfig(params=params, x0_spec="ramp", reps=reps, seed=GraphSeed(2027, stream=20))
         dense = run_ensemble(cfg)
-        monkeypatch.setattr(dynamics, "_sparse_draws", lambda p: True)
+        monkeypatch.setattr(dynamics, "stream_layout", lambda params: "sparse-block")
         sparse = run_ensemble(cfg)
         assert abs(sparse.variance - dense.variance) <= 4.0 * math.hypot(sparse.stderr_variance, dense.stderr_variance)
         assert abs(sparse.mean - dense.mean) <= 4.0 * math.sqrt((sparse.variance + dense.variance) / reps)
@@ -324,20 +323,6 @@ class TestStepCounts:
         assert stats.steps_max == max(steps)
 
 
-class TestStreamLayout:
-    def test_fig1_sizes_are_all_dense(self):
-        layouts = [stream_layout(ModelParams(n, min(1.0, 5.0 / n))) for n in range(5, 51)]
-        assert layouts == ["dense-byte-block"] * 46  # p = 5/n >= 0.1 at every n = 5...50
-
-    @pytest.mark.parametrize(
-        "n,p,layout",
-        [(51, 0.1, "dense-byte-block"), (51, 0.11, "dense-byte-block"), (400, 0.0125, "sparse-block"),
-         (5, 0.15, "dense-byte-block"), (400, 0.16, "dense-byte-block"), (51, 0.09, "sparse-block")],
-    )
-    def test_follows_the_step_body(self, n, p, layout):
-        assert stream_layout(ModelParams(n, p)) == layout
-
-
 class TestSweepFixedDegree:
     def test_smoke_rows(self):
         rows = sweep_fixed_degree(5.0, range(5, 8), reps=300, seed=7)
@@ -357,6 +342,16 @@ class TestSweepFixedDegree:
     def test_rejects_sizes_below_c(self):
         with pytest.raises(ValueError):
             sweep_fixed_degree(5.0, range(3, 6), reps=10, seed=0)
+
+    def test_rejects_a_non_integer_size(self):
+        # int() would have run n = 7.
+        with pytest.raises(TypeError, match="^n must be an integer"):
+            sweep_fixed_degree(5, [7.9], 10, 1)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_bad_degree_by_name(self, c):
+        with pytest.raises(ValueError, match="^c must be finite and > 0"):
+            sweep_fixed_degree(c, [5], 10, 1)
 
     def test_reproducible_and_thread_invariant(self):
         a = sweep_fixed_degree(5.0, range(5, 7), reps=120, seed=3)
@@ -380,6 +375,15 @@ class TestFactorSweep:
     def test_sizes_below_c_skipped(self):
         rows = factor_sweep([10.0], range(5, 12))
         assert [row.n for row in rows] == [10, 11]
+
+    def test_rejects_a_non_integer_size(self):
+        with pytest.raises(TypeError, match="^n must be an integer"):
+            factor_sweep([5], [7.9])
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_bad_degree_by_name(self, c):
+        with pytest.raises(ValueError, match="^c must be finite and > 0"):
+            factor_sweep([5.0, c], [5])
 
     def test_matches_direct_factor(self):
         rows = factor_sweep([4.0], range(4, 9))

@@ -239,6 +239,17 @@ class TestLeftUnitEigenvector:
         with pytest.raises(ValueError):
             left_unit_eigenvector(np.ones((3, 3)))  # rows sum to 3
 
+    @pytest.mark.parametrize(
+        "m",
+        [[[np.nan, np.nan], [0.5, 0.5]], [[np.inf, -np.inf], [0.5, 0.5]], [[1.5, -0.5], [0.5, 0.5]]],
+        ids=["nan", "inf", "negative"],
+    )
+    def test_rejects_non_finite_or_negative_entries(self, m):
+        # Rows of NaN or of inf and -inf passed the row-sum check, and a negative
+        # entry was refused only when the solve happened to call it singular.
+        with pytest.raises(ValueError, match="^matrix entries must be finite and >= 0"):
+            left_unit_eigenvector(m)
+
 
 class TestSlem:
     def test_rank_one_is_zero(self):
