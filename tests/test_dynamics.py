@@ -602,10 +602,19 @@ class TestStepPathChoice:
     @pytest.mark.parametrize(
         "n,p",
         [(100, 0.25), (2000, 1.0), (50, 0.2), (20, 0.16), (400, 0.151), (51, 0.1), (50, 0.1), (400, 0.11),
-         (5, 0.15), (400, 0.0901), (51, 0.11), (400, 0.16)],
+         (5, 0.15), (400, 0.0901)],
     )
     def test_dense_elsewhere(self, n, p):
         assert stream_layout(ModelParams(n, p)) == DENSE
+
+    @pytest.mark.parametrize(
+        "n,p,layout",
+        [(51, 0.1, DENSE), (51, 0.11, DENSE), (400, 0.0125, SPARSE), (5, 0.15, DENSE), (400, 0.16, DENSE),
+         (51, 0.09, SPARSE)],
+    )
+    def test_follows_the_step_body(self, n, p, layout):
+        # Either side of the cut, by the layout names that run metadata records.
+        assert stream_layout(ModelParams(n, p)) == layout
 
 
 class TestSparseSteps:
