@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -29,6 +28,7 @@ from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_TOL, NonConvergenceError, strea
 from .graphs import GraphSeed, ModelParams
 from .montecarlo import (
     ExperimentConfig,
+    _check_degree,
     factor_sweep,
     resolve_x0,
     run_ensemble,
@@ -48,13 +48,6 @@ EXIT_NONCONVERGENCE = 3
 
 class UsageError(ValueError):
     """Invalid flag value; message names the offending flag."""
-
-
-def _fmt(value) -> str:
-    """Round-trip-safe text for floats (shortest repr), plain str otherwise."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _timestamp() -> str:
@@ -206,10 +199,7 @@ def render_fig1_csv(rows) -> str:
     """Sweep rows -> the fig1 CSV text (header + one line per size)."""
     lines = [FIG1_HEADER]
     for row in rows:
-        lines.append(
-            f"{row.n},{_fmt(row.p)},{_fmt(row.analytic_variance)},"
-            f"{_fmt(row.empirical_variance)},{_fmt(row.stderr)}"
-        )
+        lines.append(f"{row.n},{row.p},{row.analytic_variance},{row.empirical_variance},{row.stderr}")
     return "\n".join(lines) + "\n"
 
 
@@ -217,7 +207,7 @@ def render_fig2_csv(rows) -> str:
     """Factor rows -> the fig2 CSV text."""
     lines = [FIG2_HEADER]
     for row in rows:
-        lines.append(f"{_fmt(row.c)},{row.n},{_fmt(row.factor)}")
+        lines.append(f"{row.c},{row.n},{row.factor}")
     return "\n".join(lines) + "\n"
 
 
@@ -238,8 +228,7 @@ plot for [c in system("awk -F, 'NR>1 && !seen[$1]++ {{print $1}}' {data}")] \\
 
 
 def cmd_fig1(args) -> int:
-    if not args.c > 0:
-        raise UsageError(f"--c must be > 0, got {args.c}")
+    _check_degree(args.c)
     if args.n_min < args.c:
         raise UsageError(f"--n-min must be >= --c, got n-min {args.n_min} < c {args.c}")
     _check_table_flags(args)
@@ -262,8 +251,6 @@ def cmd_fig2(args) -> int:
         c_list = [float(part) for part in args.c.split(",")]
     except ValueError as exc:
         raise UsageError(f"--c must be comma-separated numbers, got {args.c!r}") from exc
-    if not all(math.isfinite(c) and c >= 1 for c in c_list):
-        raise UsageError(f"--c entries must be finite and >= 1, got {args.c!r}")
     _check_table_flags(args)
     rows = factor_sweep(c_list, range(args.n_min, args.n_max + 1))
     _write_table(args, render_fig2_csv(rows), _GNUPLOT_FIG2)

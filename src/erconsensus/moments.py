@@ -29,7 +29,6 @@ __all__ = [
     "PatternMap",
     "VarianceReport",
     "WeightSecondMoments",
-    "consensus_mean",
     "consensus_variance",
     "expected_kron_matrix",
     "expected_neighbor_weight",
@@ -309,11 +308,6 @@ def kron_left_eigenvector(params: ModelParams) -> np.ndarray:
     v = np.full(n * n, rho / delta)
     v[np.arange(n) * (n + 1)] = 1.0 / delta
     return v
-
-
-def consensus_mean(x0) -> float:
-    """Expected agreement value: the plain average of the initial states."""
-    return float(_check_x0(x0).mean())
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from erconsensus import cli
+from erconsensus.montecarlo import FactorRow, SweepRow
 from erconsensus.oracle import ENUM_MAX_N
 
 
@@ -293,6 +294,19 @@ class TestFig1:
         assert code == 2
         assert "--n-min" in err
 
+    def test_infinite_c_blames_c(self, capsys):
+        code, out, err = run_cli(capsys, "fig1", "--c", "inf", "--n-min", "5", "--n-max", "6")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --c: ")
+
+    def test_numpy_floats_print_as_numbers(self):
+        row = SweepRow(
+            n=6, p=np.float64(5 / 6), analytic_variance=np.float64(0.1), empirical_variance=np.float64(0.25),
+            stderr=np.float64(1e-3), analytic_mean=0.5, empirical_mean=0.5, reps_used=10,
+        )
+        assert cli.render_fig1_csv([row]).splitlines()[1] == f"6,{5 / 6!r},0.1,0.25,0.001"
+
     def test_output_file_and_gnuplot(self, capsys, tmp_path):
         csv_path = tmp_path / "sweep.csv"
         gp_path = tmp_path / "sweep.gp"
@@ -358,6 +372,17 @@ class TestFig2:
         code, _, err = run_cli(capsys, "fig2", "--c", "5,banana", "--n-min", "5", "--n-max", "10")
         assert code == 2
         assert "--c" in err
+
+    def test_accepts_every_degree_fig1_accepts(self, capsys):
+        # fig1 and both sweeps take any finite c > 0, below 1 too.
+        code, out, _ = run_cli(capsys, "fig2", "--c", "0.5", "--n-min", "2", "--n-max", "3")
+        assert code == 0
+        assert [line.split(",")[:2] for line in out.splitlines()[1:]] == [["0.5", "2"], ["0.5", "3"]]
+
+    def test_numpy_floats_print_as_numbers(self):
+        rows = [FactorRow(c=np.float64(5.0), n=5, factor=np.float64(0.0)),
+                FactorRow(c=5.0, n=6, factor=np.float64(0.125))]
+        assert cli.render_fig2_csv(rows) == "c,n,factor\n5.0,5,0.0\n5.0,6,0.125\n"
 
 
 class TestOracle:

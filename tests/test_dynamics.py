@@ -44,98 +44,105 @@ def _bodies(dense, sparse=None):
     ]
 
 
-class _SlotBytes:
-    """The dense body's slot bytes spelled out: rng's raw 64-bit words one at
-    a time, byte k of a word being (word >> 8k) & 255 for k = 0, ..., 7."""
+def _dense_literal(n, p, rng):
+    """The dense body spelled out one replication at a time: returns step(x), the next W x in stream order.
 
-    def __init__(self, rng):
-        self.rng, self.pending = rng, []
-
-    def take(self, count):
-        while len(self.pending) < count:
-            word = int(self.rng.bit_generator.random_raw())
-            self.pending += [word >> (8 * k) & 0xFF for k in range(8)]
-        taken, self.pending = self.pending[:count], self.pending[count:]
-        return taken
-
-
-def _literal_edges(slot_bytes, p, tie):
-    """Slot by slot: a byte below floor(256 p) is an edge and one above it is
-    not; a tie is an edge when the tie stream's next double is below 256 p - floor(256 p)."""
-    cut = math.floor(256 * p)
-    return np.array([b < cut or (b == cut and tie.random() < 256 * p - cut) for b in slot_bytes], dtype=float)
-
-
-def _literal_step(adj, x):
-    """x <- W x with w_ij = (a_ij + [i == j]) / (d_i + 1), a drawn diagonal ignored.
-
-    The neighborhood sums come from the product (A + I) [x, 1], the BLAS
-    call the package makes: another summation order would round
-    differently. The normalizer is the literal 1 / (d + 1).
+    The tie stream is seeded by rng's first raw word. Each call takes the
+    next n*n slot bytes from rng's raw 64-bit words, one word at a time,
+    byte k of a word being (word >> 8k) & 255 for k = 0, ..., 7. A byte
+    below floor(256 p) is an edge and one above it is not; a tie is an
+    edge when the tie stream's next double is below 256 p - floor(256 p).
+    Then x <- W x with w_ij = (a_ij + [i == j]) / (d_i + 1), a drawn
+    diagonal ignored. The neighborhood sums come from the product
+    (A + I) [x, 1], the BLAS call the package makes: another summation
+    order would round differently. The normalizer is the literal 1 / (d + 1).
     """
-    n = x.size
-    a = adj.copy()
-    np.fill_diagonal(a, 0.0)
-    d = a.sum(axis=1)
-    sums = (a + np.eye(n)) @ np.column_stack((x, np.ones(n)))
-    return sums[:, 0] * (1.0 / (d + 1.0))
-
-
-def _reference_run(params, x0, rng, tol=1e-10, max_steps=10**6):
-    """run_consensus spelled out the long way: n*n slot bytes and one literal update per step.
-
-    The tie stream is seeded by rng's first raw word; the slot bytes
-    start at the second.
-    """
-    n, p = params.n, params.p
     tie = np.random.default_rng(int(rng.bit_generator.random_raw()))
-    slot_bytes = _SlotBytes(rng)
-    x = np.array(x0, dtype=float)
-    steps = 0
-    spread = float(x.max() - x.min())
-    while spread >= tol:
-        if steps >= max_steps:
-            raise NonConvergenceError("reference run did not converge", steps=steps, spread=spread)
-        x = _literal_step(_literal_edges(slot_bytes.take(n * n), p, tie).reshape(n, n), x)
-        steps += 1
-        spread = float(x.max() - x.min())
-    return ConsensusOutcome(value=float(x.mean()), steps=steps, spread=spread)
+    cut = math.floor(256 * p)
+    spare = []
+
+    def step(x):
+        nonlocal spare
+        while len(spare) < n * n:
+            word = int(rng.bit_generator.random_raw())
+            spare += [word >> (8 * k) & 0xFF for k in range(8)]
+        slot_bytes, spare = spare[: n * n], spare[n * n :]
+        adj = np.array([b < cut or (b == cut and tie.random() < 256 * p - cut) for b in slot_bytes], dtype=float)
+        adj = adj.reshape(n, n)
+        np.fill_diagonal(adj, 0.0)
+        sums = (adj + np.eye(n)) @ np.column_stack((x, np.ones(n)))
+        return sums[:, 0] * (1.0 / (adj.sum(axis=1) + 1.0))
+
+    return step
 
 
-def _sparse_reference_run(params, x0, rng, tol=1e-10, max_steps=10**6):
-    """The sparse step body spelled out: one geometric gap at a time, one step at a time.
+def _sparse_literal(n, p, rng):
+    """The sparse body spelled out one replication at a time: returns step(x), the next W x in stream order.
 
-    The edge slots (i, j), i != j, of successive steps form one Bernoulli(p)
-    sequence, step after step and row after row; an edge at slot position
-    pos is found by adding one Geometric(p) gap to the previous one, drawn
-    by the package's gap law ceil(E / -log1p(-p)), E standard exponential
-    (at p = 1 every gap is 1 and nothing is drawn).
+    The edge slots (i, j), i != j, of successive calls form one
+    Bernoulli(p) sequence, call after call and row after row; the next
+    edge is found by adding one gap to the last, drawn by the package's
+    gap law ceil(E / -log1p(-p)), E standard exponential (at p = 1 every
+    gap is 1 and nothing is drawn). Then x <- (x + neighbor sums) / (d + 1).
     """
-    n, p = params.n, params.p
     slots = n * (n - 1)
-    x = np.array(x0, dtype=float)
 
     def gap():
         return 1 if p == 1.0 else math.ceil(rng.standard_exponential() / -math.log1p(-p))
 
-    edge = gap() - 1  # position of the next edge from the start of the run
-    steps = 0
-    spread = float(x.max() - x.min())
-    while spread >= tol:
-        if steps >= max_steps:
-            raise NonConvergenceError("reference run did not converge", steps=steps, spread=spread)
+    edge = gap() - 1  # the next edge, counted from the first slot of the next call
+
+    def step(x):
+        nonlocal edge
         rows, cols = [], []
-        while edge < (steps + 1) * slots:
-            i, j = divmod(edge - steps * slots, n - 1)
+        while edge < slots:
+            i, j = divmod(edge, n - 1)
             rows.append(i)
             cols.append(j + (j >= i))
             edge += gap()
+        edge -= slots
         rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
-        degrees = np.bincount(rows, minlength=n)
-        x = (x + np.bincount(rows, x[cols], minlength=n)) * (1.0 / (degrees + 1.0))
-        steps += 1
-        spread = float(x.max() - x.min())
-    return ConsensusOutcome(value=float(x.mean()), steps=steps, spread=spread)
+        return (x + np.bincount(rows, x[cols], minlength=n)) * (1.0 / (np.bincount(rows, minlength=n) + 1.0))
+
+    return step
+
+
+def _reference_block(params, x0, reps, rng, tol=1e-10, max_steps=10**6):
+    """run_block spelled out the long way, on the step body dynamics.stream_layout(params) names.
+
+    Each step, the active replications in index order take their graphs
+    one after another from the body's literal stream and apply the
+    literal update, with no pieces and no workspace. Returns run_block's
+    (values, steps, spreads).
+    """
+    x = np.tile(np.asarray(x0, dtype=float), (reps, 1))
+    spread = x.max(axis=1) - x.min(axis=1)
+    values, steps, spreads = np.full(reps, np.nan), np.full(reps, max_steps), spread
+    if spread[0] < tol:
+        values[:], steps[:] = x[0].mean(), 0
+        return values, steps, spreads
+    literal = _sparse_literal if dynamics.stream_layout(params) == SPARSE else _dense_literal
+    step_one = literal(params.n, params.p, rng)
+    active = np.arange(reps)
+    for step in range(1, max_steps + 1):
+        x = np.array([step_one(state) for state in x])
+        spread = x.max(axis=1) - x.min(axis=1)
+        spreads[active] = spread
+        done = spread < tol
+        values[active[done]] = x[done].mean(axis=1)
+        steps[active[done]] = step
+        active, x = active[~done], x[~done]
+        if not active.size:
+            break
+    return values, steps, spreads
+
+
+def _reference_run(params, x0, rng, tol=1e-10, max_steps=10**6):
+    """run_consensus spelled out: _reference_block with one replication, raising as run_consensus does."""
+    values, steps, spreads = _reference_block(params, x0, 1, rng, tol, max_steps)
+    if np.isnan(values[0]):
+        raise NonConvergenceError("reference run did not converge", steps=int(steps[0]), spread=float(spreads[0]))
+    return ConsensusOutcome(value=float(values[0]), steps=int(steps[0]), spread=float(spreads[0]))
 
 
 def _weights(dense_update, adj):
@@ -341,32 +348,22 @@ class TestRunConsensus:
             run_consensus(ModelParams(2, 0.5), [bad, 1.0], GraphSeed(0).generator())
 
 
-def _reference_block(params, x0, reps, rng, tol=1e-10, max_steps=10**6):
-    """run_block's dense body spelled out: each step the n*n slot bytes of every active
-    replication in index order, ties in slot order, literal weights, no pieces."""
-    n, p = params.n, params.p
-    tie = np.random.default_rng(int(rng.bit_generator.random_raw()))
-    slot_bytes = _SlotBytes(rng)
-    values, steps, spreads = np.full(reps, np.nan), np.full(reps, max_steps), np.full(reps, np.nan)
-    active, x = np.arange(reps), np.tile(np.asarray(x0, dtype=float), (reps, 1))
-    for step in range(1, max_steps + 1):
-        adj = _literal_edges(slot_bytes.take(active.size * n * n), p, tie).reshape(active.size, n, n)
-        x = np.array([_literal_step(a, state) for a, state in zip(adj, x)])
-        spread = x.max(axis=1) - x.min(axis=1)
-        done = spread < tol
-        values[active[done]] = x[done].mean(axis=1)
-        steps[active[done]] = step
-        spreads[active] = spread
-        active, x = active[~done], x[~done]
-        if not active.size:
-            break
-    return values, steps, spreads
-
-
 class TestRunBlock:
-    @pytest.mark.parametrize("n,p,reps", [(2, 0.5, 7), (6, 5 / 6, 40), (50, 0.2, 30)])
-    def test_matches_reference_loop(self, n, p, reps):
-        # At n = 50 a step of 30 replications is drawn in two pieces, 26 and 4.
+    @pytest.mark.parametrize(
+        "body,n,p,reps,cap",
+        _bodies(
+            {key: (*case, None) for key, case in _named([(2, 0.5, 7), (6, 5 / 6, 40), (50, 0.2, 30)]).items()},
+            {key: (*case, None) for key, case in _named([(2, 0.5, 7), (6, 5 / 6, 40), (20, 0.05, 9)]).items()}
+            | {"12-0.08-25-cap-100": (12, 0.08, 25, 100)},
+        ),
+    )
+    def test_matches_reference_loop(self, on_body, monkeypatch, body, n, p, reps, cap):
+        # Dense: at n = 50 a step of 30 replications is drawn in two pieces, 26 and 4.
+        # Sparse: a budget of 100 numbers at n = 12, p = 0.08 holds 100 // (12 + 11) = 4
+        # replications, so a step of 25 is drawn in seven pieces.
+        on_body(body)
+        if cap is not None:
+            monkeypatch.setattr(dynamics, "_SPARSE_NUMBERS", cap)
         params = ModelParams(n, p)
         values, steps, spreads = run_block(params, _ramp(n), reps, GraphSeed(4).generator())
         ref_values, ref_steps, ref_spreads = _reference_block(params, _ramp(n), reps, GraphSeed(4).generator())
@@ -374,6 +371,7 @@ class TestRunBlock:
         assert np.array_equal(steps, ref_steps)
         assert np.array_equal(spreads, ref_spreads)
         assert np.all(steps > 0)
+        assert len(set(steps)) > 1  # replications left at different steps
 
     @pytest.mark.parametrize(
         "body,n,p,cap",
@@ -465,11 +463,10 @@ def _ramp(n):
 
 @pytest.fixture
 def on_body(monkeypatch):
-    """on_body(body) sends every run through that step body and returns the body's per-step reference."""
+    """on_body(body) sends every run through that step body, the references' included."""
 
     def force(body):
         monkeypatch.setattr(dynamics, "stream_layout", lambda params: body)
-        return {DENSE: _reference_run, SPARSE: _sparse_reference_run}[body]
 
     return force
 
@@ -479,10 +476,10 @@ class TestChunkBoundaries:
 
     @pytest.mark.parametrize("body,extra", _bodies({"last-of-first-chunk": (0,), "one-past-it": (1,)}))
     def test_stop_at_first_chunk_boundary(self, on_body, body, extra):
-        reference_run = on_body(body)
+        on_body(body)
         params, x0, tol = ModelParams(6, 0.5), _ramp(6), 1e-3
         for seed in range(200):
-            reference = reference_run(params, x0, GraphSeed(seed).generator(), tol=tol)
+            reference = _reference_run(params, x0, GraphSeed(seed).generator(), tol=tol)
             if reference.steps == FIRST_CHUNK + extra:
                 break
         else:
@@ -498,19 +495,19 @@ class TestChunkBoundaries:
         ),
     )
     def test_tolerances(self, on_body, body, n, p, tol):
-        reference_run = on_body(body)
+        on_body(body)
         for seed in range(5):
             fast = run_consensus(ModelParams(n, p), _ramp(n), GraphSeed(seed).generator(), tol=tol)
-            reference = reference_run(ModelParams(n, p), _ramp(n), GraphSeed(seed).generator(), tol=tol)
+            reference = _reference_run(ModelParams(n, p), _ramp(n), GraphSeed(seed).generator(), tol=tol)
             assert fast == reference
 
     @pytest.mark.parametrize(
         "body,p,x0,steps", _bodies({"one-step": (1.0, _ramp(7), 1), "zero-steps": (0.4, np.full(7, 0.3), 0)})
     )
     def test_trivial_runs(self, on_body, body, p, x0, steps):
-        reference_run = on_body(body)
+        on_body(body)
         fast = run_consensus(ModelParams(7, p), x0, GraphSeed(4).generator())
-        assert fast == reference_run(ModelParams(7, p), x0, GraphSeed(4).generator())
+        assert fast == _reference_run(ModelParams(7, p), x0, GraphSeed(4).generator())
         assert fast.steps == steps
 
     @pytest.mark.parametrize("n", [127, 128, 130])
@@ -525,12 +522,12 @@ class TestChunkBoundaries:
                 {str(k): (0.1, k) for k in (5, FIRST_CHUNK, 13, 3 * FIRST_CHUNK + 1)}),
     )
     def test_step_budget_ends_mid_or_on_chunk(self, on_body, body, p, max_steps):
-        reference_run = on_body(body)
+        on_body(body)
         params, x0 = ModelParams(20, p), _ramp(20)
         with pytest.raises(NonConvergenceError) as fast:
             run_consensus(params, x0, GraphSeed(9).generator(), tol=1e-300, max_steps=max_steps)
         with pytest.raises(NonConvergenceError) as reference:
-            reference_run(params, x0, GraphSeed(9).generator(), tol=1e-300, max_steps=max_steps)
+            _reference_run(params, x0, GraphSeed(9).generator(), tol=1e-300, max_steps=max_steps)
         assert fast.value.steps == reference.value.steps == max_steps
         assert fast.value.spread == reference.value.spread > 0.0
 
@@ -626,7 +623,7 @@ class TestSparseSteps:
         params = ModelParams(n, p)
         assert stream_layout(params) == SPARSE
         fast = run_consensus(params, _ramp(n), GraphSeed(seed).generator())
-        assert fast == _sparse_reference_run(params, _ramp(n), GraphSeed(seed).generator())
+        assert fast == _reference_run(params, _ramp(n), GraphSeed(seed).generator())
         assert fast.steps > 0
 
     def test_vanishing_p_fails_to_converge(self):

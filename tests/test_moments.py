@@ -2,6 +2,7 @@ import itertools
 import math
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from erconsensus.graphs import ModelParams
 from erconsensus.moments import (
     DENSE_KRON_LIMIT,
-    consensus_mean,
     consensus_variance,
     expected_kron_matrix,
     expected_neighbor_weight,
@@ -100,8 +100,12 @@ class TestSelfWeight:
 
     def test_small_p_no_cancellation(self):
         # p = c/n regime: the naive (1-(1-p)^n)/(np) loses digits; ours must not.
-        n, p = 10**6, Fraction(5, 10**6)
-        exact = (1 - (1 - p) ** n) / (n * p)
+        # The reference (1 - p)^n at 60 significant digits: exact as a Fraction
+        # it has about 6 million digits.
+        n, p = 10**6, Decimal(5) / 10**6
+        with localcontext() as context:
+            context.prec = 60
+            exact = (1 - (1 - p) ** n) / (n * p)
         value = expected_self_weight(ModelParams(n, float(p)))
         assert value == pytest.approx(float(exact), rel=1e-13)
 
@@ -399,23 +403,25 @@ class TestKronEigenvector:
 
 
 class TestConsensusMean:
+    """The closed-form mean E[x*] = mean(x0), as consensus_variance reports it."""
+
     def test_two_point(self):
-        assert consensus_mean([0.0, 1.0]) == 0.5
+        assert consensus_variance(ModelParams(2, 0.5), [0.0, 1.0]).mean == 0.5
 
     def test_constant(self):
-        assert consensus_mean(np.full(7, 3.25)) == 3.25
+        assert consensus_variance(ModelParams(7, 0.3), np.full(7, 3.25)).mean == 3.25
 
     def test_ramp_ten(self):
         x0 = np.arange(1, 11) / 10.0
-        assert consensus_mean(x0) == pytest.approx(0.55, abs=1e-15)
+        assert consensus_variance(ModelParams(10, 0.5), x0).mean == pytest.approx(0.55, abs=1e-15)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            consensus_mean([])
+            consensus_variance(ModelParams(2, 0.5), [])
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
-            consensus_mean([np.nan, 1.0])
+            consensus_variance(ModelParams(2, 0.5), [np.nan, 1.0])
 
 
 class TestConsensusVariance:
