@@ -24,6 +24,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from . import __version__
 from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_TOL, NonConvergenceError, stream_layout
 from .graphs import GraphSeed, ModelParams
 from .montecarlo import (
@@ -61,12 +62,13 @@ def _timestamp() -> str:
 
 
 def _record(args, params: dict, results: dict, seed=None) -> dict:
+    versions = {"erconsensus": __version__, "numpy": np.__version__}
     return {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
         "params": params,
         "results": results,
-        "provenance": {"seed": seed, "timestamp": args.timestamp},
+        "provenance": {"seed": seed, "timestamp": args.timestamp, **versions},
     }
 
 
@@ -182,7 +184,6 @@ def cmd_simulate(args) -> int:
     # the steps replications took.
     record["provenance"].update(
         stream=stream_layout(params),
-        numpy=np.__version__,
         bit_generator=type(cfg.seed.generator().bit_generator).__name__,
         steps_mean=stats.steps_mean,
         steps_max=stats.steps_max,

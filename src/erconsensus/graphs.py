@@ -8,6 +8,7 @@ therefore Binomial(n - 1, p). Self-loops are never part of a realization
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,9 @@ class ModelParams:
 
     p = 0 is rejected: the expected update matrix degenerates to the
     identity, no information ever moves, and the variance coefficients
-    become 0/0. Failing at construction beats returning meaningless
-    moments downstream.
+    become 0/0. A subnormal p is rejected too: products with it underflow
+    to 0, and the oracle's Perron solve fails. Failing at construction
+    beats returning meaningless moments downstream.
     """
 
     n: int
@@ -35,8 +37,8 @@ class ModelParams:
         _check_int("n", self.n, 2)
         if isinstance(self.p, bool):
             raise TypeError("p must be a number, got bool")
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError(f"p must be in (0, 1], got {self.p}")
+        if not sys.float_info.min <= self.p <= 1.0:
+            raise ValueError(f"p must be in (0, 1] and not subnormal (< {sys.float_info.min}), got {self.p}")
 
     @property
     def q(self) -> float:

@@ -38,7 +38,6 @@ __all__ = [
     "kron_apply_left",
     "kron_left_eigenvector",
     "pattern_map",
-    "peak_size",
     "second_moments",
     "variance_coefficients",
     "variance_factor",
@@ -55,8 +54,8 @@ def _one_minus_q_pow(p: float, n: int) -> float:
     return -math.expm1(n * math.log1p(-p))
 
 
-def _inv_square_binomial_moment(p: float, trials: int) -> float:
-    """E[1/(X + 1)^2] for X ~ Binomial(trials, p).
+def _inv_square_binomial_moment(p: float, trials: int, shift: int = 1) -> float:
+    """E[1/(X + shift)^2] for X ~ Binomial(trials, p).
 
     Weights proportional to the pmf come from the ratio recurrence
     pmf(k+1)/pmf(k) = (trials-k)/(k+1) * p/q, summed in log space outward
@@ -65,9 +64,9 @@ def _inv_square_binomial_moment(p: float, trials: int) -> float:
     binomial coefficient and q^trials. The point masses are exact.
     """
     if trials == 0 or p <= 0.0:
-        return 1.0
+        return 1.0 / shift**2
     if p >= 1.0:
-        return 1.0 / (trials + 1) ** 2
+        return 1.0 / (trials + shift) ** 2
     mode = min(int((trials + 1) * p), trials)
     k = np.arange(trials)
     log_ratio = np.log((trials - k) / (k + 1)) + (math.log(p) - math.log1p(-p))
@@ -75,7 +74,7 @@ def _inv_square_binomial_moment(p: float, trials: int) -> float:
     log_w[mode + 1:] = np.cumsum(log_ratio[mode:])
     log_w[:mode] = -np.cumsum(log_ratio[:mode][::-1])[::-1]
     w = np.exp(log_w)
-    return float(np.sum(w / np.arange(1, trials + 2) ** 2) / np.sum(w))
+    return float(np.sum(w / np.arange(shift, trials + shift + 1) ** 2) / np.sum(w))
 
 
 def expected_self_weight(params: ModelParams) -> float:
@@ -91,10 +90,8 @@ def expected_neighbor_weight(params: ModelParams) -> float:
 def expected_self_weight_sq(params: ModelParams) -> float:
     """E[w_ii^2] = E[1/(d+1)^2], the second moment of the self-weight.
 
-    Computed as a normalized sum of pmf-proportional weights that peak
-    at the mode; the equivalent power-series form
-    q^(n-1) sum_k (k+1)^-2 binom(n-1, k) (p/q)^k multiplies a huge series
-    by a vanishing q^(n-1).
+    Not the power-series form q^(n-1) sum_k (k+1)^-2 binom(n-1, k) (p/q)^k,
+    which multiplies a huge series by a vanishing q^(n-1).
     """
     return _inv_square_binomial_moment(params.p, params.n - 1)
 
@@ -130,13 +127,17 @@ class WeightSecondMoments:
 
 
 def second_moments(params: ModelParams) -> WeightSecondMoments:
-    """All six second-moment classes from the two diagonal moments."""
-    n = params.n
+    """All six classes; the same-row ones condition on the edges they hold.
+
+    Given one edge d = 1 + Binomial(n-2, p), given two d = 2 + Binomial(n-3, p);
+    the equal forms (f1 - g2)/(n-1), (1 + 2 g2 - 3 f1)/((n-1)(n-2)) cancel at small p.
+    """
+    n, p = params.n, params.p
     f1 = expected_self_weight(params)
     g2 = expected_self_weight_sq(params)
     off = expected_neighbor_weight(params)
-    same = (f1 - g2) / (n - 1)
-    pair_same = (1.0 + 2.0 * g2 - 3.0 * f1) / ((n - 1) * (n - 2)) if n >= 3 else None
+    same = p * _inv_square_binomial_moment(p, n - 2, shift=2)
+    pair_same = p * p * _inv_square_binomial_moment(p, n - 3, shift=3) if n >= 3 else None
     return WeightSecondMoments(
         mean_self=f1,
         mean_neighbor=off,
@@ -358,25 +359,3 @@ def variance_factor(params: ModelParams) -> float:
     rho, delta = variance_coefficients(params)
     return params.n * (1.0 - rho) / delta
 
-
-def peak_size(c: float, n_max: int) -> int:
-    """Network size in (c, n_max] maximizing the closed-form variance for
-    p = c/n under the ramp initial condition x_i(0) = i/n.
-
-    The ramp's dispersion is (n^2 - 1)/(12 n), so the scanned objective
-    is (1 - rho)/delta * (n^2 - 1)/(12 n). Ties break toward smaller n.
-    Because the ramp's own dispersion grows with n, this peak sits
-    slightly to the right of the peak of the x0-independent factor
-    n(1 - rho)/delta (e.g. sizes 10 vs 9 for c = 5).
-    """
-    if not 1.0 <= c < math.inf:  # NaN fails both comparisons
-        raise ValueError(f"c must be finite and >= 1, got {c}")
-    n_start = math.floor(c) + 1
-    if n_max < n_start:
-        raise ValueError(f"n_max must exceed c = {c}, got {n_max}")
-
-    def ramp_variance(n: int) -> float:
-        rho, delta = variance_coefficients(ModelParams(n, c / n))
-        return (1.0 - rho) / delta * (n * n - 1) / (12.0 * n)
-
-    return max(range(n_start, n_max + 1), key=ramp_variance)

@@ -49,7 +49,7 @@ ENUM_MAX_N = 16
 def enumerate_expected_matrices(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Exact E[W] and E[W (x) W] from the 2^(n-1) out-neighbour sets of node 0.
 
-    Returns (exact_ew, exact_eww) with exact_eww indexed like the dense
+    Returns (ew, eww) with eww indexed like the dense
     analytic assembly: row (i, r) = i*n + r, column (j, s) = j*n + s,
     entry E[w_ij w_rs]. Each set with d neighbours has probability
     p^d q^(n-1-d) and, by the model's weight rule, row-0 weights
@@ -199,11 +199,10 @@ class OracleReport:
     """Enumeration vs closed forms, discrepancies reported unclipped.
 
     ew_residual and eww_residual are the solve residuals max|v^T M - v^T|
-    of the Perron vectors of the enumerated E[W] and E[W (x) W].
+    of the Perron vectors of the enumerated E[W] and E[W (x) W]; the
+    matrices themselves are enumerate_expected_matrices(params).
     """
 
-    exact_ew: np.ndarray
-    exact_eww: np.ndarray
     exact_variance: float
     closed_form_variance: float
     ew_discrepancy: float
@@ -231,8 +230,6 @@ def oracle_report(params: ModelParams, x0, allow_large: bool = False) -> OracleR
     ew, eww, small, big, enumerated_variance = _enumerated_variance(params, x0)
     closed = consensus_variance(params, x0)
     return OracleReport(
-        exact_ew=ew,
-        exact_eww=eww,
         exact_variance=enumerated_variance,
         closed_form_variance=closed.variance,
         ew_discrepancy=float(np.max(np.abs(ew - expected_weight_matrix(params)))),

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import erconsensus
 from erconsensus import cli
 from erconsensus.montecarlo import FactorRow, SweepRow
 from erconsensus.oracle import ENUM_MAX_N
@@ -30,6 +31,23 @@ def run_json(capsys, *argv):
 
 
 ENVELOPE_KEYS = ["schema_version", "command", "params", "results", "provenance"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analytic", "--n", "3", "--p", "0.5", "--x0", "ramp"],
+        ["simulate", "--n", "6", "--p", "0.5", "--x0", "ramp", "--reps", "5", "--seed", "2"],
+        ["oracle", "--n", "3", "--p", "0.5", "--x0", "ramp"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_record_names_the_versions(capsys, argv):
+    code, record, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert record["provenance"]["erconsensus"] == erconsensus.__version__
+    assert record["provenance"]["numpy"] == np.__version__
+    assert not {"erconsensus", "numpy"} & set(record["results"])
 
 
 class TestAnalytic:
@@ -76,6 +94,12 @@ class TestAnalytic:
             (["fig1", "--c", "5", "--n-min", "5", "--n-max", "6", "--x0", "0,1"], "--x0"),
             (["fig2", "--c", "5,inf", "--n-min", "5", "--n-max", "6"], "--c"),
             (["fig2", "--c", "inf", "--n-min", "5", "--n-max", "6"], "--c"),
+            (["oracle", "--n", "5", "--p", "1e-310", "--x0", "ramp"], "error: --p: p must be in (0, 1] and not subnormal"),
+            (["oracle", "--n", "5", "--p", "5e-324", "--x0", "ramp"], "error: --p: p must be in (0, 1] and not subnormal"),
+            (
+                ["simulate", "--n", "5", "--p", "1e-310", "--x0", "ramp", "--reps", "1", "--max-steps", "2"],
+                "error: --p: p must be in (0, 1] and not subnormal",
+            ),
         ],
     )
     def test_usage_errors_name_the_flag(self, capsys, argv, needle):

@@ -56,6 +56,14 @@ class TestModelParams:
     def test_p_one_allowed(self):
         assert ModelParams(2, 1.0).q == 0.0
 
+    @pytest.mark.parametrize("p", [np.nextafter(np.finfo(float).tiny, 0.0), 1e-310, 5e-324])
+    def test_subnormal_p_rejected_by_name(self, p):
+        with pytest.raises(ValueError, match=r"^p must be in \(0, 1\] and not subnormal"):
+            ModelParams(3, float(p))
+
+    def test_smallest_normal_p_allowed(self):
+        assert ModelParams(3, np.finfo(float).tiny).p == 2.2250738585072014e-308
+
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             ModelParams(1, 0.5)

@@ -123,7 +123,7 @@ class TestAcrossFig1Range:
         assert report.max_abs_discrepancy < 1e-10
 
     @pytest.mark.parametrize("n", [2, 5, ENUM_MAX_N])
-    @pytest.mark.parametrize("p", [1e-4, 1e-8, 1e-300])
+    @pytest.mark.parametrize("p", [1e-4, 1e-8, 1e-300, 2.2250738585072014e-308])
     def test_report_within_threshold_at_small_p(self, n, p):
         # The spectral gap of E[W (x) W] shrinks like p; the accuracy must not.
         report = oracle_report(ModelParams(n, p), resolve_x0("ramp", n))
@@ -168,6 +168,15 @@ class TestLeftUnitEigenvector:
         assert np.max(np.abs(estimate.vector - [0.3, 0.2, 0.2, 0.3])) < 1e-10
         assert estimate.vector.sum() == pytest.approx(1.0, abs=1e-13)
         assert estimate.iterations == 1
+
+    @pytest.mark.parametrize("n,p", [(3, 1e-9), (5, 1e-12), (10, 1e-15)])
+    def test_solves_the_closed_form_second_moment_matrix_at_small_p(self, n, p):
+        # The closed-form matrix had negative entries here and was refused. Its
+        # mean neighbour weight still loses digits at small p, so only the sign
+        # and the residual of the solved vector are checked.
+        estimate = left_unit_eigenvector(expected_kron_matrix(ModelParams(n, p)))
+        assert estimate.vector.min() >= 0.0
+        assert estimate.residual < 1e-15
 
     def test_two_state_chain_within_rounding_of_identity(self):
         # Stationary law (b, a)/(a + b); power iteration from uniform stops at (0.5, 0.5).
