@@ -29,7 +29,7 @@ for stream in range(3):
 print("\none path, stopped at ever smaller spreads (the same stream every time):")
 for exponent in range(1, 11):
     out = run_consensus(params, x0, GraphSeed(7).generator(), tol=10.0**-exponent)
-    print(f"  spread < 1e-{exponent:02d} after {out.steps:3d} steps, x = {out.value:.10f}")
+    print(f"  spread < 1e-{exponent:02d} x spread(x0) after {out.steps:3d} steps, x = {out.value:.10f}")
 
 report = consensus_variance(params, x0)
 cfg = ExperimentConfig(params=params, x0_spec=x0, reps=4000, seed=GraphSeed(2))

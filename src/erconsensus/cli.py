@@ -38,7 +38,7 @@ from .montecarlo import (
 from .moments import consensus_variance
 from .oracle import ENUM_MAX_N, oracle_report
 
-SCHEMA_VERSION = "6"
+SCHEMA_VERSION = "7"
 ORACLE_THRESHOLD = 1e-10
 
 EXIT_OK = 0
@@ -310,7 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
     ensemble = argparse.ArgumentParser(add_help=False)
     ensemble.add_argument("--reps", type=int, default=2000, help="replication count")
     ensemble.add_argument("--seed", type=int, default=0, help="root seed (>= 0)")
-    ensemble.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    ensemble.add_argument(
+        "--tol",
+        type=float,
+        default=DEFAULT_TOL,
+        help=f"stop a run once its spread is below tol times the spread of x0 (0 < tol < 1, default {DEFAULT_TOL:g})",
+    )
     ensemble.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     ensemble.add_argument(
         "--threads",

@@ -5,8 +5,19 @@ state with those of its d_i out-neighbors, w_ij = (a_ij + [i == j]) /
 (d_i + 1); the self-loop keeps the normalizer positive for isolated
 nodes, and a drawn diagonal is ignored. Row-stochasticity keeps every
 state inside the convex hull of the previous ones, so the spread
-max(x) - min(x) can only shrink; a run stops once it drops below
-tolerance.
+max(x) - min(x) can only shrink.
+
+The tolerance is relative: a run steps the centred state x0 - mean(x0)
+and stops once its spread is below tol * spread(x0); the reported value
+is the mean of that state plus mean(x0), so it lies within
+tol * spread(x0) of every coordinate. Rows of W sum to 1, so centring
+shifts every path, and the limit x*, by the same constant, and keeps the
+states far from the float spacing of a large common offset. E[W] is
+doubly stochastic, so the state mean is a bounded martingale: the
+reported mean is an unbiased estimate of x* at any tol, and its variance
+is below var(x*) by less than (tol * spread(x0))**2 (optional stopping;
+Williams, "Probability with Martingales", 1991). So DEFAULT_TOL = 1e-6
+keeps the variance bias below 1e-12 spread(x0)**2.
 
 run_block is the one engine: it steps a block of replications together
 on one generator, and run_consensus is a block of one. Each step takes
@@ -70,7 +81,7 @@ __all__ = [
     "stream_layout",
 ]
 
-DEFAULT_TOL = 1e-10
+DEFAULT_TOL = 1e-6
 DEFAULT_MAX_STEPS = 10**6
 
 # Piece budgets (see the module docstring): a block of any size holds no
@@ -84,7 +95,7 @@ _SPARSE_NUMBERS = 2**14
 
 
 class NonConvergenceError(RuntimeError):
-    """The spread failed to drop below tolerance within the step budget."""
+    """The spread failed to drop below tol * spread(x0) within the step budget."""
 
     def __init__(self, message: str, steps: int | None = None, spread: float | None = None):
         super().__init__(message)
@@ -93,10 +104,19 @@ class NonConvergenceError(RuntimeError):
 
 
 def _check_budget(tol: float, cap_name: str, cap: int) -> None:
-    """Reject an iteration budget that cannot work: tol finite and > 0, cap an integer >= 1."""
-    if not 0.0 < tol < np.inf:  # NaN fails both comparisons
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    """Reject an iteration budget that cannot work: tol in (0, 1), cap an integer >= 1.
+
+    tol is relative to the spread of x0, so tol >= 1 would stop every run after one step.
+    """
+    if not 0.0 < tol < 1.0:  # NaN fails both comparisons
+        raise ValueError(f"tol must be finite and positive and < 1 (relative to the spread of x0), got {tol}")
     _check_int(cap_name, cap, 1)
+
+
+def _stop_rule(tol: float, x0: np.ndarray) -> str:
+    """The stopping threshold of a run from x0, relative and absolute, for error messages."""
+    spread = float(x0.max() - x0.min())
+    return f"tol {tol:.1e} x spread(x0) {spread:.3e} = {tol * spread:.3e}"
 
 
 @dataclass(frozen=True)
@@ -216,9 +236,10 @@ def _dense_piece(x: np.ndarray, out: np.ndarray, p: float, spare: np.ndarray, ra
     flat = adj.reshape(slots)
     cut = math.floor(256.0 * p)
     np.less(draw, cut, out=flat, casting="unsafe")
-    ties = (draw == cut).nonzero()[0]
-    if ties.size:  # no ties, no tie draw: the tie stream is the same either way
-        flat[ties] = tie.random(ties.size) < 256.0 * p - cut
+    if 256.0 * p > cut:  # else no tie is an edge, and the block's tie stream goes unused
+        ties = (draw == cut).nonzero()[0]
+        if ties.size:  # no ties, no tie draw: the tie stream is the same either way
+            flat[ties] = tie.random(ties.size) < 256.0 * p - cut
     flat.reshape(a, n * n)[:, :: n + 1] = 1.0
     np.copyto(xs[..., 0], x)
     np.matmul(adj, xs, out=sums)
@@ -235,12 +256,13 @@ def run_consensus(
     tol: float = DEFAULT_TOL,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> ConsensusOutcome:
-    """Iterate with an independent graph per step until the spread is < tol.
+    """Iterate with an independent graph per step until the spread is < tol * spread(x0).
 
     The reported value is the mean of the final state, which is within
-    tol of every coordinate and always inside [min(x0), max(x0)]. A run
-    that exhausts max_steps raises NonConvergenceError, carrying the steps
-    and the last spread, rather than returning a truncated state.
+    tol * spread(x0) of every coordinate (see the module docstring for
+    the centring). A run that exhausts max_steps raises
+    NonConvergenceError, carrying the steps and the last spread, rather
+    than returning a truncated state.
 
     This is run_block with one replication; rng may be left advanced
     past the stopping step (see the module docstring).
@@ -248,7 +270,7 @@ def run_consensus(
     values, steps, spreads = run_block(params, x0, 1, rng, tol, max_steps)
     if np.isnan(values[0]):
         raise NonConvergenceError(
-            f"spread {spreads[0]:.3e} still >= tol {tol:.1e} after {max_steps} steps",
+            f"spread {spreads[0]:.3e} still >= {_stop_rule(tol, _check_x0(x0, params.n))} after {max_steps} steps",
             steps=int(steps[0]),
             spread=float(spreads[0]),
         )
@@ -266,16 +288,17 @@ def run_block(
     """Run reps replications from x0 together on one generator.
 
     Returns (values, steps, spreads): replication r agreed on values[r]
-    after steps[r] steps, the mean of the first state whose spread,
-    spreads[r], is < tol. A replication still at spread >= tol after
-    max_steps gets the value NaN, the step count max_steps and its last
-    spread; a converged value is never NaN, since it lies in
-    [min(x0), max(x0)].
+    after steps[r] steps, mean(x0) plus the mean of the first centred
+    state whose spread, spreads[r], is < tol * spread(x0). A constant x0
+    gives its value at step 0. A replication still at or above that
+    threshold after max_steps gets the value NaN, the step count
+    max_steps and its last spread; a converged value is never NaN, since
+    it lies within tol * spread(x0) of every coordinate of a finite state.
 
     Each step takes the replications still active through the body
     stream_layout(params) names (see the module docstring); then every
-    replication whose spread fell below tol records its value, step and
-    spread and leaves the block.
+    replication whose spread fell below the threshold records its value,
+    step and spread and leaves the block.
     """
     _check_budget(tol, "max_steps", max_steps)
     _check_int("reps", reps, 1)
@@ -284,9 +307,10 @@ def run_block(
     values = np.full(reps, np.nan)
     steps = np.full(reps, max_steps)
     spreads = np.full(reps, x.max() - x.min())
-    if spreads[0] < tol:
-        values[:], steps[:] = x.mean(), 0
+    if spreads[0] == 0.0:
+        values[:], steps[:] = x[0], 0
         return values, steps, spreads
+    centre, threshold = x.mean(), tol * spreads[0]
     sparse = stream_layout(params) == "sparse-block"
     if sparse:
         piece = max(1, _SPARSE_NUMBERS // (n + math.ceil(p * n * (n - 1))))
@@ -298,7 +322,7 @@ def run_block(
         spare = np.empty(0, dtype=np.uint8)  # slot bytes left in the last raw word
         work = _dense_workspace(min(piece, reps), n)
     active = np.arange(reps)
-    state = np.tile(x, (reps, 1))
+    state = np.tile(x - centre, (reps, 1))
     for step in range(1, max_steps + 1):
         new = np.empty_like(state)
         for a in range(0, active.size, piece):
@@ -308,9 +332,9 @@ def run_block(
             else:
                 spare = _dense_piece(state[a:b], new[a:b], p, spare, raw, tie, work)
         spread = new.max(axis=1) - new.min(axis=1)
-        done = spread < tol
+        done = spread < threshold
         if done.any():
-            values[active[done]] = new[done].mean(axis=1)
+            values[active[done]] = new[done].mean(axis=1) + centre
             steps[active[done]] = step
             spreads[active[done]] = spread[done]
             active, new, spread = active[~done], new[~done], spread[~done]

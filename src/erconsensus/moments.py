@@ -54,27 +54,51 @@ def _one_minus_q_pow(p: float, n: int) -> float:
     return -math.expm1(n * math.log1p(-p))
 
 
-def _inv_square_binomial_moment(p: float, trials: int, shift: int = 1) -> float:
-    """E[1/(X + shift)^2] for X ~ Binomial(trials, p).
+def _binomial_pmf(p: float, trials: int) -> np.ndarray:
+    """The pmf of Binomial(trials, p) at 0, ..., trials.
 
-    Weights proportional to the pmf come from the ratio recurrence
-    pmf(k+1)/pmf(k) = (trials-k)/(k+1) * p/q, summed in log space outward
-    from the mode, so they peak near 1 where the mass is and underflow
-    harmlessly to 0 in the tails. Dividing by their sum stands in for the
-    binomial coefficient and q^trials. The point masses are exact.
+    Weights come from the ratio recurrence pmf(k+1)/pmf(k) =
+    (trials-k)/(k+1) * p/q, multiplied outward from the mode, so they are
+    at most 1 and underflow harmlessly to 0 in the tails; dividing by
+    their sum stands in for the binomial coefficient and q^trials. As
+    products, not sums of log ratios (which lose k |log p| ulps), they
+    keep full relative precision at small p. The point masses are exact.
     """
+    pmf = np.zeros(trials + 1)
     if trials == 0 or p <= 0.0:
-        return 1.0 / shift**2
-    if p >= 1.0:
-        return 1.0 / (trials + shift) ** 2
-    mode = min(int((trials + 1) * p), trials)
-    k = np.arange(trials)
-    log_ratio = np.log((trials - k) / (k + 1)) + (math.log(p) - math.log1p(-p))
-    log_w = np.zeros(trials + 1)
-    log_w[mode + 1:] = np.cumsum(log_ratio[mode:])
-    log_w[:mode] = -np.cumsum(log_ratio[:mode][::-1])[::-1]
-    w = np.exp(log_w)
-    return float(np.sum(w / np.arange(shift, trials + shift + 1) ** 2) / np.sum(w))
+        pmf[0] = 1.0
+    elif p >= 1.0:
+        pmf[-1] = 1.0
+    else:
+        mode = min(int((trials + 1) * p), trials)
+        k = np.arange(trials)
+        ratio = (trials - k) / (k + 1) * (p / (1.0 - p))
+        pmf[mode] = 1.0
+        pmf[mode + 1:] = np.cumprod(ratio[mode:])
+        pmf[:mode] = np.cumprod(1.0 / ratio[:mode][::-1])[::-1]
+        pmf /= pmf.sum()
+    return pmf
+
+
+def _inv_square_binomial_moment(p: float, trials: int) -> float:
+    """E[1/(X + 1)^2] for X ~ Binomial(trials, p)."""
+    return float(np.sum(_binomial_pmf(p, trials) / np.arange(1.0, trials + 2) ** 2))
+
+
+def _row_degree_moments(params: ModelParams) -> tuple[float, float, float, float]:
+    """E[w_ii^2], E[w_ij], E[w_ij^2] and E[w_ij w_is], i, j, s distinct, from one degree law.
+
+    Given the degree d ~ Binomial(n-1, p) of row i, E[a_ij | d] = d/(n-1)
+    and E[a_ij a_is | d] = d(d-1)/((n-1)(n-2)), so each is a sum of
+    non-negative terms over the one pmf. The forms through E[w_ii] and
+    E[w_ii^2], such as (1 - E[w_ii])/(n-1), cancel at small p.
+    """
+    n = params.n
+    k = np.arange(n, dtype=float)
+    pmf = _binomial_pmf(params.p, n - 1)
+    inv_sq = pmf / (k + 1.0) ** 2
+    pair = float((k * (k - 1.0)) @ inv_sq) / ((n - 1) * (n - 2)) if n >= 3 else None
+    return float(inv_sq.sum()), float(pmf @ (k / (k + 1.0))) / (n - 1), float(k @ inv_sq) / (n - 1), pair
 
 
 def expected_self_weight(params: ModelParams) -> float:
@@ -83,8 +107,8 @@ def expected_self_weight(params: ModelParams) -> float:
 
 
 def expected_neighbor_weight(params: ModelParams) -> float:
-    """E[w_ij] for i != j; row-stochasticity forces (1 - E[w_ii])/(n-1)."""
-    return (1.0 - expected_self_weight(params)) / (params.n - 1)
+    """E[w_ij] for i != j, E[d/(d+1)]/(n-1) over the degree law (see _row_degree_moments)."""
+    return _row_degree_moments(params)[1]
 
 
 def expected_self_weight_sq(params: ModelParams) -> float:
@@ -127,17 +151,9 @@ class WeightSecondMoments:
 
 
 def second_moments(params: ModelParams) -> WeightSecondMoments:
-    """All six classes; the same-row ones condition on the edges they hold.
-
-    Given one edge d = 1 + Binomial(n-2, p), given two d = 2 + Binomial(n-3, p);
-    the equal forms (f1 - g2)/(n-1), (1 + 2 g2 - 3 f1)/((n-1)(n-2)) cancel at small p.
-    """
-    n, p = params.n, params.p
+    """All six classes; the same-row ones and E[w_ij] from one pass over the degree law."""
     f1 = expected_self_weight(params)
-    g2 = expected_self_weight_sq(params)
-    off = expected_neighbor_weight(params)
-    same = p * _inv_square_binomial_moment(p, n - 2, shift=2)
-    pair_same = p * p * _inv_square_binomial_moment(p, n - 3, shift=3) if n >= 3 else None
+    g2, off, same, pair_same = _row_degree_moments(params)
     return WeightSecondMoments(
         mean_self=f1,
         mean_neighbor=off,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_TOL, NonConvergenceError, run_block
-from .dynamics import _check_budget
+from .dynamics import _check_budget, _stop_rule
 from .graphs import GraphSeed, ModelParams, _check_int, _check_x0
 from .moments import consensus_variance, variance_factor
 
@@ -167,7 +167,7 @@ def run_ensemble(cfg: ExperimentConfig, threads: int = 1) -> EnsembleStats:
     failed = np.flatnonzero(np.isnan(outcomes))  # a converged value is never NaN
     if failed.size:
         raise NonConvergenceError(
-            f"{failed.size} of {reps} replications did not converge "
+            f"{failed.size} of {reps} replications did not converge to spread < {_stop_rule(cfg.tol, x0)} "
             f"within {cfg.max_steps} steps (indices {_runs(failed)})"
         )
 

@@ -251,6 +251,26 @@ class TestSimulate:
         assert out == ""
         assert "--tol" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--n", "3", "--p", "0.5", "--reps", "5", "--tol", "1"],
+            ["fig1", "--c", "5", "--n-min", "5", "--n-max", "7", "--reps", "20", "--tol", "2.5"],
+        ],
+        ids=["simulate-one", "fig1-above-one"],
+    )
+    def test_tol_at_or_above_one_is_a_usage_error(self, capsys, argv):
+        # tol is relative to the spread of x0: 1 would stop every run after one step.
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --tol: tol must be finite and positive and < 1 (relative to the spread of x0)")
+
+    def test_tol_help_says_relative(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--help")
+        assert code == 0
+        assert "below tol times the spread of x0" in " ".join(out.split())
+
     def test_nonconvergence_exit_code(self, capsys):
         argv = [
             "simulate", "--n", "20", "--p", "0.2", "--x0", "ramp",
@@ -265,7 +285,7 @@ class TestSimulate:
         argv = ["simulate", "--n", n, "--p", p, "--x0", "ramp", "--reps", "5", "--seed", "2"]
         code, record, _ = run_json(capsys, *argv)
         assert code == 0
-        assert record["schema_version"] == "6"
+        assert record["schema_version"] == "7"
         assert record["provenance"]["stream"] == stream
 
     def test_provenance_names_numpy_and_the_bit_generator(self, capsys):
@@ -351,7 +371,7 @@ class TestFig1:
 
 
 class TestStreamContract:
-    """Golden digests of seeded output on the "dense-byte-block" and "sparse-block" stream layouts (schema "6").
+    """Golden digests of seeded output on the "dense-byte-block" and "sparse-block" stream layouts (schema "7").
 
     Any change to how replications consume their random streams (draw
     order, draws per step, seeding) changes these bytes; such a change
@@ -363,14 +383,14 @@ class TestStreamContract:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "959ea9293d7641f790ae334200d597b34f669482d9e6071e7d0c8549165ed197"
+        assert digest == "428ef66983cd03dac9ecc60e8bd81ac30d43d2c42a2007e95dba899f49ed0c18"
 
     def test_simulate_results(self, capsys):
         argv = ["simulate", "--n", "20", "--p", "0.25", "--x0", "ramp", "--reps", "200", "--seed", "5"]
         code, record, _ = run_json(capsys, *argv)
         assert code == 0
         digest = hashlib.sha256(json.dumps(record["results"], sort_keys=True).encode()).hexdigest()
-        assert digest == "1d13c2e7612cc5437367c441178115aee401db402f2dd62713f2014e804fa342"
+        assert digest == "954bdd8925042130ca3210ec36077a4b43f97ca432032a0439b4cc8f6e5d0511"
 
 
 class TestFig2:

@@ -107,20 +107,25 @@ def _sparse_literal(n, p, rng):
     return step
 
 
-def _reference_block(params, x0, reps, rng, tol=1e-10, max_steps=10**6):
+def _reference_block(params, x0, reps, rng, tol=1e-6, max_steps=10**6):
     """run_block spelled out the long way, on the step body dynamics.stream_layout(params) names.
 
-    Each step, the active replications in index order take their graphs
-    one after another from the body's literal stream and apply the
-    literal update, with no pieces and no workspace. Returns run_block's
+    A constant x0 gives its value at step 0. Otherwise the replications
+    step the centred state x0 - mean(x0): each step, the active ones in
+    index order take their graphs one after another from the body's
+    literal stream and apply the literal update, with no pieces and no
+    workspace, and each whose spread is below tol * spread(x0) leaves with
+    the mean of its state plus mean(x0). Returns run_block's
     (values, steps, spreads).
     """
-    x = np.tile(np.asarray(x0, dtype=float), (reps, 1))
-    spread = x.max(axis=1) - x.min(axis=1)
-    values, steps, spreads = np.full(reps, np.nan), np.full(reps, max_steps), spread
-    if spread[0] < tol:
-        values[:], steps[:] = x[0].mean(), 0
+    x0 = np.asarray(x0, dtype=float)
+    spread0 = x0.max() - x0.min()
+    values, steps, spreads = np.full(reps, np.nan), np.full(reps, max_steps), np.full(reps, spread0)
+    if spread0 == 0.0:
+        values[:], steps[:] = x0[0], 0
         return values, steps, spreads
+    centre = x0.mean()
+    x = np.tile(x0 - centre, (reps, 1))
     literal = _sparse_literal if dynamics.stream_layout(params) == SPARSE else _dense_literal
     step_one = literal(params.n, params.p, rng)
     active = np.arange(reps)
@@ -128,8 +133,8 @@ def _reference_block(params, x0, reps, rng, tol=1e-10, max_steps=10**6):
         x = np.array([step_one(state) for state in x])
         spread = x.max(axis=1) - x.min(axis=1)
         spreads[active] = spread
-        done = spread < tol
-        values[active[done]] = x[done].mean(axis=1)
+        done = spread < tol * spread0
+        values[active[done]] = x[done].mean(axis=1) + centre
         steps[active[done]] = step
         active, x = active[~done], x[~done]
         if not active.size:
@@ -137,7 +142,7 @@ def _reference_block(params, x0, reps, rng, tol=1e-10, max_steps=10**6):
     return values, steps, spreads
 
 
-def _reference_run(params, x0, rng, tol=1e-10, max_steps=10**6):
+def _reference_run(params, x0, rng, tol=1e-6, max_steps=10**6):
     """run_consensus spelled out: _reference_block with one replication, raising as run_consensus does."""
     values, steps, spreads = _reference_block(params, x0, 1, rng, tol, max_steps)
     if np.isnan(values[0]):
@@ -237,6 +242,23 @@ class TestStep:
             assert np.array_equal(reused, alone)
             assert np.array_equal(spare, fresh_spare)
 
+    @pytest.mark.parametrize("p", [0.25, 5 / 8, 5 / 40, 1.0])
+    def test_no_tie_draw_when_256p_is_an_integer(self, p):
+        # The remainder 256 p - floor(256 p) is 0, so no tie can be an edge: the tie stream is never read.
+        class NoTies:
+            def random(self, size):
+                raise AssertionError("tie stream read")
+
+        n, a = 20, 40
+        rng, fresh = GraphSeed(8).generator(), GraphSeed(8).generator()
+        x = GraphSeed(9).generator().random((a, n))
+        out, reference = np.empty_like(x), np.empty_like(x)
+        empty = np.empty(0, dtype=np.uint8)
+        _dense_piece(x, out, p, empty, rng.bit_generator.random_raw, NoTies(), _dense_workspace(a, n))
+        tie = np.random.default_rng(0)
+        _dense_piece(x, reference, p, empty, fresh.bit_generator.random_raw, tie, _dense_workspace(a, n))
+        assert np.array_equal(out, reference)
+
     @given(
         mask=st.integers(min_value=0, max_value=2**12 - 1),
         x=st.lists(
@@ -271,7 +293,7 @@ class TestRunConsensus:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_value_in_convex_hull(self, seed):
         x0 = np.array([-1.0, 4.0, 0.5, 2.0])
-        out = run_consensus(ModelParams(4, 0.4), x0, GraphSeed(seed).generator())
+        out = run_consensus(ModelParams(4, 0.4), x0, GraphSeed(seed).generator(), tol=1e-10 / np.ptp(x0))
         assert x0.min() <= out.value <= x0.max()
         assert out.spread < 1e-10
 
@@ -457,6 +479,75 @@ class TestRunBlock:
             run_block(params, [0.0, np.nan, 1.0], 4, rng)
 
 
+class TestRelativeTolerance:
+    """The stop is relative: a run steps x0 - mean(x0) until its spread is below tol * spread(x0)."""
+
+    SIZES = [pytest.param(n, p, id=str(n)) for n, p in [(6, 5 / 6), (20, 0.25), (50, 0.1), (200, 0.025)]]
+
+    @pytest.mark.parametrize("n,p", SIZES)
+    @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9])
+    def test_a_looser_stop_is_a_prefix_within_tol(self, n, p, tol):
+        # The state at a step does not depend on tol, so the path to the looser
+        # stop is the start of the longer one, and the later value lies in the
+        # hull of the earlier state.
+        params, x0 = ModelParams(n, p), 3.0 * _ramp(n) - 1.0
+        spread0 = np.ptp(x0)
+        for seed in range(5):
+            loose = run_consensus(params, x0, GraphSeed(seed).generator(), tol=tol)
+            tight = run_consensus(params, x0, GraphSeed(seed).generator(), tol=1e-12)
+            assert 0 < loose.steps <= tight.steps
+            assert loose.spread < tol * spread0
+            assert abs(loose.value - tight.value) < tol * spread0
+            with pytest.raises(NonConvergenceError) as cut:
+                run_consensus(params, x0, GraphSeed(seed).generator(), tol=1e-12, max_steps=loose.steps)
+            assert cut.value.spread == loose.spread
+
+    @pytest.mark.parametrize("n,p", SIZES)
+    @pytest.mark.parametrize("c", [1e6, -3.7, 2.0**40])
+    def test_an_offset_shifts_the_values(self, n, p, c):
+        params = ModelParams(n, p)
+        values, steps, _ = run_block(params, _ramp(n), 64, GraphSeed(3).generator())
+        shifted, shifted_steps, _ = run_block(params, _ramp(n) + c, 64, GraphSeed(3).generator())
+        assert np.array_equal(shifted_steps, steps)
+        assert np.max(np.abs(shifted - (values + c))) <= 4.0 * np.spacing(abs(c) + 1.0)
+
+    @pytest.mark.parametrize("n,p", SIZES)
+    @pytest.mark.parametrize("s", [1e-3, 7.5, 1e6, -2.0])
+    def test_a_scale_keeps_the_steps(self, n, p, s):
+        params = ModelParams(n, p)
+        values, steps, _ = run_block(params, _ramp(n), 64, GraphSeed(3).generator())
+        scaled, scaled_steps, _ = run_block(params, s * _ramp(n), 64, GraphSeed(3).generator())
+        assert np.array_equal(scaled_steps, steps)
+        assert np.max(np.abs(scaled - s * values)) <= 4.0 * np.finfo(float).eps * abs(s)
+
+    @pytest.mark.parametrize("n,p", [(20, 0.25), (50, 0.1)])
+    def test_a_large_offset_converges_like_the_ramp(self, n, p):
+        # With an absolute tol of 1e-10 below the float spacing of 1e6
+        # (1.16e-10), these runs took thousands of steps or never stopped.
+        values, steps, _ = run_block(ModelParams(n, p), 1e6 + _ramp(n), 128, GraphSeed(1).generator(), max_steps=100)
+        assert not np.isnan(values).any()
+        assert steps.max() < 100
+
+    @pytest.mark.parametrize("c", [1e6, 0.1])
+    def test_a_constant_is_returned_at_step_zero(self, c):
+        # Exactly: the mean of twenty 0.1s rounds to 0.10000000000000002.
+        values, steps, spreads = run_block(ModelParams(20, 0.25), np.full(20, c), 5, GraphSeed(1).generator())
+        assert np.array_equal(values, np.full(5, c))
+        assert np.array_equal(steps, np.zeros(5))
+        assert np.array_equal(spreads, np.zeros(5))
+
+    @pytest.mark.parametrize("tol", [1.0, 2.0, 1e300])
+    def test_rejects_tol_at_or_above_one(self, tol):
+        with pytest.raises(ValueError, match=r"^tol must be .* < 1 \(relative to the spread of x0\)"):
+            run_block(ModelParams(3, 0.5), np.arange(3.0), 4, GraphSeed(0).generator(), tol=tol)
+
+    def test_error_names_the_relative_and_absolute_threshold(self):
+        x0 = 4.0 * _ramp(20)
+        message = r"tol 1\.0e-30 x spread\(x0\) 3\.800e\+00 = 3\.800e-30 after 3 steps$"
+        with pytest.raises(NonConvergenceError, match=message):
+            run_consensus(ModelParams(20, 0.25), x0, GraphSeed(1).generator(), tol=1e-30, max_steps=3)
+
+
 def _ramp(n):
     return np.arange(1, n + 1) / n
 
@@ -631,7 +722,7 @@ class TestSparseSteps:
         with pytest.raises(NonConvergenceError) as info:
             run_consensus(ModelParams(60, 1e-20), _ramp(60), GraphSeed(1).generator(), max_steps=50)
         assert info.value.steps == 50
-        assert info.value.spread == _ramp(60).max() - _ramp(60).min()
+        assert info.value.spread == np.ptp(_ramp(60) - _ramp(60).mean())  # no edge drawn: the centred x0's spread
 
     def test_chunking_does_not_change_the_edges(self):
         # The piece split: the slots of 12 steps in one stretch, or in stretches of 1, 5, 2 and 4.

@@ -231,6 +231,19 @@ class TestSecondMoments:
         direct_q5 = exact_p**2 * _exact_inverse_moment(n - 3, exact_p, shift=3, power=2)
         assert m.neighbor_pair_same_row == pytest.approx(float(direct_q5), rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("n,p", [(3, 1e-9), (10, 1e-12), (4, 1e-6), (60, 1e-9), (8, 0.5), (30, 0.9)])
+    def test_neighbor_weight_via_conditional_degree(self, n, p):
+        # Given the edge, d = 1 + Binomial(n-2, p): E[w_ij] = p E[1/(X + 2)].
+        # (1 - E[w_ii])/(n - 1) lost 1.4e-7 of it at (3, 1e-9), 1.5e-5 at (10, 1e-12).
+        exact_p = Fraction(p)
+        exact = exact_p * _exact_inverse_moment(n - 2, exact_p, shift=2, power=1)
+        m = second_moments(ModelParams(n, p))
+        assert expected_neighbor_weight(ModelParams(n, p)) == m.mean_neighbor
+        assert m.mean_neighbor == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+        assert m.neighbor_pair_cross_row == pytest.approx(float(exact**2), rel=1e-14, abs=0.0)
+        self_sq = _exact_inverse_moment(n - 1, exact_p, shift=1, power=2)
+        assert m.self_sq == pytest.approx(float(self_sq), rel=1e-14, abs=0.0)
+
     @pytest.mark.parametrize("n", range(2, 31))
     @pytest.mark.parametrize("p", P_GRID)
     def test_row_sums_are_one(self, n, p):

@@ -268,8 +268,9 @@ class TestDenseBlocks:
         cfg = ExperimentConfig(
             params=ModelParams(20, 0.1), x0_spec="ramp", reps=reps, seed=GraphSeed(4), max_steps=3
         )
-        with pytest.raises(NonConvergenceError, match=rf"^{reps} of {reps} replications did not "
-                           rf"converge within 3 steps \(indices 0-{reps - 1}\)$"):
+        with pytest.raises(NonConvergenceError, match=rf"^{reps} of {reps} replications did not converge to spread "
+                           rf"< tol 1\.0e-06 x spread\(x0\) 9\.500e-01 = 9\.500e-07 within 3 steps "
+                           rf"\(indices 0-{reps - 1}\)$"):
             run_ensemble(cfg)
 
     def test_failed_indices_as_runs(self):

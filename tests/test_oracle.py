@@ -169,14 +169,16 @@ class TestLeftUnitEigenvector:
         assert estimate.vector.sum() == pytest.approx(1.0, abs=1e-13)
         assert estimate.iterations == 1
 
-    @pytest.mark.parametrize("n,p", [(3, 1e-9), (5, 1e-12), (10, 1e-15)])
+    @pytest.mark.parametrize("n,p", [(3, 1e-9), (5, 1e-12), (10, 1e-15), (10, 1e-12)])
     def test_solves_the_closed_form_second_moment_matrix_at_small_p(self, n, p):
-        # The closed-form matrix had negative entries here and was refused. Its
-        # mean neighbour weight still loses digits at small p, so only the sign
-        # and the residual of the solved vector are checked.
-        estimate = left_unit_eigenvector(expected_kron_matrix(ModelParams(n, p)))
+        # The closed-form matrix had negative entries here and was refused. A mean
+        # neighbour weight of (1 - E[w_ii])/(n - 1) then put the solved vector
+        # 1.2e-8 from the closed-form one at (3, 1e-9) and 2.2e-7 at (10, 1e-12).
+        params = ModelParams(n, p)
+        estimate = left_unit_eigenvector(expected_kron_matrix(params))
         assert estimate.vector.min() >= 0.0
         assert estimate.residual < 1e-15
+        assert np.max(np.abs(estimate.vector - kron_left_eigenvector(params))) < 1e-14
 
     def test_two_state_chain_within_rounding_of_identity(self):
         # Stationary law (b, a)/(a + b); power iteration from uniform stops at (0.5, 0.5).
