@@ -290,7 +290,9 @@ def run_block(
     Returns (values, steps, spreads): replication r agreed on values[r]
     after steps[r] steps, mean(x0) plus the mean of the first centred
     state whose spread, spreads[r], is < tol * spread(x0). A constant x0
-    gives its value at step 0. A replication still at or above that
+    gives its value at step 0, and so does an x0 whose tol * spread(x0)
+    underflows to 0 (a spread below about 5e-324 / tol): mean(x0),
+    clipped to [min(x0), max(x0)]. A replication still at or above that
     threshold after max_steps gets the value NaN, the step count
     max_steps and its last spread; a converged value is never NaN, since
     it lies within tol * spread(x0) of every coordinate of a finite state.
@@ -307,10 +309,10 @@ def run_block(
     values = np.full(reps, np.nan)
     steps = np.full(reps, max_steps)
     spreads = np.full(reps, x.max() - x.min())
-    if spreads[0] == 0.0:
-        values[:], steps[:] = x[0], 0
-        return values, steps, spreads
     centre, threshold = x.mean(), tol * spreads[0]
+    if threshold == 0.0:  # no spread could fall below it
+        values[:], steps[:] = min(max(centre, x.min()), x.max()), 0
+        return values, steps, spreads
     sparse = stream_layout(params) == "sparse-block"
     if sparse:
         piece = max(1, _SPARSE_NUMBERS // (n + math.ceil(p * n * (n - 1))))

@@ -80,11 +80,6 @@ def _binomial_pmf(p: float, trials: int) -> np.ndarray:
     return pmf
 
 
-def _inv_square_binomial_moment(p: float, trials: int) -> float:
-    """E[1/(X + 1)^2] for X ~ Binomial(trials, p)."""
-    return float(np.sum(_binomial_pmf(p, trials) / np.arange(1.0, trials + 2) ** 2))
-
-
 def _row_degree_moments(params: ModelParams) -> tuple[float, float, float, float]:
     """E[w_ii^2], E[w_ij], E[w_ij^2] and E[w_ij w_is], i, j, s distinct, from one degree law.
 
@@ -117,7 +112,7 @@ def expected_self_weight_sq(params: ModelParams) -> float:
     Not the power-series form q^(n-1) sum_k (k+1)^-2 binom(n-1, k) (p/q)^k,
     which multiplies a huge series by a vanishing q^(n-1).
     """
-    return _inv_square_binomial_moment(params.p, params.n - 1)
+    return _row_degree_moments(params)[0]
 
 
 @dataclass(frozen=True)

@@ -110,7 +110,8 @@ def _sparse_literal(n, p, rng):
 def _reference_block(params, x0, reps, rng, tol=1e-6, max_steps=10**6):
     """run_block spelled out the long way, on the step body dynamics.stream_layout(params) names.
 
-    A constant x0 gives its value at step 0. Otherwise the replications
+    A constant x0, or one whose tol * spread(x0) underflows to 0, gives
+    mean(x0) clipped to its hull at step 0. Otherwise the replications
     step the centred state x0 - mean(x0): each step, the active ones in
     index order take their graphs one after another from the body's
     literal stream and apply the literal update, with no pieces and no
@@ -121,10 +122,10 @@ def _reference_block(params, x0, reps, rng, tol=1e-6, max_steps=10**6):
     x0 = np.asarray(x0, dtype=float)
     spread0 = x0.max() - x0.min()
     values, steps, spreads = np.full(reps, np.nan), np.full(reps, max_steps), np.full(reps, spread0)
-    if spread0 == 0.0:
-        values[:], steps[:] = x0[0], 0
-        return values, steps, spreads
     centre = x0.mean()
+    if tol * spread0 == 0.0:
+        values[:], steps[:] = np.clip(centre, x0.min(), x0.max()), 0
+        return values, steps, spreads
     x = np.tile(x0 - centre, (reps, 1))
     literal = _sparse_literal if dynamics.stream_layout(params) == SPARSE else _dense_literal
     step_one = literal(params.n, params.p, rng)
@@ -535,6 +536,18 @@ class TestRelativeTolerance:
         assert np.array_equal(values, np.full(5, c))
         assert np.array_equal(steps, np.zeros(5))
         assert np.array_equal(spreads, np.zeros(5))
+
+    @pytest.mark.parametrize("x0", [[0.0, 1e-320], [1e-320, 0.0, 5e-321]])
+    def test_a_threshold_that_underflows_returns_at_step_zero(self, x0):
+        # tol * spread(x0) rounds to 0.0, below which no spread can fall.
+        values, steps, spreads = run_block(ModelParams(len(x0), 0.25), x0, 5, GraphSeed(1).generator(), max_steps=10)
+        assert np.array_equal(values, np.full(5, np.mean(x0)))
+        assert np.array_equal(steps, np.zeros(5))
+        assert np.array_equal(spreads, np.full(5, np.ptp(x0)))
+        reference = _reference_block(ModelParams(len(x0), 0.25), x0, 5, GraphSeed(1).generator(), max_steps=10)
+        assert all(np.array_equal(a, b) for a, b in zip(reference, (values, steps, spreads)))
+        outcome = run_consensus(ModelParams(len(x0), 0.25), x0, GraphSeed(1).generator(), max_steps=10)
+        assert (outcome.value, outcome.steps) == (np.mean(x0), 0)
 
     @pytest.mark.parametrize("tol", [1.0, 2.0, 1e300])
     def test_rejects_tol_at_or_above_one(self, tol):

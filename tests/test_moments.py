@@ -26,7 +26,7 @@ from erconsensus.moments import (
     variance_coefficients,
     variance_factor,
 )
-from erconsensus.moments import _inv_square_binomial_moment
+from erconsensus.moments import _binomial_pmf
 from erconsensus.montecarlo import resolve_x0
 
 P_GRID = [0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
@@ -149,6 +149,8 @@ class TestSelfWeightSq:
 
 
 class TestInvSquareBinomialMoment:
+    """E[1/(X + 1)^2], X ~ Binomial(n - 1, p), as expected_self_weight_sq sums it over _binomial_pmf."""
+
     @pytest.mark.parametrize("n", [2, 60, 1000, 100_000])
     @pytest.mark.parametrize("rule", ["1e-3", "5/n", "0.3", "0.5", "0.999"])
     def test_matches_scipy_pmf_sum(self, n, rule):
@@ -157,16 +159,18 @@ class TestInvSquareBinomialMoment:
         p = min(5.0 / n, 1.0) if rule == "5/n" else float(rule)
         k = np.arange(n)
         reference = float(np.sum(stats.binom.pmf(k, n - 1, p) / (k + 1) ** 2))
-        assert _inv_square_binomial_moment(p, n - 1) == pytest.approx(reference, rel=1e-13)
+        assert expected_self_weight_sq(ModelParams(n, p)) == pytest.approx(reference, rel=1e-13)
 
     @pytest.mark.parametrize("trials", [0, 1, 5, 1000])
     def test_point_masses_are_exact(self, trials):
-        assert _inv_square_binomial_moment(0.0, trials) == 1.0
-        assert _inv_square_binomial_moment(1.0, trials) == 1.0 / (trials + 1) ** 2
+        assert np.array_equal(_binomial_pmf(0.0, trials), np.eye(trials + 1)[0])
+        assert np.array_equal(_binomial_pmf(1.0, trials), np.eye(trials + 1)[-1])
+        if trials:
+            assert expected_self_weight_sq(ModelParams(trials + 1, 1.0)) == 1.0 / (trials + 1) ** 2
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
     def test_zero_trials_is_one(self, p):
-        assert _inv_square_binomial_moment(p, 0) == 1.0
+        assert np.array_equal(_binomial_pmf(p, 0), [1.0])
 
     def test_package_import_leaves_scipy_out(self, src_env):
         code = "import sys, erconsensus; print(sorted(m for m in sys.modules if 'scipy' in m))"
