@@ -26,23 +26,28 @@ replication at least, through one of two step bodies, chosen once per
 block by stream_layout(params). The body fixes how the graphs are drawn
 from the generator, so its name is the stream layout:
 
-- "dense-byte-block": a piece holds up to _DENSE_SLOTS slots, n^2 per
+- "dense-byte-gap-block": a piece holds up to _DENSE_SLOTS slots, n^2 per
   replication. The slots (i, j) of its replications, diagonal included,
   take one byte each of the generator's raw 64-bit words, least
-  significant byte first. With t = floor(256 p), a byte below t is an
-  edge and a byte above t is not; a tie (probability 1/256) is an edge
-  when a double from the tie stream is below the remainder 256 p - t,
-  the ties taking their doubles in slot order. 256 p - t is exact, so
-  P(edge) = p to within 2**-61, from about 8 random bits per slot: a
-  byte settles the first eight binary digits of p, and only a tie needs
-  more (Knuth & Yao, "The complexity of nonuniform random number
-  generation", 1976). The tie stream is default_rng(w) for w the
-  block generator's first raw word; the slot bytes start at the second.
-  The 0/1 slots go straight into a float A + I stack, and one batched
-  product of A + I with [x, 1] gives each node's neighborhood sum s0 and
-  size s1 = d + 1, so x <- s0 * (1/s1). The A + I, [x, 1] and product
-  stacks are one workspace per block, sized to one piece or the block,
-  whichever holds fewer replications, and reused by every piece and step.
+  significant byte first. With t = floor(256 p), a slot is an edge when
+  its byte is below t, or when it is a point of the remainder field, an
+  independent Bernoulli(q) sequence over the same slots in the same
+  order, q = (256 p - t) / (256 - t), so
+  P(edge) = t/256 + (1 - t/256) q = p: a byte settles the first eight
+  binary digits of p (Knuth & Yao, "The complexity of nonuniform random
+  number generation", 1976), and the field, sparse at q < 1/(256 - t),
+  settles the rest without reading every slot. Its points are the edges
+  of the sparse body's gap law at q (below), drawn from the field
+  generator default_rng(w), w the block generator's first raw word; the
+  slot bytes start at the second. 256 p - t is exact, so P(edge) = p up
+  to the rounding of q and of the gap law, which is the sparse body's
+  own. When 256 p is an integer, q = 0 and the field generator is never
+  read. The 0/1 slots go straight into a float A + I stack, and one
+  batched product of A + I with [x, 1] gives each node's neighborhood
+  sum s0 and size s1 = d + 1, so x <- s0 / s1, one divide. The A + I,
+  [x, 1] and product stacks are one workspace per block, sized to one
+  piece or the block, whichever holds fewer replications, and reused by
+  every piece and step.
 - "sparse-block": a piece holds up to _SPARSE_NUMBERS numbers, a
   replication counting its state plus its expected edges. The n(n - 1)
   edge slots (i, j), i != j, of a piece's replications, row after row,
@@ -53,18 +58,20 @@ from the generator, so its name is the stream layout:
   replication and builds no n x n array.
 
 Either stream runs on over pieces and steps: slot bytes left in a
-piece's last raw word, and gaps drawn past a piece, carry into the next.
-So the piece size changes no outcome, and the outcomes depend only on
-the generator's initial state: a dense run equals the loop that takes
-n^2 slot bytes per step and applies the weights above, a sparse run the
-loop that draws one gap at a time, bit for bit. Raw words and gaps are
-drawn in batches, so the generator may be left advanced past the
+piece's last raw word, and edge or field points drawn past a piece,
+carry into the next. So the piece size changes no outcome, and the
+outcomes depend only on the generator's initial state: a dense run
+equals the loop that takes n^2 slot bytes per step, adds the field's
+points one gap at a time and applies the weights above, a sparse run
+the loop that draws one gap at a time, bit for bit. Raw words and gaps
+are drawn in batches, so the generators may be left advanced past the
 stopping step: give every run a fresh one.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,12 +111,17 @@ class NonConvergenceError(RuntimeError):
 
 
 def _check_budget(tol: float, cap_name: str, cap: int) -> None:
-    """Reject an iteration budget that cannot work: tol in (0, 1), cap an integer >= 1.
+    """Reject an iteration budget that cannot work: tol in (0, 1) and normal, cap an integer >= 1.
 
-    tol is relative to the spread of x0, so tol >= 1 would stop every run after one step.
+    tol is relative to the spread of x0, so tol >= 1 would stop every run
+    after one step. A subnormal tol makes tol * spread(x0) underflow to 0
+    for most x0, and every replication would report mean(x0) at step 0.
     """
-    if not 0.0 < tol < 1.0:  # NaN fails both comparisons
-        raise ValueError(f"tol must be finite and positive and < 1 (relative to the spread of x0), got {tol}")
+    if not sys.float_info.min <= tol < 1.0:  # NaN fails both comparisons
+        raise ValueError(
+            f"tol must be finite and positive and < 1 (relative to the spread of x0), "
+            f"not subnormal (< {sys.float_info.min}), got {tol}"
+        )
     _check_int(cap_name, cap, 1)
 
 
@@ -129,7 +141,7 @@ class ConsensusOutcome:
 
 
 def stream_layout(params: ModelParams) -> str:
-    """The step body of a block at params, "sparse-block" at p <= 0.09, else "dense-byte-block".
+    """The step body of a block at params, "sparse-block" at p <= 0.09, else "dense-byte-gap-block".
 
     The name is the block's stream layout (see the module docstring).
     Measured in block mode (128 replications up to n = 100, 40 above,
@@ -138,10 +150,12 @@ def stream_layout(params: ModelParams) -> str:
     1.1-2.1x), the two were within 1.4x either way at p = 0.08, and the
     dense body was faster or even at p >= 0.1 at every n, by up to 3.8x
     at p = 0.2: it costs a few ns per slot, edge or not, and the sparse
-    body pays per edge. The cut stays below p = 1/3, the range where the
-    gap law matches numpy's geometric variates.
+    body pays per edge. The dense side was timed before the remainder
+    field replaced its tie search (a fig1 pass now takes about 0.9x as
+    long), and the cut was not timed again. The cut stays below p = 1/3,
+    the range where the gap law matches numpy's geometric variates.
     """
-    return "sparse-block" if params.p <= 0.09 else "dense-byte-block"
+    return "sparse-block" if params.p <= 0.09 else "dense-byte-gap-block"
 
 
 def _edges(slots: int, p: float, pending: np.ndarray, rng: np.random.Generator):
@@ -214,15 +228,18 @@ def _dense_workspace(size: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     return np.empty((size, n, n)), xs, np.empty((size, n, 2))
 
 
-def _dense_piece(x: np.ndarray, out: np.ndarray, p: float, spare: np.ndarray, raw, tie, work) -> np.ndarray:
-    """One dense step of the (A, n) states x into out, in the workspace work; returns the new spare.
+def _dense_piece(
+    x: np.ndarray, out: np.ndarray, p: float, spare: np.ndarray, pending: np.ndarray, raw, field, work
+) -> tuple[np.ndarray, np.ndarray]:
+    """One dense step of the (A, n) states x into out, in the workspace work; returns the new (spare, pending).
 
     The slot bytes are the spare bytes left from the previous raw word
-    (empty at the start), then those of the words raw(k) returns; tie
-    settles the ties (see the module docstring). A holds at most the
-    workspace's replications. Every row of a complete graph computes the
-    same dot product, so p = 1 agrees in one step with spread exactly 0.
-    x is not written.
+    (empty at the start), then those of the words raw(k) returns; the
+    remainder field takes its positions from field, pending holding those
+    drawn past the previous piece (see the module docstring). A holds at
+    most the workspace's replications. Every row of a complete graph
+    computes the same dot product, so p = 1 agrees in one step with
+    spread exactly 0. x is not written.
     """
     a, n = x.shape
     adj, xs, sums = work
@@ -232,21 +249,17 @@ def _dense_piece(x: np.ndarray, out: np.ndarray, p: float, spare: np.ndarray, ra
     stream = raw(-(-(slots - spare.size) // 8)).astype("<u8", copy=False).view(np.uint8)
     if spare.size:
         stream = np.concatenate((spare, stream))
-    draw = stream[:slots]
     flat = adj.reshape(slots)
     cut = math.floor(256.0 * p)
-    np.less(draw, cut, out=flat, casting="unsafe")
-    if 256.0 * p > cut:  # else no tie is an edge, and the block's tie stream goes unused
-        ties = (draw == cut).nonzero()[0]
-        if ties.size:  # no ties, no tie draw: the tie stream is the same either way
-            flat[ties] = tie.random(ties.size) < 256.0 * p - cut
+    np.less(stream[:slots], cut, out=flat, casting="unsafe")
+    if 256.0 * p > cut:  # else q = 0, and the block's field generator goes unused
+        edges, pending = _edges(slots, (256.0 * p - cut) / (256 - cut), pending, field)
+        flat[edges] = 1.0
     flat.reshape(a, n * n)[:, :: n + 1] = 1.0
     np.copyto(xs[..., 0], x)
     np.matmul(adj, xs, out=sums)
-    s1 = sums[..., 1]
-    np.divide(1.0, s1, out=s1)
-    np.multiply(sums[..., 0], s1, out=out)
-    return stream[slots:]
+    np.divide(sums[..., 0], sums[..., 1], out=out)
+    return stream[slots:], pending
 
 
 def run_consensus(
@@ -300,7 +313,9 @@ def run_block(
     Each step takes the replications still active through the body
     stream_layout(params) names (see the module docstring); then every
     replication whose spread fell below the threshold records its value,
-    step and spread and leaves the block.
+    step and spread and leaves the block. A dense block seeds its field
+    generator from rng's first raw word and carries the field's points
+    past a piece, as a sparse block carries its edges.
     """
     _check_budget(tol, "max_steps", max_steps)
     _check_int("reps", reps, 1)
@@ -314,13 +329,13 @@ def run_block(
         values[:], steps[:] = min(max(centre, x.min()), x.max()), 0
         return values, steps, spreads
     sparse = stream_layout(params) == "sparse-block"
+    pending = np.empty(0, dtype=np.int64)  # edge (or field) positions past the last piece
     if sparse:
         piece = max(1, _SPARSE_NUMBERS // (n + math.ceil(p * n * (n - 1))))
-        pending = np.empty(0, dtype=np.int64)  # edge positions past the last piece
     else:
         piece = max(1, _DENSE_SLOTS // (n * n))
         raw = rng.bit_generator.random_raw
-        tie = np.random.default_rng(int(raw()))
+        field = np.random.default_rng(int(raw()))
         spare = np.empty(0, dtype=np.uint8)  # slot bytes left in the last raw word
         work = _dense_workspace(min(piece, reps), n)
     active = np.arange(reps)
@@ -332,8 +347,12 @@ def run_block(
             if sparse:
                 pending = _sparse_step(state[a:b], new[a:b], p, pending, rng)
             else:
-                spare = _dense_piece(state[a:b], new[a:b], p, spare, raw, tie, work)
-        spread = new.max(axis=1) - new.min(axis=1)
+                spare, pending = _dense_piece(state[a:b], new[a:b], p, spare, pending, raw, field, work)
+        if len(new) > n:  # numpy reduces a short last axis row by row: put the long one innermost
+            cols = new.T.copy()
+            spread = cols.max(axis=0) - cols.min(axis=0)
+        else:
+            spread = new.max(axis=1) - new.min(axis=1)
         done = spread < threshold
         if done.any():
             values[active[done]] = new[done].mean(axis=1) + centre

@@ -58,8 +58,9 @@ def _dense_update(adj, x):
     """x -> W x for the 0/1 adjacency stack adj (..., n, n) and states x (..., n), by the package's dense piece.
 
     adj goes in as the piece's slot bytes at p = 1/2, where a byte below
-    128 is an edge: byte 0 where adj is nonzero and 255 elsewhere, so no
-    byte ties and no tie draw. The diagonal goes in as drawn.
+    128 is an edge: byte 0 where adj is nonzero and 255 elsewhere. 256 p
+    is an integer, so the remainder field is empty and no field generator
+    is needed. The diagonal goes in as drawn.
     """
     adj, x = np.asarray(adj), np.asarray(x, dtype=float)
     n = adj.shape[-1]
@@ -68,8 +69,10 @@ def _dense_update(adj, x):
     states = x.reshape(-1, n)
     out = np.empty_like(states)
     work = _dense_workspace(len(states), n)
-    spare = _dense_piece(states, out, 0.5, np.empty(0, dtype=np.uint8), lambda size: words[:size], None, work)
+    no_spare, no_pending = np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64)
+    spare, pending = _dense_piece(states, out, 0.5, no_spare, no_pending, lambda size: words[:size], None, work)
     assert spare.size == -slot_bytes.size % 8
+    assert pending.size == 0
     return out.reshape(x.shape)
 
 

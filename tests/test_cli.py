@@ -266,6 +266,23 @@ class TestSimulate:
         assert out == ""
         assert err.startswith("error: --tol: tol must be finite and positive and < 1 (relative to the spread of x0)")
 
+    @pytest.mark.parametrize("tol", ["5e-324", "1e-310"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--n", "3", "--p", "0.5", "--x0", "0,0.1,0.2", "--reps", "5", "--max-steps", "2"],
+            ["fig1", "--c", "5", "--n-min", "5", "--n-max", "7", "--reps", "5", "--max-steps", "2"],
+        ],
+        ids=["simulate", "fig1"],
+    )
+    def test_subnormal_tol_is_a_usage_error(self, capsys, argv, tol):
+        # tol * spread(x0) would underflow to 0 (or to a subnormal no step count reaches).
+        code, out, err = run_cli(capsys, *argv, "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --tol: tol must be finite and positive and < 1")
+        assert "not subnormal" in err
+
     def test_tol_help_says_relative(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--help")
         assert code == 0
@@ -280,12 +297,12 @@ class TestSimulate:
         assert code == 3
         assert "converge" in err
 
-    @pytest.mark.parametrize("n,p,stream", [("20", "0.25", "dense-byte-block"), ("200", "0.025", "sparse-block")])
+    @pytest.mark.parametrize("n,p,stream", [("20", "0.25", "dense-byte-gap-block"), ("200", "0.025", "sparse-block")])
     def test_provenance_names_the_stream(self, capsys, n, p, stream):
         argv = ["simulate", "--n", n, "--p", p, "--x0", "ramp", "--reps", "5", "--seed", "2"]
         code, record, _ = run_json(capsys, *argv)
         assert code == 0
-        assert record["schema_version"] == "7"
+        assert record["schema_version"] == "8"
         assert record["provenance"]["stream"] == stream
 
     def test_provenance_names_numpy_and_the_bit_generator(self, capsys):
@@ -371,7 +388,7 @@ class TestFig1:
 
 
 class TestStreamContract:
-    """Golden digests of seeded output on the "dense-byte-block" and "sparse-block" stream layouts (schema "7").
+    """Golden digests of seeded output on the "dense-byte-gap-block" and "sparse-block" stream layouts (schema "8").
 
     Any change to how replications consume their random streams (draw
     order, draws per step, seeding) changes these bytes; such a change
@@ -383,14 +400,14 @@ class TestStreamContract:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "428ef66983cd03dac9ecc60e8bd81ac30d43d2c42a2007e95dba899f49ed0c18"
+        assert digest == "5cd4b4a32b7410082eb124891c912060bd0e93fe88d009347377ced6c3197093"
 
     def test_simulate_results(self, capsys):
         argv = ["simulate", "--n", "20", "--p", "0.25", "--x0", "ramp", "--reps", "200", "--seed", "5"]
         code, record, _ = run_json(capsys, *argv)
         assert code == 0
         digest = hashlib.sha256(json.dumps(record["results"], sort_keys=True).encode()).hexdigest()
-        assert digest == "954bdd8925042130ca3210ec36077a4b43f97ca432032a0439b4cc8f6e5d0511"
+        assert digest == "06ef3a67e9c170fc37d519680ad90567e3c4930084941d6cd8d3331349937b3e"
 
 
 class TestFig2:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from erconsensus.graphs import GraphSeed, ModelParams
 # around it stay as boundary cases of the per-step engine.
 FIRST_CHUNK = 8
 
-DENSE, SPARSE = "dense-byte-block", "sparse-block"
+DENSE, SPARSE = "dense-byte-gap-block", "sparse-block"
 
 
 def _named(cases):
@@ -47,31 +48,45 @@ def _bodies(dense, sparse=None):
 def _dense_literal(n, p, rng):
     """The dense body spelled out one replication at a time: returns step(x), the next W x in stream order.
 
-    The tie stream is seeded by rng's first raw word. Each call takes the
-    next n*n slot bytes from rng's raw 64-bit words, one word at a time,
-    byte k of a word being (word >> 8k) & 255 for k = 0, ..., 7. A byte
-    below floor(256 p) is an edge and one above it is not; a tie is an
-    edge when the tie stream's next double is below 256 p - floor(256 p).
+    The field generator is seeded by rng's first raw word. Each call takes
+    the next n*n slot bytes from rng's raw 64-bit words, one word at a
+    time, byte k of a word being (word >> 8k) & 255 for k = 0, ..., 7. A
+    slot is an edge when its byte is below t = floor(256 p), or when it
+    holds a point of the remainder field: the slots of successive calls,
+    n*n each, form one Bernoulli(q) sequence, q = (256 p - t) / (256 - t),
+    whose next point is found by adding one gap to the last, drawn from
+    the field generator by the gap law ceil(E / -log1p(-q)), E standard
+    exponential. At q = 0 the field generator is never read.
     Then x <- W x with w_ij = (a_ij + [i == j]) / (d_i + 1), a drawn
     diagonal ignored. The neighborhood sums come from the product
     (A + I) [x, 1], the BLAS call the package makes: another summation
-    order would round differently. The normalizer is the literal 1 / (d + 1).
+    order would round differently. The normalizer is the literal s0 / (d + 1).
     """
-    tie = np.random.default_rng(int(rng.bit_generator.random_raw()))
+    field = np.random.default_rng(int(rng.bit_generator.random_raw()))
     cut = math.floor(256 * p)
+    q = (256 * p - cut) / (256 - cut) if 256 * p > cut else 0.0
     spare = []
 
+    def gap():
+        return math.ceil(field.standard_exponential() / -math.log1p(-q))
+
+    point = gap() - 1 if q else math.inf  # the next field point, counted from the first slot of the next call
+
     def step(x):
-        nonlocal spare
+        nonlocal spare, point
         while len(spare) < n * n:
             word = int(rng.bit_generator.random_raw())
             spare += [word >> (8 * k) & 0xFF for k in range(8)]
         slot_bytes, spare = spare[: n * n], spare[n * n :]
-        adj = np.array([b < cut or (b == cut and tie.random() < 256 * p - cut) for b in slot_bytes], dtype=float)
+        adj = np.array([b < cut for b in slot_bytes], dtype=float)
+        while point < n * n:
+            adj[point] = 1.0
+            point += gap()
+        point -= n * n
         adj = adj.reshape(n, n)
         np.fill_diagonal(adj, 0.0)
         sums = (adj + np.eye(n)) @ np.column_stack((x, np.ones(n)))
-        return sums[:, 0] * (1.0 / (adj.sum(axis=1) + 1.0))
+        return sums[:, 0] / (adj.sum(axis=1) + 1.0)
 
     return step
 
@@ -197,8 +212,8 @@ class TestWeightMatrix:
         x = rng.random((4, 5))
         before = x.copy()
         out = np.empty_like(x)
-        tie = np.random.default_rng(0)
-        _dense_piece(x, out, 0.4, np.empty(0, dtype=np.uint8), rng.bit_generator.random_raw, tie, _dense_workspace(4, 5))
+        field, empty = np.random.default_rng(0), np.empty(0, dtype=np.int64)
+        _dense_piece(x, out, 0.4, np.empty(0, dtype=np.uint8), empty, rng.bit_generator.random_raw, field, _dense_workspace(4, 5))
         assert np.array_equal(x, before)
         assert not np.array_equal(out, before)
 
@@ -224,41 +239,49 @@ class TestStep:
         for shape in [(2, 4), (3, 3), (1, 2)]:
             rng = GraphSeed(0).generator()
             with pytest.raises(ValueError):
-                _dense_piece(np.zeros(shape), np.empty(shape), 0.5, np.empty(0, dtype=np.uint8), rng.bit_generator.random_raw, rng, work)
+                _dense_piece(
+                    np.zeros(shape), np.empty(shape), 0.5, np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64),
+                    rng.bit_generator.random_raw, rng, work,
+                )
 
     def test_workspace_reuse_leaves_no_trace(self, dense_update):
         # Every piece in one workspace equals the same piece in a fresh one: full, short, then full again.
         n, p = 7, 0.35
         rng = GraphSeed(12).generator()
-        raw, tie = rng.bit_generator.random_raw, np.random.default_rng(int(rng.bit_generator.random_raw()))
+        raw, field = rng.bit_generator.random_raw, np.random.default_rng(int(rng.bit_generator.random_raw()))
         fresh = GraphSeed(12).generator()
-        fresh_raw, fresh_tie = fresh.bit_generator.random_raw, np.random.default_rng(int(fresh.bit_generator.random_raw()))
+        fresh_raw, fresh_field = fresh.bit_generator.random_raw, np.random.default_rng(int(fresh.bit_generator.random_raw()))
         work = _dense_workspace(5, n)
         spare = fresh_spare = np.empty(0, dtype=np.uint8)
+        pending = fresh_pending = np.empty(0, dtype=np.int64)
         for reps in (5, 2, 5, 1, 5):
             x = GraphSeed(reps).generator().random((reps, n))
             reused, alone = np.empty_like(x), np.empty_like(x)
-            spare = _dense_piece(x, reused, p, spare, raw, tie, work)
-            fresh_spare = _dense_piece(x, alone, p, fresh_spare, fresh_raw, fresh_tie, _dense_workspace(reps, n))
+            spare, pending = _dense_piece(x, reused, p, spare, pending, raw, field, work)
+            fresh_spare, fresh_pending = _dense_piece(
+                x, alone, p, fresh_spare, fresh_pending, fresh_raw, fresh_field, _dense_workspace(reps, n)
+            )
             assert np.array_equal(reused, alone)
             assert np.array_equal(spare, fresh_spare)
+            assert np.array_equal(pending, fresh_pending)
 
     @pytest.mark.parametrize("p", [0.25, 5 / 8, 5 / 40, 1.0])
     def test_no_tie_draw_when_256p_is_an_integer(self, p):
-        # The remainder 256 p - floor(256 p) is 0, so no tie can be an edge: the tie stream is never read.
-        class NoTies:
-            def random(self, size):
-                raise AssertionError("tie stream read")
+        # The remainder 256 p - floor(256 p) is 0, so the field is empty: the field generator is never read.
+        class Unread:
+            def __getattr__(self, name):
+                raise AssertionError("field generator read")
 
         n, a = 20, 40
         rng, fresh = GraphSeed(8).generator(), GraphSeed(8).generator()
         x = GraphSeed(9).generator().random((a, n))
         out, reference = np.empty_like(x), np.empty_like(x)
-        empty = np.empty(0, dtype=np.uint8)
-        _dense_piece(x, out, p, empty, rng.bit_generator.random_raw, NoTies(), _dense_workspace(a, n))
-        tie = np.random.default_rng(0)
-        _dense_piece(x, reference, p, empty, fresh.bit_generator.random_raw, tie, _dense_workspace(a, n))
+        empty, none = np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64)
+        _, pending = _dense_piece(x, out, p, empty, none, rng.bit_generator.random_raw, Unread(), _dense_workspace(a, n))
+        field = np.random.default_rng(0)
+        _dense_piece(x, reference, p, empty, none, fresh.bit_generator.random_raw, field, _dense_workspace(a, n))
         assert np.array_equal(out, reference)
+        assert pending.size == 0
 
     @given(
         mask=st.integers(min_value=0, max_value=2**12 - 1),
@@ -302,12 +325,13 @@ class TestRunConsensus:
         n, p = 6, 0.3
         rng = GraphSeed(17).generator()
         raw = rng.bit_generator.random_raw
-        tie, spare, work = np.random.default_rng(int(raw())), np.empty(0, dtype=np.uint8), _dense_workspace(1, n)
+        field, work = np.random.default_rng(int(raw())), _dense_workspace(1, n)
+        spare, pending = np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64)
         x = np.array([[0.0, 1.0, 0.2, 0.8, 0.5, 0.3]])
         spread = np.ptp(x)
         for _ in range(40):
             new = np.empty_like(x)
-            spare = _dense_piece(x, new, p, spare, raw, tie, work)
+            spare, pending = _dense_piece(x, new, p, spare, pending, raw, field, work)
             x = new
             new_spread = np.ptp(x)
             assert new_spread <= spread + 1e-12 * (1.0 + spread)
@@ -434,7 +458,7 @@ class TestRunBlock:
     def test_dense_pieces_respect_the_cap(self):
         rng = _RecordingGenerator(GraphSeed(4).generator())
         run_block(ModelParams(50, 0.2), _ramp(50), 30, rng)
-        # One word seeds the tie stream; then 2**16 // 50**2 = 26 replications
+        # One word seeds the field generator; then 2**16 // 50**2 = 26 replications
         # per piece: 65000 slot bytes, 8125 raw words, and the other 4 in 1250.
         assert max(rng.words) <= 8125
         assert rng.words[:4] == [1, 8125, 1250, 8125]
@@ -553,6 +577,16 @@ class TestRelativeTolerance:
     def test_rejects_tol_at_or_above_one(self, tol):
         with pytest.raises(ValueError, match=r"^tol must be .* < 1 \(relative to the spread of x0\)"):
             run_block(ModelParams(3, 0.5), np.arange(3.0), 4, GraphSeed(0).generator(), tol=tol)
+
+    @pytest.mark.parametrize("tol", [5e-324, 1e-310, np.nextafter(sys.float_info.min, 0.0)])
+    def test_rejects_a_subnormal_tol(self, tol):
+        # tol * spread(x0) would underflow, and every replication would report mean(x0) at step 0.
+        with pytest.raises(ValueError, match=r"^tol must be .*, not subnormal"):
+            run_block(ModelParams(3, 0.5), [0.0, 0.1, 0.2], 4, GraphSeed(0).generator(), tol=tol, max_steps=2)
+
+    def test_accepts_the_smallest_normal_tol(self):
+        values, _, _ = run_block(ModelParams(3, 1.0), [0.0, 0.1, 0.2], 4, GraphSeed(0).generator(), tol=sys.float_info.min)
+        assert np.allclose(values, 0.1)
 
     def test_error_names_the_relative_and_absolute_threshold(self):
         x0 = 4.0 * _ramp(20)

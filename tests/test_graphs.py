@@ -21,11 +21,18 @@ def _sample(graphs, n, p, seed) -> np.ndarray:
     """
     rng = GraphSeed(seed).generator()
     raw = rng.bit_generator.random_raw
-    tie = np.random.default_rng(int(raw()))
+    field = np.random.default_rng(int(raw()))
     work = _dense_workspace(graphs, n)
     x = np.zeros((graphs, n))
-    _dense_piece(x, np.empty_like(x), p, np.empty(0, dtype=np.uint8), raw, tie, work)
+    _dense_piece(x, np.empty_like(x), p, np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64), raw, field, work)
     return work[0] != 0.0
+
+
+def _slot_bytes(count, seed) -> np.ndarray:
+    """The bytes of the first `count` slots (a multiple of 8) on a fresh generator: raw words after the field seed."""
+    raw = GraphSeed(seed).generator().bit_generator.random_raw
+    raw()
+    return raw(count // 8).astype("<u8").view(np.uint8)
 
 
 def _slots(count, p, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -150,23 +157,33 @@ class TestSampleGraph:
         freq = _degrees(dense_update, adj).sum() / (2 * draws)
         assert abs(freq - 0.5) <= 3.0 * math.sqrt(0.25 / (2 * draws))
 
-    @pytest.mark.parametrize("p", [1 / 256, 64 / 256, 64 / 256 + 1e-9, 0.1, 5 / 34, 0.999, 1.0])
+    @pytest.mark.parametrize(
+        "p", [0.003, 1 / 256, 64 / 256, 64 / 256 + 1e-9, 65 / 256 - 1e-9, 0.1, 5 / 34, 0.999, 1.0]
+    )
     def test_edge_frequency_within_4se(self, p):
-        # 2**22 slots; the dyadic p have no tie edges, and 64/256 + 1e-9 almost none.
+        # 2**22 slots. The dyadic p have no field edges and 64/256 + 1e-9 almost none;
+        # at 0.003 (floor(256 p) = 0) every edge comes from the field, and just below
+        # 65/256 the field has q just below 1/192.
         edges, off = _slots(2**22, p, seed=14)
         slots = np.count_nonzero(off)
         freq = np.count_nonzero(edges[off]) / slots
         assert abs(freq - p) <= 4.0 * math.sqrt(p * (1.0 - p) / slots)
 
     def test_ties_are_settled_by_the_remainder(self):
-        # One stream at three p with floor(256 p) = 64: the same bytes tie and take the
-        # same doubles, so the edges nest, and the remainder 0.5 turns half the ties into
-        # edges: Binomial(slots, 1/512) of them.
-        (low, off), (tiny, _), (half, _) = (_slots(2**20, p, seed=15) for p in (64 / 256, 64 / 256 + 1e-9, 64.5 / 256))
+        # The byte settles the first eight binary digits of p, the remainder field the
+        # rest. One stream at three p with floor(256 p) = 64: every byte below 64 is an
+        # edge at each p. At remainder 0.5, q = 0.5 / 192, so a slot is an extra edge
+        # (byte >= 64, field point) with probability (192 / 256) q = 1/512:
+        # Binomial(slots, 1/512) of them.
+        count = 2**20
+        low = _slot_bytes(count, seed=15) < 64
+        for p in (64 / 256, 64 / 256 + 1e-9, 64.5 / 256):
+            edges, off = _slots(count, p, seed=15)
+            assert not (low & off & ~edges).any()
+            if p == 64 / 256:
+                assert np.array_equal(edges[off], low[off])
+        added = np.count_nonzero(edges & off & ~low)
         slots = np.count_nonzero(off)
-        assert not (low & ~tiny).any()
-        assert not (tiny & ~half).any()
-        added = np.count_nonzero(half & ~low)
         assert abs(added - slots / 512) <= 4.0 * math.sqrt(slots / 512 * (1.0 - 1 / 512))
 
     def test_lag_one_independence_across_byte_lanes(self):

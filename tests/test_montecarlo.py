@@ -158,7 +158,7 @@ class TestRunEnsemble:
         with pytest.raises(TypeError, match="^threads must be an integer"):
             run_ensemble(_config(), threads=threads)
 
-    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, 5e-324, 1e-310])
     def test_rejects_bad_tol_at_construction(self, tol):
         with pytest.raises(ValueError, match="^tol must be finite and positive"):
             _config(tol=tol)
