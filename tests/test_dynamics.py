@@ -212,8 +212,9 @@ class TestWeightMatrix:
         x = rng.random((4, 5))
         before = x.copy()
         out = np.empty_like(x)
-        field, empty = np.random.default_rng(0), np.empty(0, dtype=np.int64)
-        _dense_piece(x, out, 0.4, np.empty(0, dtype=np.uint8), empty, rng.bit_generator.random_raw, field, _dense_workspace(4, 5))
+        no_spare, no_pending = np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64)
+        field = np.random.default_rng(0)
+        _dense_piece(x, out, 0.4, no_spare, no_pending, rng.bit_generator.random_raw, field, _dense_workspace(4, 5))
         assert np.array_equal(x, before)
         assert not np.array_equal(out, before)
 
@@ -276,10 +277,11 @@ class TestStep:
         rng, fresh = GraphSeed(8).generator(), GraphSeed(8).generator()
         x = GraphSeed(9).generator().random((a, n))
         out, reference = np.empty_like(x), np.empty_like(x)
-        empty, none = np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64)
-        _, pending = _dense_piece(x, out, p, empty, none, rng.bit_generator.random_raw, Unread(), _dense_workspace(a, n))
+        no_spare, no_pending = np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64)
+        raw, work = rng.bit_generator.random_raw, _dense_workspace(a, n)
+        _, pending = _dense_piece(x, out, p, no_spare, no_pending, raw, Unread(), work)
         field = np.random.default_rng(0)
-        _dense_piece(x, reference, p, empty, none, fresh.bit_generator.random_raw, field, _dense_workspace(a, n))
+        _dense_piece(x, reference, p, no_spare, no_pending, fresh.bit_generator.random_raw, field, _dense_workspace(a, n))
         assert np.array_equal(out, reference)
         assert pending.size == 0
 
