@@ -15,7 +15,6 @@ from .moments import (
     expected_self_weight,
     expected_self_weight_sq,
     expected_weight_matrix,
-    kron_apply_left,
     kron_left_eigenvector,
     pattern_map,
     second_moments,
@@ -56,7 +55,6 @@ __all__ = [
     "expected_self_weight_sq",
     "expected_weight_matrix",
     "factor_sweep",
-    "kron_apply_left",
     "kron_left_eigenvector",
     "left_unit_eigenvector",
     "oracle_report",

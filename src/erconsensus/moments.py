@@ -35,7 +35,6 @@ __all__ = [
     "expected_self_weight",
     "expected_self_weight_sq",
     "expected_weight_matrix",
-    "kron_apply_left",
     "kron_left_eigenvector",
     "pattern_map",
     "second_moments",
@@ -200,8 +199,7 @@ def expected_kron_matrix(params: ModelParams) -> np.ndarray:
 
     Row (i, r) = i*n + r, column (j, s) = j*n + s. Block (i, r), i != r,
     is E[w_i.] (x) E[w_r.], filled by its three cross-row classes; block
-    (i, i) is m2 relabelled. Rejected above DENSE_KRON_LIMIT; use
-    kron_apply_left there.
+    (i, i) is m2 relabelled. Rejected above DENSE_KRON_LIMIT.
     """
     n = params.n
     if n > DENSE_KRON_LIMIT:
@@ -218,40 +216,6 @@ def expected_kron_matrix(params: ModelParams) -> np.ndarray:
     return out
 
 
-def kron_apply_left(v: np.ndarray, params: ModelParams) -> np.ndarray:
-    """v^T M for M = E[W (x) W] in O(n^2), without forming M.
-
-    v is indexed like the dense assembly's rows; as an n x n array V,
-    v^T M = E[W]^T V E[W] + sum_i V_ii C_i by row independence, with C_i
-    row i's covariance, C_0 = m2 - m1 m1^T relabelled. As E[W] = aI + bJ
-    and C_0 takes four values, only scalars and V's sums are used.
-    """
-    n = params.n
-    v = np.asarray(v, dtype=float)
-    if v.shape != (n * n,):
-        raise ValueError(f"v must have length n^2 = {n * n}, got shape {v.shape}")
-    m = second_moments(params)
-    b = m.mean_neighbor
-    a = m.mean_self - b
-    # C_0[j, s], same-row minus cross-row class: j = s = 0, one of j, s is 0, j = s != 0, rest.
-    c_self = m.self_sq - m.self_self
-    c_mixed = m.self_neighbor_same_row - m.self_neighbor_cross_row
-    c_sq = m.self_neighbor_same_row - m.neighbor_pair_cross_row
-    c_pair = (m.neighbor_pair_same_row or 0.0) - m.neighbor_pair_cross_row
-
-    V = v.reshape(n, n)
-    diag, trace = V.diagonal(), float(np.trace(V))
-    # a^2 V + ab (row + column sums) + b^2 total, and off the diagonal
-    # sum_i V_ii C_i[j, s] = c_mixed (V_jj + V_ss) + c_pair (trace - V_jj - V_ss).
-    edge = (c_mixed - c_pair) * diag
-    out = (a * a) * V
-    out += (a * b * V.sum(axis=1) + edge + (b * b * float(V.sum()) + c_pair * trace))[:, None]
-    out += a * b * V.sum(axis=0) + edge
-    flat = out.reshape(n * n)  # on the diagonal: c_self V_jj + c_sq (trace - V_jj)
-    flat[:: n + 1] += (c_sq - c_pair) * trace + (c_self - c_sq - 2.0 * (c_mixed - c_pair)) * diag
-    return flat
-
-
 @dataclass(frozen=True)
 class PatternMap:
     """Coefficients of the 2x2 map E[W (x) W] induces on pattern vectors.
@@ -266,6 +230,9 @@ class PatternMap:
     b*c = (1-a)(1-d) holds identically, which is exactly what gives the
     map a unit eigenvalue and the second-moment matrix its closed-form
     left eigenvector with ratio alpha/beta = b/(1-a).
+
+    a and d are stored near 1 at small p, so take 1 - a as c/(n-1) and
+    1 - d as (n-1)*b rather than subtracting them from 1.
     """
 
     a: float
@@ -275,22 +242,19 @@ class PatternMap:
 
 
 def pattern_map(params: ModelParams) -> PatternMap:
-    """The four pattern-map coefficients in terms of the mean self-weight.
+    """The four pattern-map coefficients in terms of the mean weights.
 
-    With f1 = E[w_ii] and s = (n f1 + n - 2)(1 - f1)/(n - 1):
-    a = 1 - s/(n-1), b = (1 - f1)/(n-1), c = s, d = f1. Note a < 1; the
-    empirical map extracted from the enumerated second-moment matrix
-    fixes this sign (tests cover it), and b/(1-a) then reproduces rho.
+    With f1 = E[w_ii], b = E[w_ij] = (1 - f1)/(n-1) and s = (n f1 + n - 2) b:
+    a = 1 - s/(n-1), c = s, d = f1. s is built from b, not from 1 - f1,
+    which cancels at small p. Note a < 1; the empirical map extracted
+    from the enumerated second-moment matrix fixes this sign (tests
+    cover it), and b/(1-a), with 1 - a = s/(n-1), then reproduces rho.
     """
     n = params.n
     f1 = expected_self_weight(params)
-    scale = (n * f1 + n - 2.0) * (1.0 - f1) / (n - 1.0)
-    return PatternMap(
-        a=1.0 - scale / (n - 1.0),
-        b=expected_neighbor_weight(params),
-        c=scale,
-        d=f1,
-    )
+    b = expected_neighbor_weight(params)
+    scale = (n * f1 + n - 2.0) * b
+    return PatternMap(a=1.0 - scale / (n - 1.0), b=b, c=scale, d=f1)
 
 
 def variance_coefficients(params: ModelParams) -> tuple[float, float]:

@@ -190,7 +190,9 @@ def run_ensemble(cfg: ExperimentConfig, threads: int = 1) -> EnsembleStats:
 
 
 def _check_degree(c: float) -> None:
-    """Reject an expected degree c that is not finite and > 0; p = c/n would be out of range."""
+    """Reject a bool expected degree c, or one not finite and > 0; p = c/n would be out of range."""
+    if isinstance(c, (bool, np.bool_)):
+        raise TypeError("c must be a number, got bool")
     if not 0.0 < c < math.inf:  # NaN fails both comparisons
         raise ValueError(f"c must be finite and > 0, got {c}")
 

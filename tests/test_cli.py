@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import erconsensus
-from erconsensus import cli
+from erconsensus import cli, dynamics, graphs, moments, montecarlo, oracle
 from erconsensus.montecarlo import FactorRow, SweepRow
 from erconsensus.oracle import ENUM_MAX_N
 
@@ -48,6 +48,14 @@ def test_every_record_names_the_versions(capsys, argv):
     assert record["provenance"]["erconsensus"] == erconsensus.__version__
     assert record["provenance"]["numpy"] == np.__version__
     assert not {"erconsensus", "numpy"} & set(record["results"])
+
+
+@pytest.mark.parametrize(
+    "module", [erconsensus, graphs, dynamics, moments, montecarlo, oracle], ids=lambda m: m.__name__
+)
+def test_every_export_exists(module):
+    # A name deleted from a module but left in __all__ breaks "import *".
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
 class TestAnalytic:

@@ -19,7 +19,6 @@ from erconsensus.moments import (
     expected_self_weight,
     expected_self_weight_sq,
     expected_weight_matrix,
-    kron_apply_left,
     kron_left_eigenvector,
     pattern_map,
     second_moments,
@@ -69,6 +68,31 @@ def kron_row_sums(params: ModelParams) -> np.ndarray:
     out = np.full(n * n, cross_row)
     out[np.arange(n) * (n + 1)] = same_row
     return out
+
+
+def _one_step_alpha(params: ModelParams) -> float:
+    """alpha, with E[(mean(W x) - mean(x))^2] = alpha x^T x for every centred x.
+
+    By row independence it is (1/n^2) sum_i x^T C_i x, C_i row i's
+    covariance. C_0 takes four values, each a same-row class minus its
+    cross-row class, and centring collapses the sum to these counts.
+    """
+    n = params.n
+    m = second_moments(params)
+    c_self = m.self_sq - m.self_self
+    c_mixed = m.self_neighbor_same_row - m.self_neighbor_cross_row
+    c_sq = m.self_neighbor_same_row - m.neighbor_pair_cross_row
+    c_pair = (m.neighbor_pair_same_row or 0.0) - m.neighbor_pair_cross_row  # no such pair at n = 2
+    return (c_self - 2.0 * c_mixed + (n - 1) * c_sq - (n - 2) * c_pair) / n**2
+
+
+def _one_minus_mu(params: ModelParams) -> float:
+    """1 - mu, mu = a + d - 1 the pattern map's contraction of S(x), without cancellation."""
+    n = params.n
+    m = pattern_map(params)
+    return m.c / (n - 1) + (n - 1) * m.b
+
+
 SMALL_GRID = [(n, p) for n in (2, 3, 5, 10, 30) for p in (0.05, 0.3, 0.7, 1.0)]
 
 
@@ -308,20 +332,6 @@ class TestExpectedMatrices:
         with pytest.raises(ValueError):
             expected_kron_matrix(ModelParams(DENSE_KRON_LIMIT + 1, 0.5))
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 8, 30, 60])
-    @pytest.mark.parametrize("p", [0.05, 0.3, 0.9, 1.0])
-    def test_matrix_free_apply_matches_dense(self, n, p):
-        params = ModelParams(n, p)
-        dense = expected_kron_matrix(params)
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            v = rng.standard_normal(n * n)
-            assert np.max(np.abs(kron_apply_left(v, params) - v @ dense)) < 1e-12
-
-    def test_matrix_free_apply_validates_length(self):
-        with pytest.raises(ValueError):
-            kron_apply_left(np.zeros(5), ModelParams(2, 0.5))
-
 
 class TestPatternMap:
     def test_complete_graph_plug_in(self):
@@ -342,6 +352,19 @@ class TestPatternMap:
         m = pattern_map(params)
         rho, _ = variance_coefficients(params)
         assert m.b / (1.0 - m.a) == pytest.approx(rho, abs=1e-12)
+
+    @pytest.mark.parametrize("n,p", [(3, 1e-9), (10, 1e-12), (4, 1e-6), (60, 1e-9)])
+    def test_against_exact_rationals_at_small_p(self, n, p):
+        # c from 1 - f1 lost 1.4e-7 of it at (3, 1e-9) and 1.5e-5 at (10, 1e-12).
+        exact_p = Fraction(p)
+        f1 = _exact_inverse_moment(n - 1, exact_p, shift=1, power=1)
+        b = (1 - f1) / (n - 1)
+        c = (n * f1 + n - 2) * b
+        rho, _ = _exact_rho_delta(n, exact_p)
+        m = pattern_map(ModelParams(n, p))
+        assert m.c == pytest.approx(float(c), rel=1e-14, abs=0.0)
+        # rho = b/(1 - a), with 1 - a taken as c/(n - 1).
+        assert m.b / (m.c / (n - 1)) == pytest.approx(float(rho), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     @pytest.mark.parametrize("p", [0.2, 0.6, 1.0])
@@ -419,11 +442,31 @@ class TestKronEigenvector:
         residual = np.max(np.abs(v @ expected_kron_matrix(params) - v))
         assert residual < 1e-12
 
-    @pytest.mark.parametrize("n", [80, 100, 1000])
-    def test_matrix_free_residual_beyond_dense_cap(self, n):
-        params = ModelParams(n, 0.1)
-        v = kron_left_eigenvector(params)
-        assert np.max(np.abs(kron_apply_left(v, params) - v)) < 1e-12
+    @pytest.mark.parametrize("n", [2, 3, 6, 20, 60])
+    @pytest.mark.parametrize("p", [1e-3, 0.05, 0.3, 0.9, 1.0])
+    def test_one_step_scalars_match_dense_operator(self, n, p):
+        # M (x (x) x) = vec E[x' x'^T] for x' = W x. With x centred and
+        # S = x^T x = 1: E[mean(x')^2] = alpha S and E[S(x')] = mu S.
+        params = ModelParams(n, p)
+        x = np.random.default_rng(n).standard_normal(n)
+        x -= x.mean()
+        x /= np.linalg.norm(x)
+        s = x @ x
+        image = expected_kron_matrix(params) @ np.kron(x, x)
+        mean_sq = image.sum() / n**2
+        assert _one_step_alpha(params) * s == pytest.approx(mean_sq, rel=0.0, abs=1e-14)
+        spread_sq = image[:: n + 1].sum() - n * mean_sq
+        assert (1.0 - _one_minus_mu(params)) * s == pytest.approx(spread_sq, rel=0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [80, 100, 400, 1000])
+    @pytest.mark.parametrize("rule", ["1e-3", "0.05", "5/n", "0.3", "0.9"])
+    def test_scalar_pair_pins_rho_beyond_dense_cap(self, n, rule):
+        # var(x*) = alpha S(x0)/(1 - mu), so alpha/(1 - mu) = (1 - rho)/delta,
+        # which is strictly decreasing in rho and so pins the Perron vector.
+        params = ModelParams(n, 5.0 / n if rule == "5/n" else float(rule))
+        rho, delta = variance_coefficients(params)
+        ratio = _one_step_alpha(params) / _one_minus_mu(params)
+        assert ratio == pytest.approx((1.0 - rho) / delta, rel=1e-12, abs=0.0)
 
 
 class TestConsensusMean:

@@ -354,6 +354,12 @@ class TestSweepFixedDegree:
         with pytest.raises(ValueError, match="^c must be finite and > 0"):
             sweep_fixed_degree(c, [5], 10, 1)
 
+    @pytest.mark.parametrize("c", [True, np.True_], ids=["bool", "numpy-bool"])
+    def test_rejects_a_bool_degree(self, c):
+        # It would otherwise run as c = 1.0.
+        with pytest.raises(TypeError, match="^c must be a number, got bool$"):
+            sweep_fixed_degree(c, range(2, 4), 10, 1)
+
     def test_reproducible_and_thread_invariant(self):
         a = sweep_fixed_degree(5.0, range(5, 7), reps=120, seed=3)
         b = sweep_fixed_degree(5.0, range(5, 7), reps=120, seed=3)
@@ -385,6 +391,11 @@ class TestFactorSweep:
     def test_rejects_a_bad_degree_by_name(self, c):
         with pytest.raises(ValueError, match="^c must be finite and > 0"):
             factor_sweep([5.0, c], [5])
+
+    @pytest.mark.parametrize("c", [True, np.True_], ids=["bool", "numpy-bool"])
+    def test_rejects_a_bool_degree(self, c):
+        with pytest.raises(TypeError, match="^c must be a number, got bool$"):
+            factor_sweep([c], range(2, 4))
 
     def test_matches_direct_factor(self):
         rows = factor_sweep([4.0], range(4, 9))
