@@ -16,8 +16,6 @@ from erconsensus import (
     ModelParams,
     consensus_variance,
     expected_kron_matrix,
-    expected_self_weight,
-    expected_self_weight_sq,
     expected_weight_matrix,
     kron_left_eigenvector,
     second_moments,
@@ -27,15 +25,13 @@ from erconsensus import (
 params = ModelParams(n=4, p=0.4)
 print(f"model: n = {params.n}, p = {params.p} (q = {params.q})")
 
-f1 = expected_self_weight(params)
-g2 = expected_self_weight_sq(params)
-print(f"\nE[w_ii]   = {f1:.6f}   (expected self-weight, E[1/(d+1)])")
-print(f"E[w_ii^2] = {g2:.6f}   (second moment, E[1/(d+1)^2])")
+m = second_moments(params)
+print(f"\nE[w_ii]   = {m.mean_self:.6f}   (expected self-weight, E[1/(d+1)])")
+print(f"E[w_ii^2] = {m.self_sq:.6f}   (second moment, E[1/(d+1)^2])")
 
 print("\nE[W] has this self-weight on the diagonal, the rest uniform:")
 print(np.array_str(expected_weight_matrix(params), precision=4))
 
-m = second_moments(params)
 print("\nthe six classes of E[w_ij w_rs]:")
 print(f"  self squared            {m.self_sq:.6f}")
 print(f"  self x self, two rows   {m.self_self:.6f}")

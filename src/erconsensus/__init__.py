@@ -12,8 +12,6 @@ from .graphs import GraphSeed, ModelParams
 from .moments import (
     consensus_variance,
     expected_kron_matrix,
-    expected_self_weight,
-    expected_self_weight_sq,
     expected_weight_matrix,
     kron_left_eigenvector,
     pattern_map,
@@ -51,8 +49,6 @@ __all__ = [
     "enumerate_expected_matrices",
     "exact_variance",
     "expected_kron_matrix",
-    "expected_self_weight",
-    "expected_self_weight_sq",
     "expected_weight_matrix",
     "factor_sweep",
     "kron_left_eigenvector",

@@ -76,7 +76,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ModelParams, _check_int, _check_x0
+from .graphs import ModelParams, _check_int, _check_real, _check_x0
 
 __all__ = [
     "DEFAULT_MAX_STEPS",
@@ -110,19 +110,19 @@ class NonConvergenceError(RuntimeError):
         self.spread = spread
 
 
-def _check_budget(tol: float, cap_name: str, cap: int) -> None:
-    """Reject an iteration budget that cannot work: tol in (0, 1) and normal, cap an integer >= 1.
+def _check_budget(tol: float, max_steps: int) -> None:
+    """Reject an iteration budget that cannot work: tol a number in (0, 1) and normal, max_steps an integer >= 1.
 
     tol is relative to the spread of x0, so tol >= 1 would stop every run
     after one step. A subnormal tol makes tol * spread(x0) underflow to 0
     for most x0, and every replication would report mean(x0) at step 0.
     """
-    if not sys.float_info.min <= tol < 1.0:  # NaN fails both comparisons
+    if not sys.float_info.min <= _check_real("tol", tol) < 1.0:  # NaN fails both comparisons
         raise ValueError(
             f"tol must be finite and positive and < 1 (relative to the spread of x0), "
             f"not subnormal (< {sys.float_info.min}), got {tol}"
         )
-    _check_int(cap_name, cap, 1)
+    _check_int("max_steps", max_steps, 1)
 
 
 def _stop_rule(tol: float, x0: np.ndarray) -> str:
@@ -151,9 +151,9 @@ def stream_layout(params: ModelParams) -> str:
     dense body was faster or even at p >= 0.1 at every n, by up to 3.8x
     at p = 0.2: it costs a few ns per slot, edge or not, and the sparse
     body pays per edge. The dense side was timed before the remainder
-    field replaced its tie search (a fig1 pass now takes about 0.9x as
-    long), and the cut was not timed again. The cut stays below p = 1/3,
-    the range where the gap law matches numpy's geometric variates.
+    field replaced its tie search, and the cut was not timed again. The
+    cut stays below p = 1/3, the range where the gap law matches numpy's
+    geometric variates.
     """
     return "sparse-block" if params.p <= 0.09 else "dense-byte-gap-block"
 
@@ -317,7 +317,7 @@ def run_block(
     generator from rng's first raw word and carries the field's points
     past a piece, as a sparse block carries its edges.
     """
-    _check_budget(tol, "max_steps", max_steps)
+    _check_budget(tol, max_steps)
     _check_int("reps", reps, 1)
     n, p = params.n, params.p
     x = _check_x0(x0, n)

@@ -8,6 +8,7 @@ therefore Binomial(n - 1, p). Self-loops are never part of a realization
 
 from __future__ import annotations
 
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -35,10 +36,10 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         _check_int("n", self.n, 2)
-        if isinstance(self.p, bool):
-            raise TypeError("p must be a number, got bool")
-        if not sys.float_info.min <= self.p <= 1.0:
-            raise ValueError(f"p must be in (0, 1] and not subnormal (< {sys.float_info.min}), got {self.p}")
+        p = _check_real("p", self.p)
+        if not sys.float_info.min <= p <= 1.0:
+            raise ValueError(f"p must be in (0, 1] and not subnormal (< {sys.float_info.min}), got {p}")
+        object.__setattr__(self, "p", p)
 
     @property
     def q(self) -> float:
@@ -56,6 +57,15 @@ def _check_int(name: str, value, minimum: int) -> None:
         raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _check_real(name: str, value) -> float:
+    """value as a Python float, +-inf past its range; a bool (numpy's is not Real) or a non-number is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):  # float spares the ~1 us ABC check
+        raise TypeError(f"{name} must be a number, got {type(value).__name__}")
+    if not isinstance(value, (float, np.floating)) and abs(value) > sys.float_info.max:  # float() would overflow
+        return np.inf if value > 0 else -np.inf
+    return float(value)
 
 
 def _check_x0(x0, n: int | None = None) -> np.ndarray:

@@ -31,9 +31,6 @@ __all__ = [
     "WeightSecondMoments",
     "consensus_variance",
     "expected_kron_matrix",
-    "expected_neighbor_weight",
-    "expected_self_weight",
-    "expected_self_weight_sq",
     "expected_weight_matrix",
     "kron_left_eigenvector",
     "pattern_map",
@@ -95,32 +92,15 @@ def _row_degree_moments(params: ModelParams) -> tuple[float, float, float, float
     return float(inv_sq.sum()), float(pmf @ (k / (k + 1.0))) / (n - 1), float(k @ inv_sq) / (n - 1), pair
 
 
-def expected_self_weight(params: ModelParams) -> float:
-    """E[w_ii] = E[1/(d+1)] = (1 - q^n) / (n p)."""
-    return _one_minus_q_pow(params.p, params.n) / (params.n * params.p)
-
-
-def expected_neighbor_weight(params: ModelParams) -> float:
-    """E[w_ij] for i != j, E[d/(d+1)]/(n-1) over the degree law (see _row_degree_moments)."""
-    return _row_degree_moments(params)[1]
-
-
-def expected_self_weight_sq(params: ModelParams) -> float:
-    """E[w_ii^2] = E[1/(d+1)^2], the second moment of the self-weight.
-
-    Not the power-series form q^(n-1) sum_k (k+1)^-2 binom(n-1, k) (p/q)^k,
-    which multiplies a huge series by a vanishing q^(n-1).
-    """
-    return _row_degree_moments(params)[0]
-
-
 @dataclass(frozen=True)
 class WeightSecondMoments:
-    """The six entry-product expectations E[w_ij w_rs] of one graph draw.
+    """A row's first moments and the six classes E[w_ij w_rs] of one graph draw.
 
-    With i, j, r, s pairwise distinct, every product of two entries of W
-    falls into one of six classes:
+    With i, j, r, s pairwise distinct, the first moments and the six
+    classes into which every product of two entries of W falls:
 
+      mean_self                E[w_ii] = E[1/(d+1)] = (1 - q^n)/(n p)
+      mean_neighbor            E[w_ij] = E[d/(d+1)]/(n-1)
       self_sq                  E[w_ii^2]
       self_self                E[w_ii w_rr]          (independent rows)
       self_neighbor_same_row   E[w_ii w_is] = E[w_ij w_ii] = E[w_ij^2]
@@ -145,8 +125,8 @@ class WeightSecondMoments:
 
 
 def second_moments(params: ModelParams) -> WeightSecondMoments:
-    """All six classes; the same-row ones and E[w_ij] from one pass over the degree law."""
-    f1 = expected_self_weight(params)
+    """A row's moments: E[w_ii] = (1 - q^n)/(n p), the rest from one pass over the degree law."""
+    f1 = _one_minus_q_pow(params.p, params.n) / (params.n * params.p)
     g2, off, same, pair_same = _row_degree_moments(params)
     return WeightSecondMoments(
         mean_self=f1,
@@ -250,9 +230,8 @@ def pattern_map(params: ModelParams) -> PatternMap:
     from the enumerated second-moment matrix fixes this sign (tests
     cover it), and b/(1-a), with 1 - a = s/(n-1), then reproduces rho.
     """
-    n = params.n
-    f1 = expected_self_weight(params)
-    b = expected_neighbor_weight(params)
+    m = second_moments(params)
+    n, f1, b = params.n, m.mean_self, m.mean_neighbor
     scale = (n * f1 + n - 2.0) * b
     return PatternMap(a=1.0 - scale / (n - 1.0), b=b, c=scale, d=f1)
 

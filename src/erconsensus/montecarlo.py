@@ -21,7 +21,7 @@ import numpy as np
 
 from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_TOL, NonConvergenceError, run_block
 from .dynamics import _check_budget, _stop_rule
-from .graphs import GraphSeed, ModelParams, _check_int, _check_x0
+from .graphs import GraphSeed, ModelParams, _check_int, _check_real, _check_x0
 from .moments import consensus_variance, variance_factor
 
 __all__ = [
@@ -74,7 +74,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         _check_int("reps", self.reps, 1)
-        _check_budget(self.tol, "max_steps", self.max_steps)
+        _check_budget(self.tol, self.max_steps)
 
     def x0(self) -> np.ndarray:
         return resolve_x0(self.x0_spec, self.params.n)
@@ -189,12 +189,12 @@ def run_ensemble(cfg: ExperimentConfig, threads: int = 1) -> EnsembleStats:
     )
 
 
-def _check_degree(c: float) -> None:
-    """Reject a bool expected degree c, or one not finite and > 0; p = c/n would be out of range."""
-    if isinstance(c, (bool, np.bool_)):
-        raise TypeError("c must be a number, got bool")
+def _check_degree(c: float) -> float:
+    """The expected degree c as a float; it must be a finite number > 0 for p = c/n to be in range."""
+    c = _check_real("c", c)
     if not 0.0 < c < math.inf:  # NaN fails both comparisons
         raise ValueError(f"c must be finite and > 0, got {c}")
+    return c
 
 
 @dataclass(frozen=True)
@@ -228,7 +228,7 @@ def sweep_fixed_degree(
     stream n under the base seed, so rows are independent and the whole
     table is reproducible for a fixed (seed, reps) regardless of threads.
     """
-    _check_degree(c)
+    c = _check_degree(c)
     rows = []
     for n in n_range:
         _check_int("n", n, 2)
@@ -279,9 +279,9 @@ def factor_sweep(c_list, n_range) -> list[FactorRow]:
     """
     rows = []
     for c in c_list:
-        _check_degree(c)
+        c = _check_degree(c)
         for n in n_range:
             _check_int("n", n, 2)
             if n >= c:
-                rows.append(FactorRow(c=float(c), n=n, factor=variance_factor(ModelParams(n, c / n))))
+                rows.append(FactorRow(c=c, n=n, factor=variance_factor(ModelParams(n, c / n))))
     return rows

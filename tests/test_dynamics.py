@@ -494,6 +494,8 @@ class TestRunBlock:
         params, rng = ModelParams(3, 0.5), GraphSeed(0).generator()
         with pytest.raises(ValueError, match="^tol must be finite and positive"):
             run_block(params, np.zeros(3), 4, rng, tol=0.0)
+        with pytest.raises(TypeError, match="^tol must be a number, got str$"):
+            run_block(params, np.zeros(3), 4, rng, tol="1e-6")
         with pytest.raises(ValueError, match="^max_steps must be >= 1"):
             run_block(params, np.zeros(3), 4, rng, max_steps=0)
         with pytest.raises(ValueError, match="^reps must be >= 1"):

@@ -55,7 +55,7 @@ class TestModelParams:
         params = ModelParams(3, 0.5)
         assert params.q == 0.5
 
-    @pytest.mark.parametrize("p", [0.0, -0.1, 1.5])
+    @pytest.mark.parametrize("p", [0.0, -0.1, 1.5, pytest.param(10**400, id="int-past-float-range")])
     def test_bad_p_rejected(self, p):
         with pytest.raises(ValueError):
             ModelParams(3, p)
@@ -80,8 +80,10 @@ class TestModelParams:
             ModelParams(3.0, 0.5)
 
     def test_bool_p_rejected(self):
-        with pytest.raises(TypeError, match="^p must be a number"):
-            ModelParams(3, True)
+        # Non-numbers too: a string or None failed in an unnamed comparison, an array far downstream.
+        for p in (True, np.True_, "0.5", None, np.array([0.5])):
+            with pytest.raises(TypeError, match=f"^p must be a number, got {type(p).__name__}$"):
+                ModelParams(3, p)
 
 
 class TestGraphSeed:

@@ -15,9 +15,6 @@ from erconsensus.moments import (
     DENSE_KRON_LIMIT,
     consensus_variance,
     expected_kron_matrix,
-    expected_neighbor_weight,
-    expected_self_weight,
-    expected_self_weight_sq,
     expected_weight_matrix,
     kron_left_eigenvector,
     pattern_map,
@@ -113,14 +110,14 @@ def _exact_rho_delta(n: int, p: Fraction) -> tuple[Fraction, Fraction]:
 class TestSelfWeight:
     @pytest.mark.parametrize("n,p,expected", [(5, 1.0, 0.2), (2, 1.0, 0.5), (2, 0.5, 0.75)])
     def test_known_values(self, n, p, expected):
-        assert expected_self_weight(ModelParams(n, p)) == pytest.approx(expected, abs=1e-15)
+        assert second_moments(ModelParams(n, p)).mean_self == pytest.approx(expected, abs=1e-15)
 
     @pytest.mark.parametrize("n", [2, 3, 7, 12])
     @pytest.mark.parametrize("num,den", [(1, 10), (1, 2), (9, 10)])
     def test_against_exact_rational_sum(self, n, num, den):
         p = Fraction(num, den)
         exact = _exact_inverse_moment(n - 1, p, shift=1, power=1)
-        value = expected_self_weight(ModelParams(n, float(p)))
+        value = second_moments(ModelParams(n, float(p))).mean_self
         assert value == pytest.approx(float(exact), rel=1e-14)
 
     def test_small_p_no_cancellation(self):
@@ -131,49 +128,45 @@ class TestSelfWeight:
         with localcontext() as context:
             context.prec = 60
             exact = (1 - (1 - p) ** n) / (n * p)
-        value = expected_self_weight(ModelParams(n, float(p)))
+        value = second_moments(ModelParams(n, float(p))).mean_self
         assert value == pytest.approx(float(exact), rel=1e-13)
 
     @pytest.mark.parametrize("n", [2, 4, 9])
     @pytest.mark.parametrize("p", P_GRID)
     def test_row_sum_identity(self, n, p):
-        params = ModelParams(n, p)
-        f1 = expected_self_weight(params)
-        off = expected_neighbor_weight(params)
-        assert f1 + (n - 1) * off == pytest.approx(1.0, abs=1e-15)
+        m = second_moments(ModelParams(n, p))
+        assert m.mean_self + (n - 1) * m.mean_neighbor == pytest.approx(1.0, abs=1e-15)
 
 
 class TestSelfWeightSq:
     @pytest.mark.parametrize("n", [2, 3, 5, 11])
     def test_p_one_is_inverse_square(self, n):
-        assert expected_self_weight_sq(ModelParams(n, 1.0)) == pytest.approx(1 / n**2, abs=1e-15)
+        assert second_moments(ModelParams(n, 1.0)).self_sq == pytest.approx(1 / n**2, abs=1e-15)
 
     def test_half_two_nodes(self):
-        assert expected_self_weight_sq(ModelParams(2, 0.5)) == pytest.approx(0.625, abs=1e-15)
+        assert second_moments(ModelParams(2, 0.5)).self_sq == pytest.approx(0.625, abs=1e-15)
 
     @pytest.mark.parametrize("n", [2, 3, 7, 12])
     @pytest.mark.parametrize("num,den", [(1, 10), (1, 2), (9, 10)])
     def test_against_exact_rational_sum(self, n, num, den):
         p = Fraction(num, den)
         exact = _exact_inverse_moment(n - 1, p, shift=1, power=2)
-        value = expected_self_weight_sq(ModelParams(n, float(p)))
+        value = second_moments(ModelParams(n, float(p))).self_sq
         assert value == pytest.approx(float(exact), rel=1e-13)
 
     def test_large_n_stays_finite_and_positive(self):
-        value = expected_self_weight_sq(ModelParams(100_000, 0.5))
+        value = second_moments(ModelParams(100_000, 0.5)).self_sq
         assert 0.0 < value < 1.0
 
     @pytest.mark.parametrize("n", [2, 4, 9, 20])
     @pytest.mark.parametrize("p", [0.05, 0.3, 0.7, 0.9])
     def test_moment_ordering_strict(self, n, p):
-        params = ModelParams(n, p)
-        f1 = expected_self_weight(params)
-        g2 = expected_self_weight_sq(params)
-        assert f1**2 < g2 < f1
+        m = second_moments(ModelParams(n, p))
+        assert m.mean_self**2 < m.self_sq < m.mean_self
 
 
 class TestInvSquareBinomialMoment:
-    """E[1/(X + 1)^2], X ~ Binomial(n - 1, p), as expected_self_weight_sq sums it over _binomial_pmf."""
+    """E[1/(X + 1)^2], X ~ Binomial(n - 1, p), as second_moments sums it over _binomial_pmf into self_sq."""
 
     @pytest.mark.parametrize("n", [2, 60, 1000, 100_000])
     @pytest.mark.parametrize("rule", ["1e-3", "5/n", "0.3", "0.5", "0.999"])
@@ -183,14 +176,14 @@ class TestInvSquareBinomialMoment:
         p = min(5.0 / n, 1.0) if rule == "5/n" else float(rule)
         k = np.arange(n)
         reference = float(np.sum(stats.binom.pmf(k, n - 1, p) / (k + 1) ** 2))
-        assert expected_self_weight_sq(ModelParams(n, p)) == pytest.approx(reference, rel=1e-13)
+        assert second_moments(ModelParams(n, p)).self_sq == pytest.approx(reference, rel=1e-13)
 
     @pytest.mark.parametrize("trials", [0, 1, 5, 1000])
     def test_point_masses_are_exact(self, trials):
         assert np.array_equal(_binomial_pmf(0.0, trials), np.eye(trials + 1)[0])
         assert np.array_equal(_binomial_pmf(1.0, trials), np.eye(trials + 1)[-1])
         if trials:
-            assert expected_self_weight_sq(ModelParams(trials + 1, 1.0)) == 1.0 / (trials + 1) ** 2
+            assert second_moments(ModelParams(trials + 1, 1.0)).self_sq == 1.0 / (trials + 1) ** 2
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
     def test_zero_trials_is_one(self, p):
@@ -217,7 +210,7 @@ class TestSeriesForm:
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_series_times_q_power_recovers_moment(self, n, p):
         scaled = self_weight_sq_series(p, n) * (1.0 - p) ** (n - 1)
-        assert scaled == pytest.approx(expected_self_weight_sq(ModelParams(n, p)), rel=1e-12)
+        assert scaled == pytest.approx(second_moments(ModelParams(n, p)).self_sq, rel=1e-12)
 
     def test_rejects_p_one_and_bad_n(self):
         with pytest.raises(ValueError):
@@ -266,7 +259,6 @@ class TestSecondMoments:
         exact_p = Fraction(p)
         exact = exact_p * _exact_inverse_moment(n - 2, exact_p, shift=2, power=1)
         m = second_moments(ModelParams(n, p))
-        assert expected_neighbor_weight(ModelParams(n, p)) == m.mean_neighbor
         assert m.mean_neighbor == pytest.approx(float(exact), rel=1e-14, abs=0.0)
         assert m.neighbor_pair_cross_row == pytest.approx(float(exact**2), rel=1e-14, abs=0.0)
         self_sq = _exact_inverse_moment(n - 1, exact_p, shift=1, power=2)
@@ -505,6 +497,12 @@ class TestConsensusVariance:
     def test_rejects_non_finite_x0(self, bad):
         with pytest.raises(ValueError, match="finite"):
             consensus_variance(ModelParams(2, 0.5), [bad, 1.0])
+
+    def test_float32_p_gives_the_double_result(self):
+        # ModelParams stores float(p); a float32 p ran every closed form in float32 (1e-7 off here).
+        report = consensus_variance(ModelParams(3, np.float32(0.5)), [0.0, 1.0, 2.0])
+        assert type(report.variance) is float
+        assert report == consensus_variance(ModelParams(3, 0.5), [0.0, 1.0, 2.0])
 
     def test_point_value(self):
         report = consensus_variance(ModelParams(2, 0.5), [0.0, 1.0])

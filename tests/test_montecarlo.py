@@ -354,10 +354,10 @@ class TestSweepFixedDegree:
         with pytest.raises(ValueError, match="^c must be finite and > 0"):
             sweep_fixed_degree(c, [5], 10, 1)
 
-    @pytest.mark.parametrize("c", [True, np.True_], ids=["bool", "numpy-bool"])
+    @pytest.mark.parametrize("c", [True, np.True_, "5", None], ids=["bool", "numpy-bool", "str", "none"])
     def test_rejects_a_bool_degree(self, c):
-        # It would otherwise run as c = 1.0.
-        with pytest.raises(TypeError, match="^c must be a number, got bool$"):
+        # A bool would otherwise run as c = 1.0.
+        with pytest.raises(TypeError, match=f"^c must be a number, got {type(c).__name__}$"):
             sweep_fixed_degree(c, range(2, 4), 10, 1)
 
     def test_reproducible_and_thread_invariant(self):
@@ -387,14 +387,14 @@ class TestFactorSweep:
         with pytest.raises(TypeError, match="^n must be an integer"):
             factor_sweep([5], [7.9])
 
-    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, pytest.param(10**400, id="int-past-float-range")])
     def test_rejects_a_bad_degree_by_name(self, c):
         with pytest.raises(ValueError, match="^c must be finite and > 0"):
             factor_sweep([5.0, c], [5])
 
-    @pytest.mark.parametrize("c", [True, np.True_], ids=["bool", "numpy-bool"])
+    @pytest.mark.parametrize("c", [True, np.True_, "5", None], ids=["bool", "numpy-bool", "str", "none"])
     def test_rejects_a_bool_degree(self, c):
-        with pytest.raises(TypeError, match="^c must be a number, got bool$"):
+        with pytest.raises(TypeError, match=f"^c must be a number, got {type(c).__name__}$"):
             factor_sweep([c], range(2, 4))
 
     def test_matches_direct_factor(self):

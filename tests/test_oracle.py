@@ -7,8 +7,6 @@ from erconsensus.graphs import ModelParams
 from erconsensus.moments import (
     consensus_variance,
     expected_kron_matrix,
-    expected_neighbor_weight,
-    expected_self_weight,
     expected_weight_matrix,
     kron_left_eigenvector,
     second_moments,
@@ -83,9 +81,10 @@ class TestEnumeratedMoments:
     def test_diagonal_matches_mean_self_weight(self):
         params = ModelParams(3, 0.3)
         ew, _ = enumerate_expected_matrices(params)
-        assert np.max(np.abs(np.diag(ew) - expected_self_weight(params))) < 1e-12
+        m = second_moments(params)
+        assert np.max(np.abs(np.diag(ew) - m.mean_self)) < 1e-12
         off = ew[~np.eye(3, dtype=bool)]
-        assert np.max(np.abs(off - expected_neighbor_weight(params))) < 1e-12
+        assert np.max(np.abs(off - m.mean_neighbor)) < 1e-12
 
     @pytest.mark.parametrize("n,p", [(3, 0.2), (4, 0.6)])
     def test_both_row_stochastic(self, n, p):
@@ -276,7 +275,8 @@ class TestSlem:
     @pytest.mark.parametrize("p", [0.05, 0.4, 1.0])
     def test_closed_form_for_expected_w(self, n, p):
         params = ModelParams(n, p)
-        expected = abs(expected_self_weight(params) - expected_neighbor_weight(params))
+        m = second_moments(params)
+        expected = abs(m.mean_self - m.mean_neighbor)
         assert slem(expected_weight_matrix(params)) == pytest.approx(expected, abs=1e-12)
 
     def test_complex_spectrum_handled(self):
