@@ -38,7 +38,7 @@ from .montecarlo import (
 from .moments import consensus_variance
 from .oracle import ENUM_MAX_N, oracle_report
 
-SCHEMA_VERSION = "8"
+SCHEMA_VERSION = "9"
 ORACLE_THRESHOLD = 1e-10
 
 EXIT_OK = 0
@@ -180,13 +180,15 @@ def cmd_simulate(args) -> int:
         results,
         seed=args.seed,
     )
-    # Which random-stream layout drew the graphs, from which raw words, and
-    # the steps replications took.
+    # Which random-stream layout drew the graphs, from which raw words, the
+    # steps replications took, and the tol they stopped at with its bias bound.
     record["provenance"].update(
         stream=stream_layout(params),
         bit_generator=type(cfg.seed.generator().bit_generator).__name__,
         steps_mean=stats.steps_mean,
         steps_max=stats.steps_max,
+        tol=stats.tol,
+        variance_bias_bound=stats.variance_bias_bound,
     )
     _emit_json(record, sys.stdout)
     return EXIT_OK
@@ -314,7 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=DEFAULT_TOL,
-        help=f"stop a run once its spread is below tol times the spread of x0 (0 < tol < 1, default {DEFAULT_TOL:g})",
+        help=f"stop a run once its spread is below tol times the spread of x0 (0 < tol < 1, default {DEFAULT_TOL:g}); "
+        "an ensemble reruns at a tighter tol while its variance bias bound (tol x spread(x0))^2 "
+        "exceeds 0.1 standard errors of its variance",
     )
     ensemble.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     ensemble.add_argument(

@@ -28,7 +28,9 @@ class ModelParams:
     identity, no information ever moves, and the variance coefficients
     become 0/0. A subnormal p is rejected too: products with it underflow
     to 0, and the oracle's Perron solve fails. Failing at construction
-    beats returning meaningless moments downstream.
+    beats returning meaningless moments downstream. n is stored as a
+    Python int and p as a float, so a numpy n or p of any width gives
+    the same moments, with no overflow at the width of n.
     """
 
     n: int
@@ -39,6 +41,7 @@ class ModelParams:
         p = _check_real("p", self.p)
         if not sys.float_info.min <= p <= 1.0:
             raise ValueError(f"p must be in (0, 1] and not subnormal (< {sys.float_info.min}), got {p}")
+        object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "p", p)
 
     @property

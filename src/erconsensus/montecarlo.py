@@ -15,6 +15,7 @@ thread count: threads is accepted and checked, and does nothing.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,9 @@ __all__ = [
 
 # Replications per block of an ensemble (see run_ensemble).
 _BLOCK_REPS = 128
+# The variance bias bound of an ensemble may be at most this share of the
+# standard error of its variance (see run_ensemble).
+_BIAS_SE_SHARE = 0.1
 
 
 def resolve_x0(spec, n: int) -> np.ndarray:
@@ -63,7 +67,12 @@ def resolve_x0(spec, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """One ensemble: fixed (n, p), an initial-condition rule, seeding."""
+    """One ensemble: fixed (n, p), an initial-condition rule, seeding.
+
+    tol is the loosest tolerance the ensemble runs at: run_ensemble
+    reruns it tighter when the stop's bias is too large for its
+    standard error.
+    """
 
     params: ModelParams
     x0_spec: object
@@ -87,6 +96,10 @@ class EnsembleStats:
     variance is the unbiased (ddof=1) sample variance of the outcomes and
     stderr_variance its jackknife standard error. steps_mean and
     steps_max are the mean and largest step count of a replication.
+    tol is the tolerance the reported replications ran at, cfg.tol or
+    tighter, and variance_bias_bound bounds how far variance falls short
+    of the limit's because the runs stopped there: (tol spread(x0))**2,
+    or 0 when every final spread is 0 (see run_ensemble).
 
     Every replication counts (a non-converged one raises), so reps_used
     is the replication count and nonconverged is 0. Both are kept: the
@@ -101,6 +114,8 @@ class EnsembleStats:
     nonconverged: int
     steps_mean: float
     steps_max: int
+    tol: float
+    variance_bias_bound: float
 
 
 def jackknife_variance_stderr(values) -> float:
@@ -140,11 +155,50 @@ def _runs(indices: np.ndarray, limit: int = 10) -> str:
     return ", ".join(text) + (", ..." if len(runs) > limit else "")
 
 
+def _run_blocks(cfg: ExperimentConfig, x0: np.ndarray, tol: float):
+    """The values, step counts and final spreads of cfg's replications at tol, block after block.
+
+    Any replication that fails to converge raises NonConvergenceError
+    naming the failed indices.
+    """
+    params, reps = cfg.params, cfg.reps
+    parts = [
+        run_block(params, x0, min(_BLOCK_REPS, reps - start), cfg.seed.block(b), tol, cfg.max_steps)
+        for b, start in enumerate(range(0, reps, _BLOCK_REPS))
+    ]
+    values, steps, spreads = (np.concatenate(column) for column in zip(*parts))
+    failed = np.flatnonzero(np.isnan(values))  # a converged value is never NaN
+    if failed.size:
+        raise NonConvergenceError(
+            f"{failed.size} of {reps} replications did not converge to spread < {_stop_rule(tol, x0)} "
+            f"within {cfg.max_steps} steps (indices {_runs(failed)})"
+        )
+    return values, steps, spreads
+
+
 def run_ensemble(cfg: ExperimentConfig, threads: int = 1) -> EnsembleStats:
     """Run cfg.reps independent consensus paths and aggregate the values.
 
     The replications go in blocks of _BLOCK_REPS (the last may be
     shorter); block b runs dynamics.run_block on cfg.seed.block(b).
+
+    The bias budget. Runs stopped at tol report values whose variance
+    falls short of the limit's by less than b = (tol spread(x0))**2 (see
+    the dynamics module docstring); b = 0 when every final spread is 0,
+    as at p = 1 or a constant x0, since each value is then its limit.
+    While b > 0.1 SE, SE the jackknife standard error of the variance,
+    the whole ensemble reruns on the same block generators at
+    tol min(1/2, sqrt(0.1 SE / b)), and the last run is reported with
+    its tol and b. So the result is as reproducible as a single run.
+
+    Termination. An SE of at most 10 (eps spread(x0))**2, eps = 2**-52,
+    counts as 0 and is not rerun: that takes in an SE of exactly 0
+    (fewer than three replications, or equal values), and eps spread(x0)
+    is the rounding scale of a centred state. A rerun thus needs
+    b > (eps spread(x0))**2, that is tol > eps, and tol at least halves
+    with each one, so an ensemble reruns at most 1 + log2(cfg.tol / eps)
+    times (43 from the default 1e-3). Every result meets b <= 0.1 SE,
+    has b = 0, or has an SE of 0 to rounding.
 
     threads is kept for callers and must be an integer >= 0, but the
     blocks run one after another whatever its value: both step bodies are
@@ -157,35 +211,32 @@ def run_ensemble(cfg: ExperimentConfig, threads: int = 1) -> EnsembleStats:
     broken tolerance/step budget, not bad luck.
     """
     _check_int("threads", threads, 0)
-    params, reps, x0 = cfg.params, cfg.reps, cfg.x0()
-    parts = [
-        run_block(params, x0, min(_BLOCK_REPS, reps - start), cfg.seed.block(b), cfg.tol, cfg.max_steps)
-        for b, start in enumerate(range(0, reps, _BLOCK_REPS))
-    ]
-    outcomes = np.concatenate([values for values, _, _ in parts])
-    steps = np.concatenate([counts for _, counts, _ in parts])
-    failed = np.flatnonzero(np.isnan(outcomes))  # a converged value is never NaN
-    if failed.size:
-        raise NonConvergenceError(
-            f"{failed.size} of {reps} replications did not converge to spread < {_stop_rule(cfg.tol, x0)} "
-            f"within {cfg.max_steps} steps (indices {_runs(failed)})"
-        )
-
-    mean = float(outcomes.mean())
-    if outcomes.size < 2 or np.ptp(outcomes) == 0.0:
-        variance, stderr = 0.0, 0.0
-    else:
-        centered = outcomes - mean
-        variance = float(centered @ centered) / (outcomes.size - 1)
-        stderr = jackknife_variance_stderr(outcomes)
+    x0 = cfg.x0()
+    spread0, tol = float(x0.max() - x0.min()), cfg.tol
+    while True:
+        outcomes, steps, spreads = _run_blocks(cfg, x0, tol)
+        mean = float(outcomes.mean())
+        if outcomes.size < 2 or np.ptp(outcomes) == 0.0:
+            variance, stderr = 0.0, 0.0
+        else:
+            centered = outcomes - mean
+            variance = float(centered @ centered) / (outcomes.size - 1)
+            stderr = jackknife_variance_stderr(outcomes)
+        bound = (tol * spread0) ** 2 if spreads.any() else 0.0
+        budget = _BIAS_SE_SHARE * stderr
+        if bound <= budget or budget <= (sys.float_info.epsilon * spread0) ** 2:
+            break
+        tol *= min(0.5, math.sqrt(budget / bound))
     return EnsembleStats(
         mean=mean,
         variance=variance,
         stderr_variance=stderr,
-        reps_used=reps,
+        reps_used=cfg.reps,
         nonconverged=0,
         steps_mean=float(steps.mean()),
         steps_max=int(steps.max()),
+        tol=tol,
+        variance_bias_bound=bound,
     )
 
 
@@ -227,6 +278,8 @@ def sweep_fixed_degree(
     n < c is rejected since it would need p > 1. Row for size n uses
     stream n under the base seed, so rows are independent and the whole
     table is reproducible for a fixed (seed, reps) regardless of threads.
+    Each row is one run_ensemble, so it keeps the bias budget, at tol or
+    tighter.
     """
     c = _check_degree(c)
     rows = []

@@ -310,7 +310,7 @@ class TestSimulate:
         argv = ["simulate", "--n", n, "--p", p, "--x0", "ramp", "--reps", "5", "--seed", "2"]
         code, record, _ = run_json(capsys, *argv)
         assert code == 0
-        assert record["schema_version"] == "8"
+        assert record["schema_version"] == "9"
         assert record["provenance"]["stream"] == stream
 
     def test_provenance_names_numpy_and_the_bit_generator(self, capsys):
@@ -331,6 +331,28 @@ class TestSimulate:
         assert code == 0
         assert (record["provenance"]["steps_mean"], record["provenance"]["steps_max"]) == (1.0, 1)
         assert not {"steps_mean", "steps_max"} & set(record["results"])
+
+    def test_tol_and_bias_bound_in_provenance_not_results(self, capsys):
+        # Ramp x0 at n = 20 has spread 0.95; 200 replications meet the budget at the default tol.
+        argv = ["simulate", "--n", "20", "--p", "0.25", "--x0", "ramp", "--reps", "200", "--seed", "5"]
+        code, record, _ = run_json(capsys, *argv)
+        assert code == 0
+        provenance = record["provenance"]
+        assert record["params"]["tol"] == provenance["tol"] == 1e-3
+        assert provenance["variance_bias_bound"] == (1e-3 * 0.95) ** 2
+        assert provenance["variance_bias_bound"] <= 0.1 * record["results"]["stderr_variance"]
+        assert not {"tol", "variance_bias_bound"} & set(record["results"])
+
+    def test_provenance_records_the_tightened_tol(self, capsys):
+        # At tol 0.05 the bound (0.05 x 0.95)**2 is far above 0.1 SE, so the ensemble reruns tighter.
+        argv = ["simulate", "--n", "20", "--p", "0.25", "--x0", "ramp", "--reps", "400", "--seed", "5", "--tol", "0.05"]
+        code, record, _ = run_json(capsys, *argv)
+        assert code == 0
+        provenance = record["provenance"]
+        assert record["params"]["tol"] == 0.05
+        assert provenance["tol"] < 0.05
+        assert provenance["variance_bias_bound"] == (provenance["tol"] * 0.95) ** 2
+        assert provenance["variance_bias_bound"] <= 0.1 * record["results"]["stderr_variance"]
 
     def test_complete_graph_zero_empirical_variance(self, capsys):
         argv = ["simulate", "--n", "5", "--p", "1", "--x0", "ramp", "--reps", "10", "--seed", "0"]
@@ -396,7 +418,7 @@ class TestFig1:
 
 
 class TestStreamContract:
-    """Golden digests of seeded output on the "dense-byte-gap-block" and "sparse-block" stream layouts (schema "8").
+    """Golden digests of seeded output on the "dense-byte-gap-block" and "sparse-block" stream layouts (schema "9").
 
     Any change to how replications consume their random streams (draw
     order, draws per step, seeding) changes these bytes; such a change
@@ -408,14 +430,14 @@ class TestStreamContract:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "5cd4b4a32b7410082eb124891c912060bd0e93fe88d009347377ced6c3197093"
+        assert digest == "dedcb718586f8afbbcc2d81b6eee24a5018634ced418c181824cef4003c44c80"
 
     def test_simulate_results(self, capsys):
         argv = ["simulate", "--n", "20", "--p", "0.25", "--x0", "ramp", "--reps", "200", "--seed", "5"]
         code, record, _ = run_json(capsys, *argv)
         assert code == 0
         digest = hashlib.sha256(json.dumps(record["results"], sort_keys=True).encode()).hexdigest()
-        assert digest == "06ef3a67e9c170fc37d519680ad90567e3c4930084941d6cd8d3331349937b3e"
+        assert digest == "b9907362a886640105d772085902baf5f863c709237bd1c3b0ee7bd027f23175"
 
 
 class TestFig2:

@@ -344,7 +344,7 @@ class TestRunConsensus:
     def test_matches_reference_loop(self, n, p, seed):
         params = ModelParams(n, p)
         x0 = np.linspace(-1.0, 2.0, n) ** 2
-        fast = run_consensus(params, x0, GraphSeed(seed).generator())
+        fast = run_consensus(params, x0, GraphSeed(seed).generator(), tol=1e-6)
         reference = _reference_run(params, x0, GraphSeed(seed).generator())
         assert fast == reference
         assert fast.steps > 0
@@ -352,7 +352,7 @@ class TestRunConsensus:
     def test_any_bit_generator(self):
         # The dense body reads raw words only, so a bit generator without jumped serves too.
         params, x0 = ModelParams(6, 0.5), _ramp(6)
-        fast = run_consensus(params, x0, np.random.Generator(np.random.SFC64(3)))
+        fast = run_consensus(params, x0, np.random.Generator(np.random.SFC64(3)), tol=1e-6)
         assert fast == _reference_run(params, x0, np.random.Generator(np.random.SFC64(3)))
 
     def test_non_convergence_raises_distinctly(self):
@@ -414,7 +414,7 @@ class TestRunBlock:
         if cap is not None:
             monkeypatch.setattr(dynamics, "_SPARSE_NUMBERS", cap)
         params = ModelParams(n, p)
-        values, steps, spreads = run_block(params, _ramp(n), reps, GraphSeed(4).generator())
+        values, steps, spreads = run_block(params, _ramp(n), reps, GraphSeed(4).generator(), tol=1e-6)
         ref_values, ref_steps, ref_spreads = _reference_block(params, _ramp(n), reps, GraphSeed(4).generator())
         assert np.array_equal(values, ref_values)
         assert np.array_equal(steps, ref_steps)
@@ -568,13 +568,14 @@ class TestRelativeTolerance:
     @pytest.mark.parametrize("x0", [[0.0, 1e-320], [1e-320, 0.0, 5e-321]])
     def test_a_threshold_that_underflows_returns_at_step_zero(self, x0):
         # tol * spread(x0) rounds to 0.0, below which no spread can fall.
-        values, steps, spreads = run_block(ModelParams(len(x0), 0.25), x0, 5, GraphSeed(1).generator(), max_steps=10)
+        params = ModelParams(len(x0), 0.25)
+        values, steps, spreads = run_block(params, x0, 5, GraphSeed(1).generator(), tol=1e-6, max_steps=10)
         assert np.array_equal(values, np.full(5, np.mean(x0)))
         assert np.array_equal(steps, np.zeros(5))
         assert np.array_equal(spreads, np.full(5, np.ptp(x0)))
-        reference = _reference_block(ModelParams(len(x0), 0.25), x0, 5, GraphSeed(1).generator(), max_steps=10)
+        reference = _reference_block(params, x0, 5, GraphSeed(1).generator(), max_steps=10)
         assert all(np.array_equal(a, b) for a, b in zip(reference, (values, steps, spreads)))
-        outcome = run_consensus(ModelParams(len(x0), 0.25), x0, GraphSeed(1).generator(), max_steps=10)
+        outcome = run_consensus(params, x0, GraphSeed(1).generator(), tol=1e-6, max_steps=10)
         assert (outcome.value, outcome.steps) == (np.mean(x0), 0)
 
     @pytest.mark.parametrize("tol", [1.0, 2.0, 1e300])
@@ -655,7 +656,7 @@ class TestChunkBoundaries:
     @pytest.mark.parametrize("n", [127, 128, 130])
     def test_sizes_around_the_one_step_cap(self, n):
         params = ModelParams(n, 0.3)
-        fast = run_consensus(params, _ramp(n), GraphSeed(2).generator())
+        fast = run_consensus(params, _ramp(n), GraphSeed(2).generator(), tol=1e-6)
         assert fast == _reference_run(params, _ramp(n), GraphSeed(2).generator())
 
     @pytest.mark.parametrize(
@@ -764,7 +765,7 @@ class TestSparseSteps:
     def test_chosen_sizes_match_reference(self, n, p, seed):
         params = ModelParams(n, p)
         assert stream_layout(params) == SPARSE
-        fast = run_consensus(params, _ramp(n), GraphSeed(seed).generator())
+        fast = run_consensus(params, _ramp(n), GraphSeed(seed).generator(), tol=1e-6)
         assert fast == _reference_run(params, _ramp(n), GraphSeed(seed).generator())
         assert fast.steps > 0
 

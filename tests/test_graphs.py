@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy import stats
 
 from erconsensus.dynamics import _dense_piece, _dense_workspace
 from erconsensus.graphs import GraphSeed, ModelParams, _check_x0
+from erconsensus.moments import second_moments, variance_coefficients
 from erconsensus.oracle import enumerate_expected_matrices
 
 # Slot-level samples are read off the diagonal of 64-node graphs: the dense
@@ -78,6 +80,15 @@ class TestModelParams:
     def test_non_integer_n_rejected(self):
         with pytest.raises(TypeError):
             ModelParams(3.0, 0.5)
+
+    def test_numpy_integer_n_gives_the_python_int_moments(self):
+        # At int32 width, delta = n + n (n - 1) rho and (n - 1)(n - 2) overflowed.
+        wide, narrow = ModelParams(50000, 0.001), ModelParams(np.int32(50000), 0.001)
+        assert type(narrow.n) is int
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert variance_coefficients(narrow) == variance_coefficients(wide)
+            assert second_moments(narrow) == second_moments(wide)
 
     def test_bool_p_rejected(self):
         # Non-numbers too: a string or None failed in an unnamed comparison, an array far downstream.

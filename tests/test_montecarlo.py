@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -266,7 +267,7 @@ class TestDenseBlocks:
     def test_failed_block_names_every_index(self):
         reps = montecarlo._BLOCK_REPS + 2
         cfg = ExperimentConfig(
-            params=ModelParams(20, 0.1), x0_spec="ramp", reps=reps, seed=GraphSeed(4), max_steps=3
+            params=ModelParams(20, 0.1), x0_spec="ramp", reps=reps, seed=GraphSeed(4), tol=1e-6, max_steps=3
         )
         with pytest.raises(NonConvergenceError, match=rf"^{reps} of {reps} replications did not converge to spread "
                            rf"< tol 1\.0e-06 x spread\(x0\) 9\.500e-01 = 9\.500e-07 within 3 steps "
@@ -410,3 +411,83 @@ class TestEnsembleStatsShape:
         assert stats.reps_used == 16
         assert stats.variance >= 0.0
         assert stats.stderr_variance >= 0.0
+
+
+def _recording_run_block(monkeypatch):
+    """Send run_ensemble's blocks through run_block, recording the tol of each call; returns that list."""
+    tols = []
+
+    def record(params, x0, reps, rng, tol, max_steps):
+        tols.append(tol)
+        return run_block(params, x0, reps, rng, tol, max_steps)
+
+    monkeypatch.setattr(montecarlo, "run_block", record)
+    return tols
+
+
+class TestBiasBudget:
+    """run_ensemble reruns tighter while (tol spread(x0))**2 exceeds 0.1 SE of the variance."""
+
+    def test_a_loose_tol_reruns_until_the_rule_holds(self, monkeypatch):
+        # Ramp x0 at n = 20 has spread 0.95: at tol 0.05 the bound is 2.3e-3, above the variance itself.
+        tols = _recording_run_block(monkeypatch)
+        cfg = _config(n=20, p=0.25, reps=400, tol=0.05)
+        stats = run_ensemble(cfg)
+        assert stats.tol < 0.05
+        assert stats.variance_bias_bound == (stats.tol * 0.95) ** 2
+        assert 0.0 < stats.variance_bias_bound <= 0.1 * stats.stderr_variance
+        runs = tols[::4]  # 400 replications are four blocks, all at the run's tol
+        assert tols == [tol for tol in runs for _ in range(4)]
+        assert len(runs) > 1 and runs[-1] == stats.tol
+        assert all(later <= earlier / 2 for earlier, later in zip(runs, runs[1:]))
+
+    @pytest.mark.parametrize("n,p,x0", [(5, 1.0, "ramp"), (8, 0.5, "const:0.3")], ids=["complete", "constant"])
+    def test_zero_final_spreads_never_rerun(self, monkeypatch, n, p, x0):
+        # Every value is the limit itself: b = 0 even at a tol of 0.5.
+        tols = _recording_run_block(monkeypatch)
+        cfg = ExperimentConfig(params=ModelParams(n, p), x0_spec=x0, reps=50, seed=GraphSeed(6), tol=0.5)
+        stats = run_ensemble(cfg)
+        assert tols == [0.5]
+        assert (stats.tol, stats.variance_bias_bound) == (0.5, 0.0)
+
+    @pytest.mark.parametrize("reps", [1, 2])
+    def test_no_standard_error_no_rerun(self, monkeypatch, reps):
+        tols = _recording_run_block(monkeypatch)
+        stats = run_ensemble(_config(n=8, p=0.5, reps=reps, tol=0.5))
+        assert stats.stderr_variance == 0.0
+        assert tols == [0.5]
+        assert (stats.tol, stats.variance_bias_bound) == (0.5, (0.5 * 7 / 8) ** 2)
+
+    def test_rerun_count_is_capped(self, monkeypatch):
+        # An adversarial SE of 5 b always fails the rule and halves tol; the reruns
+        # stop once 0.1 SE reaches (eps spread(x0))**2, within 1 + log2(tol / eps).
+        tols = _recording_run_block(monkeypatch)
+        monkeypatch.setattr(montecarlo, "jackknife_variance_stderr", lambda values: 5.0 * (tols[-1] * 2 / 3) ** 2)
+        stats = run_ensemble(_config(n=3, p=0.5, reps=3, tol=1e-3))
+        eps = sys.float_info.epsilon
+        assert len(tols) - 1 <= 1 + math.log2(1e-3 / eps)
+        assert tols == [1e-3 * 0.5**k for k in range(len(tols))]
+        assert stats.tol == tols[-1] <= math.sqrt(2) * eps
+        assert stats.variance_bias_bound > 0.1 * stats.stderr_variance  # exempt: an SE of 0 to rounding
+        assert 0.1 * stats.stderr_variance <= (eps * 2 / 3) ** 2
+
+    def test_reproducible_and_thread_invariant_with_reruns(self):
+        cfg = _config(n=20, p=0.25, reps=300, tol=0.05)
+        reference = run_ensemble(cfg)
+        assert reference.tol < 0.05
+        assert run_ensemble(cfg) == reference
+        assert run_ensemble(cfg, threads=4) == reference
+        assert run_ensemble(cfg, threads=0) == reference
+
+    @pytest.mark.parametrize("n", [6, 20, 50, 200])
+    def test_within_four_sigma_at_the_default_tol(self, n):
+        # Replication count and seed were fixed before the first run; p = 5/n is dense up
+        # to n = 50 and sparse at 200.
+        reps, params = 2000, ModelParams(n, 5.0 / n)
+        cfg = ExperimentConfig(params=params, x0_spec="ramp", reps=reps, seed=GraphSeed(2031, stream=n))
+        assert cfg.tol == dynamics.DEFAULT_TOL == 1e-3
+        stats = run_ensemble(cfg)
+        analytic = consensus_variance(params, cfg.x0())
+        assert abs(stats.variance - analytic.variance) <= 4.0 * stats.stderr_variance
+        assert abs(stats.mean - analytic.mean) <= 4.0 * math.sqrt(stats.variance / reps)
+        assert 0.0 < stats.variance_bias_bound <= 0.1 * stats.stderr_variance
