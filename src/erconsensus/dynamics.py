@@ -19,8 +19,9 @@ is below var(x*) by less than (tol * spread(x0))**2 (optional stopping;
 Williams, "Probability with Martingales", 1991). DEFAULT_TOL = 1e-3
 bounds that bias by 1e-6 spread(x0)**2, at most 0.32 % of a ramp
 variance at c = 5 and n <= 50, and takes about half the steps of 1e-6.
-An ensemble holds the bound below a tenth of its standard error, and
-reruns at a tighter tol where the one asked for is too loose
+An ensemble holds the bound below a tenth of its standard error: it
+starts at a tighter tol where the closed form forecasts the one asked
+for as too loose, and reruns tighter where it still is
 (montecarlo.run_ensemble).
 
 run_block is the one engine: it steps a block of replications together

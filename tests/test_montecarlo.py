@@ -430,7 +430,9 @@ class TestBiasBudget:
 
     def test_a_loose_tol_reruns_until_the_rule_holds(self, monkeypatch):
         # Ramp x0 at n = 20 has spread 0.95: at tol 0.05 the bound is 2.3e-3, above the variance itself.
+        # The first run goes at cfg.tol, so the rerun rule does all the tightening.
         tols = _recording_run_block(monkeypatch)
+        monkeypatch.setattr(montecarlo, "_planned_tol", lambda cfg, x0, spread0: cfg.tol)
         cfg = _config(n=20, p=0.25, reps=400, tol=0.05)
         stats = run_ensemble(cfg)
         assert stats.tol < 0.05
@@ -471,13 +473,41 @@ class TestBiasBudget:
         assert stats.variance_bias_bound > 0.1 * stats.stderr_variance  # exempt: an SE of 0 to rounding
         assert 0.1 * stats.stderr_variance <= (eps * 2 / 3) ** 2
 
-    def test_reproducible_and_thread_invariant_with_reruns(self):
+    def test_reproducible_and_thread_invariant_with_reruns(self, monkeypatch):
+        tols = _recording_run_block(monkeypatch)
+        monkeypatch.setattr(montecarlo, "_planned_tol", lambda cfg, x0, spread0: cfg.tol)
         cfg = _config(n=20, p=0.25, reps=300, tol=0.05)
         reference = run_ensemble(cfg)
-        assert reference.tol < 0.05
+        assert reference.tol < 0.05 and len(set(tols)) > 1
         assert run_ensemble(cfg) == reference
         assert run_ensemble(cfg, threads=4) == reference
         assert run_ensemble(cfg, threads=0) == reference
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_the_first_run_is_planned_and_not_rerun(self, monkeypatch, seed):
+        # At n = 400 and 40 replications the default bound is 0.107 of the forecast SE, so
+        # the first run goes tighter, at a quarter of the budget, and meets the rule at once.
+        tols = _recording_run_block(monkeypatch)
+        params = ModelParams(400, 5.0 / 400)
+        cfg = ExperimentConfig(params=params, x0_spec="ramp", reps=40, seed=GraphSeed(seed, stream=400))
+        stats = run_ensemble(cfg)
+        forecast = consensus_variance(params, cfg.x0()).variance * math.sqrt(2.0 / 39)
+        assert tols == [stats.tol] and stats.tol < 1e-3
+        assert stats.variance_bias_bound == pytest.approx(0.25 * 0.1 * forecast, rel=1e-12)
+        assert stats.variance_bias_bound <= 0.1 * stats.stderr_variance
+
+    @pytest.mark.parametrize("n,reps", [(50, 100), (20, 200), (8, 2)], ids=["fig1", "simulate", "no-se"])
+    def test_a_bound_within_the_plan_keeps_the_tol(self, monkeypatch, n, reps):
+        # The fig1 row at n = 50 forecasts 0.022 of the budget at 1e-3, the simulate default 0.014,
+        # and fewer than three replications have no SE to forecast.
+        tols = _recording_run_block(monkeypatch)
+        stats = run_ensemble(_config(n=n, p=min(1.0, 5.0 / n), reps=reps))
+        assert tols == [1e-3] * -(-reps // 128) and stats.tol == 1e-3  # one run of 128-replication blocks
+
+    def test_a_forecast_at_rounding_level_keeps_the_tol(self):
+        # A complete graph has var(x*) = 0: no budget to plan for.
+        cfg = _config(n=5, p=1.0, reps=50, tol=0.5)
+        assert montecarlo._planned_tol(cfg, cfg.x0(), 0.8) == 0.5
 
     @pytest.mark.parametrize("n", [6, 20, 50, 200])
     def test_within_four_sigma_at_the_default_tol(self, n):
