@@ -317,9 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=DEFAULT_TOL,
         help=f"stop a run once its spread is below tol times the spread of x0 (0 < tol < 1, default {DEFAULT_TOL:g}); "
-        "an ensemble starts at a tighter tol where the closed form forecasts its variance bias bound "
-        "(tol x spread(x0))^2 above 0.025 standard errors of its variance, and reruns tighter while "
-        "the bound exceeds 0.1 measured ones",
+        "an ensemble runs at a tighter tol where the closed form forecasts its variance bias bound "
+        "(tol x spread(x0))^2 above 0.025 standard errors of its variance",
     )
     ensemble.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     ensemble.add_argument(

@@ -19,9 +19,8 @@ is below var(x*) by less than (tol * spread(x0))**2 (optional stopping;
 Williams, "Probability with Martingales", 1991). DEFAULT_TOL = 1e-3
 bounds that bias by 1e-6 spread(x0)**2, at most 0.32 % of a ramp
 variance at c = 5 and n <= 50, and takes about half the steps of 1e-6.
-An ensemble holds the bound below a tenth of its standard error: it
-starts at a tighter tol where the closed form forecasts the one asked
-for as too loose, and reruns tighter where it still is
+An ensemble runs at a tighter tol where the closed form forecasts the
+one asked for as too loose for the standard error of its variance
 (montecarlo.run_ensemble).
 
 run_block is the one engine: it steps a block of replications together
@@ -329,6 +328,8 @@ def run_block(
     """
     _check_budget(tol, max_steps)
     _check_int("reps", reps, 1)
+    if not isinstance(rng, np.random.Generator):  # the step bodies draw from its methods and bit generator
+        raise TypeError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
     n, p = params.n, params.p
     x = _check_x0(x0, n)
     values = np.full(reps, np.nan)

@@ -39,12 +39,9 @@ __all__ = [
 
 # Replications per block of an ensemble (see run_ensemble).
 _BLOCK_REPS = 128
-# The variance bias bound of an ensemble may be at most this share of the
-# standard error of its variance (see run_ensemble).
-_BIAS_SE_SHARE = 0.1
-# The first run of an ensemble aims its bound at this share of that budget,
-# taken at the closed-form standard error (see _planned_tol).
-_PLANNED_SHARE = 0.25
+# The variance bias bound of an ensemble is held to this share of the
+# closed-form standard error of its variance (see _planned_tol).
+_BIAS_SE_SHARE = 0.025
 
 
 def resolve_x0(spec, n: int) -> np.ndarray:
@@ -72,9 +69,10 @@ def resolve_x0(spec, n: int) -> np.ndarray:
 class ExperimentConfig:
     """One ensemble: fixed (n, p), an initial-condition rule, seeding.
 
-    tol is the loosest tolerance the ensemble runs at: run_ensemble
-    starts or reruns it tighter when the stop's bias is, or is forecast
-    to be, too large for its standard error.
+    tol is the loosest tolerance the ensemble runs at: run_ensemble runs
+    it tighter where the stop's bias is forecast to be too large for the
+    standard error of its variance. The x0 rule is resolved at
+    construction, so a bad rule fails here rather than at run time.
     """
 
     params: ModelParams
@@ -85,8 +83,13 @@ class ExperimentConfig:
     max_steps: int = DEFAULT_MAX_STEPS
 
     def __post_init__(self) -> None:
+        if not isinstance(self.params, ModelParams):
+            raise TypeError(f"params must be a ModelParams, got {type(self.params).__name__}")
+        if not isinstance(self.seed, GraphSeed):
+            raise TypeError(f"seed must be a GraphSeed, got {type(self.seed).__name__}")
         _check_int("reps", self.reps, 1)
         _check_budget(self.tol, self.max_steps)
+        self.x0()
 
     def x0(self) -> np.ndarray:
         return resolve_x0(self.x0_spec, self.params.n)
@@ -158,48 +161,24 @@ def _runs(indices: np.ndarray, limit: int = 10) -> str:
     return ", ".join(text) + (", ..." if len(runs) > limit else "")
 
 
-def _run_blocks(cfg: ExperimentConfig, x0: np.ndarray, tol: float):
-    """The values, step counts and final spreads of cfg's replications at tol, block after block.
-
-    Any replication that fails to converge raises NonConvergenceError
-    naming the failed indices.
-    """
-    params, reps = cfg.params, cfg.reps
-    parts = [
-        run_block(params, x0, min(_BLOCK_REPS, reps - start), cfg.seed.block(b), tol, cfg.max_steps)
-        for b, start in enumerate(range(0, reps, _BLOCK_REPS))
-    ]
-    values, steps, spreads = (np.concatenate(column) for column in zip(*parts))
-    failed = np.flatnonzero(np.isnan(values))  # a converged value is never NaN
-    if failed.size:
-        raise NonConvergenceError(
-            f"{failed.size} of {reps} replications did not converge to spread < {_stop_rule(tol, x0)} "
-            f"within {cfg.max_steps} steps (indices {_runs(failed)})"
-        )
-    return values, steps, spreads
-
-
 def _planned_tol(cfg: ExperimentConfig, x0: np.ndarray, spread0: float) -> float:
-    """The tol of an ensemble's first run: cfg.tol, or tighter where the budget forecast needs it.
+    """The tol of an ensemble: cfg.tol, or tighter where its bias budget needs it.
 
     The forecast SE is var(x*) sqrt(2 / (reps - 1)), the standard error
     of a sample variance of normal values, with var(x*) in closed form
-    (moments.consensus_variance). The first run's bound is held to
-    _PLANNED_SHARE of 0.1 times that SE. At 40 replications the jackknife
-    SE ranged over 0.48-1.9 times the forecast: at n = 400, p = 5/400,
-    where the default bound sits at the forecast budget, 25 of 40 seeds
-    reran, and aimed at a quarter of it none of 120 ensembles did.
-    cfg.tol is kept when that share of the budget is 0 to rounding, at
-    most (eps spread(x0))**2; otherwise the tol returned exceeds eps.
+    (moments.consensus_variance), and the bound (tol spread(x0))**2 is
+    held to _BIAS_SE_SHARE of it. cfg.tol is kept for fewer than three
+    replications, or when the budget is 0 to rounding, at most
+    (eps spread(x0))**2; otherwise the tol returned exceeds eps.
     """
     if cfg.reps < 3:
         return cfg.tol
     forecast = consensus_variance(cfg.params, x0).variance * math.sqrt(2.0 / (cfg.reps - 1))
-    planned = _PLANNED_SHARE * _BIAS_SE_SHARE * forecast
+    budget = _BIAS_SE_SHARE * forecast
     bound = (cfg.tol * spread0) ** 2
-    if bound <= planned or planned <= (sys.float_info.epsilon * spread0) ** 2:
+    if bound <= budget or budget <= (sys.float_info.epsilon * spread0) ** 2:
         return cfg.tol
-    return cfg.tol * math.sqrt(planned / bound)
+    return cfg.tol * math.sqrt(budget / bound)
 
 
 def run_ensemble(cfg: ExperimentConfig, threads: int = 1) -> EnsembleStats:
@@ -212,23 +191,15 @@ def run_ensemble(cfg: ExperimentConfig, threads: int = 1) -> EnsembleStats:
     falls short of the limit's by less than b = (tol spread(x0))**2 (see
     the dynamics module docstring); b = 0 when every final spread is 0,
     as at p = 1 or a constant x0, since each value is then its limit.
-    The first run goes at cfg.tol, or tighter where a quarter of the
-    budget at the closed-form SE calls for it (_planned_tol), so the
-    rerun below is rare and the cost of an ensemble does not hang on
-    its sample SE. While b > 0.1 SE, SE the jackknife standard error of
-    the variance, the whole ensemble reruns on the same block generators
-    at tol min(1/2, sqrt(0.1 SE / b)), and the last run is reported with
-    its tol and b. So the result is as reproducible as a single run.
-
-    Termination. An SE of at most 10 (eps spread(x0))**2, eps = 2**-52,
-    counts as 0 and is not rerun: that takes in an SE of exactly 0
-    (fewer than three replications, or equal values), and eps spread(x0)
-    is the rounding scale of a centred state. A rerun thus needs
-    b > (eps spread(x0))**2, that is tol > eps, and tol at least halves
-    with each one from a first tol of at most cfg.tol, so an ensemble
-    reruns at most 1 + log2(cfg.tol / eps) times (43 from the default
-    1e-3). Every result meets b <= 0.1 SE,
-    has b = 0, or has an SE of 0 to rounding.
+    The ensemble runs once, at cfg.tol or at the tighter tol that holds
+    b to 0.025 times the SE of its variance forecast from the closed
+    form (_planned_tol), and reports that tol and b. The sample SE is
+    not consulted: b only lowers the sample variance, so it cannot hide
+    a closed form that is too high, and where the closed form is too
+    low its forecast SE is low too and the tol tightens in proportion.
+    At 40 replications the jackknife SE ranged over 0.48-1.9 times the
+    forecast, and no benchmark-shaped ensemble checked had b above 0.1
+    times its jackknife SE.
 
     threads is kept for callers and must be an integer >= 0, but the
     blocks run one after another whatever its value: both step bodies are
@@ -241,33 +212,38 @@ def run_ensemble(cfg: ExperimentConfig, threads: int = 1) -> EnsembleStats:
     broken tolerance/step budget, not bad luck.
     """
     _check_int("threads", threads, 0)
+    params, reps = cfg.params, cfg.reps
     x0 = cfg.x0()
     spread0 = float(x0.max() - x0.min())
     tol = _planned_tol(cfg, x0, spread0)
-    while True:
-        outcomes, steps, spreads = _run_blocks(cfg, x0, tol)
-        mean = float(outcomes.mean())
-        if outcomes.size < 2 or np.ptp(outcomes) == 0.0:
-            variance, stderr = 0.0, 0.0
-        else:
-            centered = outcomes - mean
-            variance = float(centered @ centered) / (outcomes.size - 1)
-            stderr = jackknife_variance_stderr(outcomes)
-        bound = (tol * spread0) ** 2 if spreads.any() else 0.0
-        budget = _BIAS_SE_SHARE * stderr
-        if bound <= budget or budget <= (sys.float_info.epsilon * spread0) ** 2:
-            break
-        tol *= min(0.5, math.sqrt(budget / bound))
+    parts = [
+        run_block(params, x0, min(_BLOCK_REPS, reps - start), cfg.seed.block(b), tol, cfg.max_steps)
+        for b, start in enumerate(range(0, reps, _BLOCK_REPS))
+    ]
+    outcomes, steps, spreads = (np.concatenate(column) for column in zip(*parts))
+    failed = np.flatnonzero(np.isnan(outcomes))  # a converged value is never NaN
+    if failed.size:
+        raise NonConvergenceError(
+            f"{failed.size} of {reps} replications did not converge to spread < {_stop_rule(tol, x0)} "
+            f"within {cfg.max_steps} steps (indices {_runs(failed)})"
+        )
+    mean = float(outcomes.mean())
+    if reps < 2 or np.ptp(outcomes) == 0.0:
+        variance, stderr = 0.0, 0.0
+    else:
+        centered = outcomes - mean
+        variance = float(centered @ centered) / (reps - 1)
+        stderr = jackknife_variance_stderr(outcomes)
     return EnsembleStats(
         mean=mean,
         variance=variance,
         stderr_variance=stderr,
-        reps_used=cfg.reps,
+        reps_used=reps,
         nonconverged=0,
         steps_mean=float(steps.mean()),
         steps_max=int(steps.max()),
         tol=tol,
-        variance_bias_bound=bound,
+        variance_bias_bound=(tol * spread0) ** 2 if spreads.any() else 0.0,
     )
 
 

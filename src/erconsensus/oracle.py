@@ -84,10 +84,15 @@ class EigenvectorEstimate:
     iterations: int
 
 
-def _square(m, min_size: int) -> np.ndarray:
+def _row_stochastic(m, min_size: int) -> np.ndarray:
+    """m as a float array, checked to be square with >= min_size rows, finite, >= 0 and with rows summing to 1."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < min_size:
         raise ValueError(f"matrix must be square with >= {min_size} rows, got shape {m.shape}")
+    if not (np.isfinite(m).all() and m.min() >= 0.0):
+        raise ValueError("matrix entries must be finite and >= 0")
+    if np.max(np.abs(m.sum(axis=1) - 1.0)) > 1e-8:
+        raise ValueError("matrix rows must sum to 1")
     return m
 
 
@@ -126,11 +131,7 @@ def left_unit_eigenvector(m) -> EigenvectorEstimate:
     graph before any solve. A system that is still singular, or a
     solution with a negative entry, raises ValueError too.
     """
-    m = _square(m, 1)
-    if not (np.isfinite(m).all() and m.min() >= 0.0):
-        raise ValueError("matrix entries must be finite and >= 0")
-    if np.max(np.abs(m.sum(axis=1) - 1.0)) > 1e-8:
-        raise ValueError("matrix rows must sum to 1")
+    m = _row_stochastic(m, 1)
     classes = _closed_classes(m)
     if classes > 1:
         raise ValueError(f"matrix has {classes} closed classes: its unit eigenvalue is not simple")
@@ -156,10 +157,11 @@ def slem(m) -> float:
 
     Subunit SLEM of the expected update matrix is the condition for the
     dynamics to agree almost surely; this returns the numerically computed
-    value (full eigenvalue set, robust to complex pairs). A 1 x 1 matrix
-    has no second eigenvalue and is rejected.
+    value (full eigenvalue set, robust to complex pairs). M's entries
+    must be finite and >= 0 and its rows sum to 1. A 1 x 1 matrix has no
+    second eigenvalue and is rejected.
     """
-    m = _square(m, 2)
+    m = _row_stochastic(m, 2)
     mods = np.sort(np.abs(np.linalg.eigvals(m)))
     return float(mods[-2])
 

@@ -344,7 +344,7 @@ class TestSimulate:
         assert not {"tol", "variance_bias_bound"} & set(record["results"])
 
     def test_provenance_records_the_tightened_tol(self, capsys):
-        # At tol 0.05 the bound (0.05 x 0.95)**2 is far above 0.1 SE, so the ensemble reruns tighter.
+        # At tol 0.05 the bound (0.05 x 0.95)**2 is far above 0.1 SE, so the ensemble is planned tighter.
         argv = ["simulate", "--n", "20", "--p", "0.25", "--x0", "ramp", "--reps", "400", "--seed", "5", "--tol", "0.05"]
         code, record, _ = run_json(capsys, *argv)
         assert code == 0

@@ -376,6 +376,9 @@ class TestRunConsensus:
             run_consensus(params, np.zeros(3), rng, max_steps=0)
         with pytest.raises(ValueError):
             run_consensus(params, np.zeros(4), rng)
+        for bad, name in [(np.random.RandomState(0), "RandomState"), (None, "NoneType"), (3, "int")]:
+            with pytest.raises(TypeError, match=f"^rng must be a numpy.random.Generator, got {name}$"):
+                run_consensus(params, np.zeros(3), bad)
 
     @pytest.mark.parametrize("max_steps", [2.5, 3.0, True])
     def test_rejects_non_integer_max_steps(self, max_steps):
@@ -506,6 +509,9 @@ class TestRunBlock:
             run_block(params, np.zeros(4), 4, rng)
         with pytest.raises(ValueError, match="finite"):
             run_block(params, [0.0, np.nan, 1.0], 4, rng)
+        for bad, name in [(np.random.RandomState(0), "RandomState"), (None, "NoneType"), (3, "int")]:
+            with pytest.raises(TypeError, match=f"^rng must be a numpy.random.Generator, got {name}$"):
+                run_block(params, np.zeros(3), 4, bad)
 
 
 class TestRelativeTolerance:
@@ -675,10 +681,11 @@ class TestChunkBoundaries:
         assert fast.value.spread == reference.value.spread > 0.0
 
 
-class _RecordingGenerator:
-    """A Generator stand-in that records the size of every raw-word draw and of every gap draw."""
+class _RecordingGenerator(np.random.Generator):
+    """A Generator on rng's bit generator that records the size of every raw-word draw and of every gap draw."""
 
     def __init__(self, rng):
+        super().__init__(rng.bit_generator)
         self._rng = rng
         self.words = []
         self.gaps = []

@@ -291,6 +291,16 @@ class TestSlem:
         with pytest.raises(ValueError, match=r"^matrix must be square with >= 2 rows"):
             slem(np.ones((1, 1)))
 
+    @pytest.mark.parametrize(
+        "m,needle",
+        [(np.diag([2.0, 3.0]), "rows must sum to 1"), ([[np.nan, 1.0], [0.5, 0.5]], "entries must be finite")],
+        ids=["rows-sum-to-2-and-3", "nan"],
+    )
+    def test_rejects_a_non_stochastic_matrix(self, m, needle):
+        # diag(2, 3) used to return 2.0, the modulus of an eigenvalue no stochastic matrix has.
+        with pytest.raises(ValueError, match=f"^matrix {needle}"):
+            slem(m)
+
 
 class TestExactVariance:
     def test_half_two_nodes(self):
