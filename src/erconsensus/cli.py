@@ -38,7 +38,7 @@ from .montecarlo import (
 from .moments import consensus_variance
 from .oracle import ENUM_MAX_N, oracle_report
 
-SCHEMA_VERSION = "9"
+SCHEMA_VERSION = "10"
 ORACLE_THRESHOLD = 1e-10
 
 EXIT_OK = 0

@@ -30,20 +30,21 @@ replication at least, through one of two step bodies, chosen once per
 block by stream_layout(params). The body fixes how the graphs are drawn
 from the generator, so its name is the stream layout:
 
-- "dense-byte-gap-block": a piece holds up to _DENSE_SLOTS slots, n^2 per
-  replication. The slots (i, j) of its replications, diagonal included,
-  take one byte each of the generator's raw 64-bit words, least
-  significant byte first. With t = floor(256 p), a slot is an edge when
-  its byte is below t, or when it is a point of the remainder field, an
-  independent Bernoulli(q) sequence over the same slots in the same
-  order, q = (256 p - t) / (256 - t), so
+- "dense-word-gap-block": a piece holds up to _DENSE_SLOTS slots, n^2 per
+  replication. Each replication takes ceil(n^2 / 8) fresh raw 64-bit
+  words of the generator per step, and its slots (i, j), diagonal
+  included, take the first n^2 of their bytes, least significant byte
+  first; the rest of its last word goes unread. With t = floor(256 p),
+  a slot is an edge when its byte is below t, or when it is a point of
+  the remainder field, an independent Bernoulli(q) sequence over the
+  same slots in the same order, q = (256 p - t) / (256 - t), so
   P(edge) = t/256 + (1 - t/256) q = p: a byte settles the first eight
   binary digits of p (Knuth & Yao, "The complexity of nonuniform random
   number generation", 1976), and the field, sparse at q < 1/(256 - t),
   settles the rest without reading every slot. Its points are the edges
   of the sparse body's gap law at q (below), drawn from the field
   generator default_rng(w), w the block generator's first raw word; the
-  slot bytes start at the second. 256 p - t is exact, so P(edge) = p up
+  slot words start at the second. 256 p - t is exact, so P(edge) = p up
   to the rounding of q and of the gap law, which is the sparse body's
   own. When 256 p is an integer, q = 0 and the field generator is never
   read. The 0/1 slots go straight into a float A + I stack, and one
@@ -61,26 +62,26 @@ from the generator, so its name is the stream layout:
   x <- (x + bincount(rows, x[cols])) / (deg + 1) costs O(n + edges) per
   replication and builds no n x n array.
 
-Either stream runs on over pieces and steps: slot bytes left in a
-piece's last raw word, and edge or field points drawn past a piece,
-carry into the next. So the piece size changes no outcome, and the
-outcomes depend only on the generator's initial state: a dense run
-equals the loop that takes n^2 slot bytes per step, adds the field's
-points one gap at a time and applies the weights above, a sparse run
-the loop that draws one gap at a time, bit for bit. Raw words and gaps
-are drawn in batches, so the generators may be left advanced past the
-stopping step: give every run a fresh one.
+Edge or field points drawn past a piece carry into the next, and each
+dense replication reads whole words of its own, so the piece size
+changes no outcome: a dense run equals the loop that takes ceil(n^2 / 8)
+raw words per replication and step, adds the field's points one gap at
+a time and applies the weights above, a sparse run the loop that draws
+one gap at a time, bit for bit, from the generator's initial state. Raw
+words and gaps are drawn in batches, so the generators may be left
+advanced past the stopping step: give every run a fresh one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ModelParams, _check_int, _check_real, _check_x0
+from .graphs import _INT64_MAX, ModelParams, _check_int, _check_real, _check_x0
 
 __all__ = [
     "DEFAULT_MAX_STEPS",
@@ -115,7 +116,7 @@ class NonConvergenceError(RuntimeError):
 
 
 def _check_budget(tol: float, max_steps: int) -> None:
-    """Reject an iteration budget that cannot work: tol a number in (0, 1) and normal, max_steps an integer >= 1.
+    """Reject an iteration budget that cannot work: tol a number in (0, 1) and normal, max_steps an int64 >= 1.
 
     tol is relative to the spread of x0, so tol >= 1 would stop every run
     after one step. A subnormal tol makes tol * spread(x0) underflow to 0
@@ -126,7 +127,7 @@ def _check_budget(tol: float, max_steps: int) -> None:
             f"tol must be finite and positive and < 1 (relative to the spread of x0), "
             f"not subnormal (< {sys.float_info.min}), got {tol}"
         )
-    _check_int("max_steps", max_steps, 1)
+    _check_int("max_steps", max_steps, 1, _INT64_MAX)
 
 
 def _stop_rule(tol: float, x0: np.ndarray) -> str:
@@ -145,21 +146,26 @@ class ConsensusOutcome:
 
 
 def stream_layout(params: ModelParams) -> str:
-    """The step body of a block at params, "sparse-block" at p <= 0.09, else "dense-byte-gap-block".
+    """The step body of a block at params, "sparse-block" at p <= 0.09, else "dense-word-gap-block".
 
-    The name is the block's stream layout (see the module docstring).
-    Measured in block mode (128 replications up to n = 100, 40 above,
-    ramp x0, one BLAS thread) over n = 10...400, the crossover depends on
-    p, not n: the sparse body was faster at every n at p <= 0.05 (by
-    1.1-2.1x), the two were within 1.4x either way at p = 0.08, and the
-    dense body was faster or even at p >= 0.1 at every n, by up to 3.8x
-    at p = 0.2: it costs a few ns per slot, edge or not, and the sparse
-    body pays per edge. The dense side was timed before the remainder
-    field replaced its tie search, and the cut was not timed again. The
-    cut stays below p = 1/3, the range where the gap law matches numpy's
-    geometric variates.
+    The name is the block's stream layout (see the module docstring). The
+    dense body costs a few ns per slot, and the sparse body pays per edge.
+    Time per replication-step, dense over sparse, in block mode (128
+    replications up to n = 100, 40 above, ramp x0; 2-CPU VM, one BLAS
+    thread, min of 7 alternating runs):
+
+                  n = 10    20    50    100   200   400
+        p = 0.05      1.09  1.19  1.42  1.27  1.43  0.97
+        p = 0.08      0.94  0.94  0.93  0.80  0.84  0.60
+        p = 0.09      0.93  0.81  0.71  0.67  0.71  0.53
+        p = 0.1       1.00  0.83  0.68  0.62  0.67  0.47
+        p = 0.12      0.94  0.77  0.58  0.53  0.56  0.43
+
+    The crossover lies between p = 0.05 and 0.08, but moving the cut
+    changes the stream of the ensembles in between. The cut stays below
+    p = 1/3, where the gap law matches numpy's geometric variates.
     """
-    return "sparse-block" if params.p <= 0.09 else "dense-byte-gap-block"
+    return "sparse-block" if params.p <= 0.09 else "dense-word-gap-block"
 
 
 def _edges(slots: int, p: float, pending: np.ndarray, rng: np.random.Generator):
@@ -237,38 +243,33 @@ def _dense_workspace(size: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     return np.empty((size, n, n)), xs, np.empty((size, n, 2))
 
 
-def _dense_piece(
-    x: np.ndarray, out: np.ndarray, p: float, spare: np.ndarray, pending: np.ndarray, raw, field, work
-) -> tuple[np.ndarray, np.ndarray]:
-    """One dense step of the (A, n) states x into out, in the workspace work; returns the new (spare, pending).
+def _dense_piece(x: np.ndarray, out: np.ndarray, p: float, pending: np.ndarray, raw, field, work) -> np.ndarray:
+    """One dense step of the (A, n) states x into out, in the workspace work; returns the new pending.
 
-    The slot bytes are the spare bytes left from the previous raw word
-    (empty at the start), then those of the words raw(k) returns; the
-    remainder field takes its positions from field, pending holding those
-    drawn past the previous piece (see the module docstring). A holds at
-    most the workspace's replications. Every row of a complete graph
-    computes the same dot product, so p = 1 agrees in one step with
-    spread exactly 0. x is not written.
+    Each replication takes ceil(n^2 / 8) fresh words from raw(k), its
+    slot bytes the first n^2 of theirs; the remainder field takes its
+    positions from field, pending holding those drawn past the previous
+    piece (see the module docstring). A holds at most the workspace's
+    replications. Every row of a complete graph computes the same dot
+    product, so p = 1 agrees in one step with spread exactly 0. x is not
+    written.
     """
     a, n = x.shape
     adj, xs, sums = work
     if a != len(adj):
         adj, xs, sums = adj[:a], xs[:a], sums[:a]
-    slots = a * n * n
-    stream = raw(-(-(slots - spare.size) // 8)).astype("<u8", copy=False).view(np.uint8)
-    if spare.size:
-        stream = np.concatenate((spare, stream))
-    flat = adj.reshape(slots)
+    stream = raw(a * -(-n * n // 8)).astype("<u8", copy=False).view(np.uint8).reshape(a, -1)
+    flat = adj.reshape(a, n * n)
     cut = math.floor(256.0 * p)
-    np.less(stream[:slots], cut, out=flat, casting="unsafe")
+    np.less(stream[:, : n * n], cut, out=flat, casting="unsafe")
     if 256.0 * p > cut:  # else q = 0, and the block's field generator goes unused
-        edges, pending = _edges(slots, (256.0 * p - cut) / (256 - cut), pending, field)
-        flat[edges] = 1.0
-    flat.reshape(a, n * n)[:, :: n + 1] = 1.0
+        edges, pending = _edges(a * n * n, (256.0 * p - cut) / (256 - cut), pending, field)
+        flat.reshape(-1)[edges] = 1.0
+    flat[:, :: n + 1] = 1.0
     np.copyto(xs[..., 0], x)
     np.matmul(adj, xs, out=sums)
     np.divide(sums[..., 0], sums[..., 1], out=out)
-    return stream[slots:], pending
+    return pending
 
 
 def run_consensus(
@@ -320,45 +321,37 @@ def run_block(
     it lies within tol * spread(x0) of every coordinate of a finite state.
 
     Each step takes the replications still active through the body
-    stream_layout(params) names (see the module docstring); then every
-    replication whose spread fell below the threshold records its value,
-    step and spread and leaves the block. A dense block seeds its field
-    generator from rng's first raw word and carries the field's points
-    past a piece, as a sparse block carries its edges.
+    stream_layout(params) names (see the module docstring), bound once
+    per block and carrying only its gap positions from piece to piece;
+    then every replication whose spread fell below the threshold records
+    its value, step and spread and leaves the block.
     """
     _check_budget(tol, max_steps)
-    _check_int("reps", reps, 1)
+    _check_int("reps", reps, 1, _INT64_MAX)
     if not isinstance(rng, np.random.Generator):  # the step bodies draw from its methods and bit generator
         raise TypeError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
     n, p = params.n, params.p
     x = _check_x0(x0, n)
-    values = np.full(reps, np.nan)
-    steps = np.full(reps, max_steps)
-    spreads = np.full(reps, x.max() - x.min())
+    values, steps, spreads = np.full(reps, np.nan), np.full(reps, max_steps), np.full(reps, x.max() - x.min())
     centre, threshold = x.mean(), tol * spreads[0]
     if threshold == 0.0:  # no spread could fall below it
         values[:], steps[:] = min(max(centre, x.min()), x.max()), 0
         return values, steps, spreads
-    sparse = stream_layout(params) == "sparse-block"
-    pending = np.empty(0, dtype=np.int64)  # edge (or field) positions past the last piece
-    if sparse:
+    if stream_layout(params) == "sparse-block":
         piece = max(1, _SPARSE_NUMBERS // (n + math.ceil(p * n * (n - 1))))
+        body = functools.partial(_sparse_step, p=p, rng=rng)
     else:
         piece = max(1, _DENSE_SLOTS // (n * n))
         raw = rng.bit_generator.random_raw
         field = np.random.default_rng(int(raw()))
-        spare = np.empty(0, dtype=np.uint8)  # slot bytes left in the last raw word
-        work = _dense_workspace(min(piece, reps), n)
+        body = functools.partial(_dense_piece, p=p, raw=raw, field=field, work=_dense_workspace(min(piece, reps), n))
+    pending = np.empty(0, dtype=np.int64)  # edge (or field) positions past the last piece
     active = np.arange(reps)
     state = np.tile(x - centre, (reps, 1))
     for step in range(1, max_steps + 1):
         new = np.empty_like(state)
         for a in range(0, active.size, piece):
-            b = a + piece
-            if sparse:
-                pending = _sparse_step(state[a:b], new[a:b], p, pending, rng)
-            else:
-                spare, pending = _dense_piece(state[a:b], new[a:b], p, spare, pending, raw, field, work)
+            pending = body(state[a : a + piece], new[a : a + piece], pending=pending)
         if len(new) > n:  # numpy reduces a short last axis row by row: put the long one innermost
             cols = new.T.copy()
             spread = cols.max(axis=0) - cols.min(axis=0)

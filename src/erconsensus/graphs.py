@@ -19,6 +19,9 @@ __all__ = [
     "ModelParams",
 ]
 
+# The largest count a step or replication array can hold (see _check_int).
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -37,7 +40,7 @@ class ModelParams:
     p: float
 
     def __post_init__(self) -> None:
-        _check_int("n", self.n, 2)
+        _check_int("n", self.n, 2, _INT64_MAX)
         p = _check_real("p", self.p)
         if not sys.float_info.min <= p <= 1.0:
             raise ValueError(f"p must be in (0, 1] and not subnormal (< {sys.float_info.min}), got {p}")
@@ -50,16 +53,19 @@ class ModelParams:
         return 1.0 - self.p
 
 
-def _check_int(name: str, value, minimum: int) -> None:
-    """Reject anything but a Python or numpy integer >= minimum; a bool is rejected too.
+def _check_int(name: str, value, minimum: int, maximum: int | None = None) -> None:
+    """Reject anything but a Python or numpy integer in [minimum, maximum]; a bool is rejected too.
 
     A float or bool count would otherwise be compared, formatted and used
-    as an array shape as if it were one, failing far from its source.
+    as an array shape as if it were one, failing far from its source; a
+    count past int64 would fill arrays of uint64 or Python objects.
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be <= {maximum}, got {value}")
 
 
 def _check_real(name: str, value) -> float:
@@ -91,10 +97,10 @@ def _check_x0(x0, n: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GraphSeed:
-    """Root seed plus a stream index for reproducible parallel runs.
+    """Root seed plus a stream index: independent, reproducible draw sequences.
 
-    The same (seed, stream) always produces the same draw sequence, no
-    matter how many sibling streams exist or which worker consumes them.
+    The same (seed, stream) always produces the same draws, whatever
+    other streams exist or were drawn from before.
     """
 
     seed: int

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_TOL, NonConvergenceError, run_block
 from .dynamics import _check_budget, _stop_rule
-from .graphs import GraphSeed, ModelParams, _check_int, _check_real, _check_x0
+from .graphs import _INT64_MAX, GraphSeed, ModelParams, _check_int, _check_real, _check_x0
 from .moments import consensus_variance, variance_factor
 
 __all__ = [
@@ -87,7 +87,7 @@ class ExperimentConfig:
             raise TypeError(f"params must be a ModelParams, got {type(self.params).__name__}")
         if not isinstance(self.seed, GraphSeed):
             raise TypeError(f"seed must be a GraphSeed, got {type(self.seed).__name__}")
-        _check_int("reps", self.reps, 1)
+        _check_int("reps", self.reps, 1, _INT64_MAX)
         _check_budget(self.tol, self.max_steps)
         self.x0()
 

@@ -58,20 +58,23 @@ def _dense_update(adj, x):
     """x -> W x for the 0/1 adjacency stack adj (..., n, n) and states x (..., n), by the package's dense piece.
 
     adj goes in as the piece's slot bytes at p = 1/2, where a byte below
-    128 is an edge: byte 0 where adj is nonzero and 255 elsewhere. 256 p
-    is an integer, so the remainder field is empty and no field generator
-    is needed. The diagonal goes in as drawn.
+    128 is an edge: byte 0 where adj is nonzero and 255 elsewhere, each
+    replication's n*n bytes padded with 255 to whole words. 256 p is an
+    integer, so the remainder field is empty and no field generator is
+    needed. The diagonal goes in as drawn.
     """
     adj, x = np.asarray(adj), np.asarray(x, dtype=float)
     n = adj.shape[-1]
-    slot_bytes = np.where(adj.reshape(-1) != 0, 0, 255).astype(np.uint8)
-    words = np.concatenate((slot_bytes, np.full(-slot_bytes.size % 8, 255, dtype=np.uint8))).view("<u8")
+    slot_bytes = np.where(adj.reshape(-1, n * n) != 0, 0, 255).astype(np.uint8)
+    words = np.pad(slot_bytes, ((0, 0), (0, -n * n % 8)), constant_values=255).reshape(-1).view("<u8")
+
+    def raw(size):
+        assert size == words.size  # the piece reads every word, each replication's own
+        return words
+
     states = x.reshape(-1, n)
     out = np.empty_like(states)
-    work = _dense_workspace(len(states), n)
-    no_spare, no_pending = np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64)
-    spare, pending = _dense_piece(states, out, 0.5, no_spare, no_pending, lambda size: words[:size], None, work)
-    assert spare.size == -slot_bytes.size % 8
+    pending = _dense_piece(states, out, 0.5, np.empty(0, dtype=np.int64), raw, None, _dense_workspace(len(states), n))
     assert pending.size == 0
     return out.reshape(x.shape)
 

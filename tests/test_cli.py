@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +109,10 @@ class TestAnalytic:
                 ["simulate", "--n", "5", "--p", "1e-310", "--x0", "ramp", "--reps", "1", "--max-steps", "2"],
                 "error: --p: p must be in (0, 1] and not subnormal",
             ),
+            # Counts past int64: --reps 1e30 walked about 7.8e27 blocks instead of failing.
+            (["simulate", "--n", "3", "--p", "0.5", "--reps", str(10**30)], "error: --reps: reps must be <= "),
+            (["analytic", "--n", str(10**30), "--p", "0.5"], "error: --n: n must be <= "),
+            (["simulate", "--n", "3", "--p", "0.5", "--max-steps", str(2**63)], "error: --max-steps: max_steps must be <= "),
         ],
     )
     def test_usage_errors_name_the_flag(self, capsys, argv, needle):
@@ -305,12 +310,12 @@ class TestSimulate:
         assert code == 3
         assert "converge" in err
 
-    @pytest.mark.parametrize("n,p,stream", [("20", "0.25", "dense-byte-gap-block"), ("200", "0.025", "sparse-block")])
+    @pytest.mark.parametrize("n,p,stream", [("20", "0.25", "dense-word-gap-block"), ("200", "0.025", "sparse-block")])
     def test_provenance_names_the_stream(self, capsys, n, p, stream):
         argv = ["simulate", "--n", n, "--p", p, "--x0", "ramp", "--reps", "5", "--seed", "2"]
         code, record, _ = run_json(capsys, *argv)
         assert code == 0
-        assert record["schema_version"] == "9"
+        assert record["schema_version"] == "10"
         assert record["provenance"]["stream"] == stream
 
     def test_provenance_names_numpy_and_the_bit_generator(self, capsys):
@@ -418,7 +423,7 @@ class TestFig1:
 
 
 class TestStreamContract:
-    """Golden digests of seeded output on the "dense-byte-gap-block" and "sparse-block" stream layouts (schema "9").
+    """Golden digests of seeded output on the "dense-word-gap-block" and "sparse-block" stream layouts (schema "10").
 
     Any change to how replications consume their random streams (draw
     order, draws per step, seeding) changes these bytes; such a change
@@ -430,7 +435,7 @@ class TestStreamContract:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "dedcb718586f8afbbcc2d81b6eee24a5018634ced418c181824cef4003c44c80"
+        assert digest == "984a19c93c7e780c0e93e629c2118ab57e3a6bc0f234b0ec49172bf153decbc0"
 
     def test_simulate_results(self, capsys):
         argv = ["simulate", "--n", "20", "--p", "0.25", "--x0", "ramp", "--reps", "200", "--seed", "5"]
@@ -438,6 +443,14 @@ class TestStreamContract:
         assert code == 0
         digest = hashlib.sha256(json.dumps(record["results"], sort_keys=True).encode()).hexdigest()
         assert digest == "b9907362a886640105d772085902baf5f863c709237bd1c3b0ee7bd027f23175"
+
+    def test_readme_names_the_schema_and_every_layout(self):
+        # README states both by hand, so a schema bump or a renamed layout must reach it too.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        assert f'`schema_version`, now `"{cli.SCHEMA_VERSION}"`' in readme
+        layouts = {dynamics.stream_layout(graphs.ModelParams(10, p)) for p in (1e-9, 0.01, 0.09, 0.0901, 0.5, 1.0)}
+        assert len(layouts) == 2
+        assert [layout for layout in sorted(layouts) if layout not in readme] == []
 
 
 class TestFig2:

@@ -24,7 +24,7 @@ from erconsensus.graphs import GraphSeed, ModelParams
 # around it stay as boundary cases of the per-step engine.
 FIRST_CHUNK = 8
 
-DENSE, SPARSE = "dense-byte-gap-block", "sparse-block"
+DENSE, SPARSE = "dense-word-gap-block", "sparse-block"
 
 
 def _named(cases):
@@ -49,13 +49,14 @@ def _dense_literal(n, p, rng):
     """The dense body spelled out one replication at a time: returns step(x), the next W x in stream order.
 
     The field generator is seeded by rng's first raw word. Each call takes
-    the next n*n slot bytes from rng's raw 64-bit words, one word at a
-    time, byte k of a word being (word >> 8k) & 255 for k = 0, ..., 7. A
-    slot is an edge when its byte is below t = floor(256 p), or when it
-    holds a point of the remainder field: the slots of successive calls,
-    n*n each, form one Bernoulli(q) sequence, q = (256 p - t) / (256 - t),
-    whose next point is found by adding one gap to the last, drawn from
-    the field generator by the gap law ceil(E / -log1p(-q)), E standard
+    the next ceil(n*n / 8) raw 64-bit words from rng, one word at a time,
+    and its n*n slot bytes are the first n*n of their bytes, byte k of a
+    word being (word >> 8k) & 255 for k = 0, ..., 7. A slot is an edge
+    when its byte is below t = floor(256 p), or when it holds a point of
+    the remainder field: the slots of successive calls, n*n each, form
+    one Bernoulli(q) sequence, q = (256 p - t) / (256 - t), whose next
+    point is found by adding one gap to the last, drawn from the field
+    generator by the gap law ceil(E / -log1p(-q)), E standard
     exponential. At q = 0 the field generator is never read.
     Then x <- W x with w_ij = (a_ij + [i == j]) / (d_i + 1), a drawn
     diagonal ignored. The neighborhood sums come from the product
@@ -65,7 +66,6 @@ def _dense_literal(n, p, rng):
     field = np.random.default_rng(int(rng.bit_generator.random_raw()))
     cut = math.floor(256 * p)
     q = (256 * p - cut) / (256 - cut) if 256 * p > cut else 0.0
-    spare = []
 
     def gap():
         return math.ceil(field.standard_exponential() / -math.log1p(-q))
@@ -73,11 +73,12 @@ def _dense_literal(n, p, rng):
     point = gap() - 1 if q else math.inf  # the next field point, counted from the first slot of the next call
 
     def step(x):
-        nonlocal spare, point
-        while len(spare) < n * n:
+        nonlocal point
+        slot_bytes = []
+        for _ in range(-(-n * n // 8)):
             word = int(rng.bit_generator.random_raw())
-            spare += [word >> (8 * k) & 0xFF for k in range(8)]
-        slot_bytes, spare = spare[: n * n], spare[n * n :]
+            slot_bytes += [word >> (8 * k) & 0xFF for k in range(8)]
+        slot_bytes = slot_bytes[: n * n]
         adj = np.array([b < cut for b in slot_bytes], dtype=float)
         while point < n * n:
             adj[point] = 1.0
@@ -212,9 +213,8 @@ class TestWeightMatrix:
         x = rng.random((4, 5))
         before = x.copy()
         out = np.empty_like(x)
-        no_spare, no_pending = np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64)
-        field = np.random.default_rng(0)
-        _dense_piece(x, out, 0.4, no_spare, no_pending, rng.bit_generator.random_raw, field, _dense_workspace(4, 5))
+        field, no_pending = np.random.default_rng(0), np.empty(0, dtype=np.int64)
+        _dense_piece(x, out, 0.4, no_pending, rng.bit_generator.random_raw, field, _dense_workspace(4, 5))
         assert np.array_equal(x, before)
         assert not np.array_equal(out, before)
 
@@ -241,8 +241,8 @@ class TestStep:
             rng = GraphSeed(0).generator()
             with pytest.raises(ValueError):
                 _dense_piece(
-                    np.zeros(shape), np.empty(shape), 0.5, np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64),
-                    rng.bit_generator.random_raw, rng, work,
+                    np.zeros(shape), np.empty(shape), 0.5, np.empty(0, dtype=np.int64), rng.bit_generator.random_raw,
+                    rng, work,
                 )
 
     def test_workspace_reuse_leaves_no_trace(self, dense_update):
@@ -253,17 +253,13 @@ class TestStep:
         fresh = GraphSeed(12).generator()
         fresh_raw, fresh_field = fresh.bit_generator.random_raw, np.random.default_rng(int(fresh.bit_generator.random_raw()))
         work = _dense_workspace(5, n)
-        spare = fresh_spare = np.empty(0, dtype=np.uint8)
         pending = fresh_pending = np.empty(0, dtype=np.int64)
         for reps in (5, 2, 5, 1, 5):
             x = GraphSeed(reps).generator().random((reps, n))
             reused, alone = np.empty_like(x), np.empty_like(x)
-            spare, pending = _dense_piece(x, reused, p, spare, pending, raw, field, work)
-            fresh_spare, fresh_pending = _dense_piece(
-                x, alone, p, fresh_spare, fresh_pending, fresh_raw, fresh_field, _dense_workspace(reps, n)
-            )
+            pending = _dense_piece(x, reused, p, pending, raw, field, work)
+            fresh_pending = _dense_piece(x, alone, p, fresh_pending, fresh_raw, fresh_field, _dense_workspace(reps, n))
             assert np.array_equal(reused, alone)
-            assert np.array_equal(spare, fresh_spare)
             assert np.array_equal(pending, fresh_pending)
 
     @pytest.mark.parametrize("p", [0.25, 5 / 8, 5 / 40, 1.0])
@@ -277,11 +273,10 @@ class TestStep:
         rng, fresh = GraphSeed(8).generator(), GraphSeed(8).generator()
         x = GraphSeed(9).generator().random((a, n))
         out, reference = np.empty_like(x), np.empty_like(x)
-        no_spare, no_pending = np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64)
-        raw, work = rng.bit_generator.random_raw, _dense_workspace(a, n)
-        _, pending = _dense_piece(x, out, p, no_spare, no_pending, raw, Unread(), work)
+        no_pending, raw, work = np.empty(0, dtype=np.int64), rng.bit_generator.random_raw, _dense_workspace(a, n)
+        pending = _dense_piece(x, out, p, no_pending, raw, Unread(), work)
         field = np.random.default_rng(0)
-        _dense_piece(x, reference, p, no_spare, no_pending, fresh.bit_generator.random_raw, field, _dense_workspace(a, n))
+        _dense_piece(x, reference, p, no_pending, fresh.bit_generator.random_raw, field, _dense_workspace(a, n))
         assert np.array_equal(out, reference)
         assert pending.size == 0
 
@@ -328,20 +323,21 @@ class TestRunConsensus:
         rng = GraphSeed(17).generator()
         raw = rng.bit_generator.random_raw
         field, work = np.random.default_rng(int(raw())), _dense_workspace(1, n)
-        spare, pending = np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64)
+        pending = np.empty(0, dtype=np.int64)
         x = np.array([[0.0, 1.0, 0.2, 0.8, 0.5, 0.3]])
         spread = np.ptp(x)
         for _ in range(40):
             new = np.empty_like(x)
-            spare, pending = _dense_piece(x, new, p, spare, pending, raw, field, work)
+            pending = _dense_piece(x, new, p, pending, raw, field, work)
             x = new
             new_spread = np.ptp(x)
             assert new_spread <= spread + 1e-12 * (1.0 + spread)
             spread = new_spread
 
     @pytest.mark.parametrize("seed", [0, 8, 31])
-    @pytest.mark.parametrize("n,p", [(2, 0.5), (6, 0.3), (20, 0.25)])
+    @pytest.mark.parametrize("n,p", [(2, 0.5), (6, 0.3), (20, 0.25), (4, 0.5), (8, 0.3), (5, 0.7), (7, 0.35), (3, 1.0)])
     def test_matches_reference_loop(self, n, p, seed):
+        # n^2 fills whole words at n = 4, 8 and 20 and leaves bytes unread at 2, 3, 5, 6 and 7.
         params = ModelParams(n, p)
         x0 = np.linspace(-1.0, 2.0, n) ** 2
         fast = run_consensus(params, x0, GraphSeed(seed).generator(), tol=1e-6)
@@ -376,6 +372,9 @@ class TestRunConsensus:
             run_consensus(params, np.zeros(3), rng, max_steps=0)
         with pytest.raises(ValueError):
             run_consensus(params, np.zeros(4), rng)
+        for max_steps in (2**63, 10**30):  # a steps array of uint64 or of objects
+            with pytest.raises(ValueError, match=f"^max_steps must be <= {2**63 - 1}, got {max_steps}$"):
+                run_consensus(params, np.arange(3.0), rng, max_steps=max_steps)
         for bad, name in [(np.random.RandomState(0), "RandomState"), (None, "NoneType"), (3, "int")]:
             with pytest.raises(TypeError, match=f"^rng must be a numpy.random.Generator, got {name}$"):
                 run_consensus(params, np.zeros(3), bad)
@@ -404,13 +403,18 @@ class TestRunBlock:
     @pytest.mark.parametrize(
         "body,n,p,reps,cap",
         _bodies(
-            {key: (*case, None) for key, case in _named([(2, 0.5, 7), (6, 5 / 6, 40), (50, 0.2, 30)]).items()},
+            {key: (*case, None) for key, case in _named(
+                [(2, 0.5, 7), (6, 5 / 6, 40), (50, 0.2, 30), (4, 0.5, 20), (8, 0.3, 20), (5, 0.7, 9), (7, 0.35, 30),
+                 (3, 1.0, 4)]
+            ).items()},
             {key: (*case, None) for key, case in _named([(2, 0.5, 7), (6, 5 / 6, 40), (20, 0.05, 9)]).items()}
             | {"12-0.08-25-cap-100": (12, 0.08, 25, 100)},
         ),
     )
     def test_matches_reference_loop(self, on_body, monkeypatch, body, n, p, reps, cap):
         # Dense: at n = 50 a step of 30 replications is drawn in two pieces, 26 and 4.
+        # Each replication reads whole words: n^2 fills them at n = 4 and 8, and leaves
+        # bytes unread at n = 2, 3, 5, 6, 7 and 50. 256 p is an integer at p = 0.5 and 1.
         # Sparse: a budget of 100 numbers at n = 12, p = 0.08 holds 100 // (12 + 11) = 4
         # replications, so a step of 25 is drawn in seven pieces.
         on_body(body)
@@ -423,7 +427,8 @@ class TestRunBlock:
         assert np.array_equal(steps, ref_steps)
         assert np.array_equal(spreads, ref_spreads)
         assert np.all(steps > 0)
-        assert len(set(steps)) > 1  # replications left at different steps
+        if p < 1.0:  # p = 1 stops every replication at step 1
+            assert len(set(steps)) > 1  # replications left at different steps
 
     @pytest.mark.parametrize(
         "body,n,p,cap",
@@ -464,9 +469,9 @@ class TestRunBlock:
         rng = _RecordingGenerator(GraphSeed(4).generator())
         run_block(ModelParams(50, 0.2), _ramp(50), 30, rng)
         # One word seeds the field generator; then 2**16 // 50**2 = 26 replications
-        # per piece: 65000 slot bytes, 8125 raw words, and the other 4 in 1250.
-        assert max(rng.words) <= 8125
-        assert rng.words[:4] == [1, 8125, 1250, 8125]
+        # per piece, each in ceil(2500 / 8) = 313 raw words: 8138, and the other 4 in 1252.
+        assert max(rng.words) <= 8138
+        assert rng.words[:4] == [1, 8138, 1252, 8138]
 
     def test_constant_x0_draws_nothing(self):
         values, steps, _ = run_block(ModelParams(4, 0.5), np.full(4, 2.5), 5, GraphSeed(1).generator())
@@ -505,6 +510,11 @@ class TestRunBlock:
             run_block(params, np.zeros(3), 0, rng)
         with pytest.raises(TypeError, match="^reps must be an integer"):
             run_block(params, np.zeros(3), 2.0, rng)
+        for big in (2**63, 10**30):
+            with pytest.raises(ValueError, match=f"^reps must be <= {2**63 - 1}, got {big}$"):
+                run_block(params, np.arange(3.0), big, rng)
+            with pytest.raises(ValueError, match=f"^max_steps must be <= {2**63 - 1}, got {big}$"):
+                run_block(params, np.arange(3.0), 4, rng, max_steps=big)
         with pytest.raises(ValueError, match="^x0 must be a length-3 vector"):
             run_block(params, np.zeros(4), 4, rng)
         with pytest.raises(ValueError, match="finite"):
@@ -712,9 +722,9 @@ class TestDrawBudget:
     def test_chunk_memory_cap(self, n, p):
         rng = _RecordingGenerator(GraphSeed(5).generator())
         out = run_consensus(ModelParams(n, p), _ramp(n), rng, tol=1e-14)
-        # A single run's piece is its one replication, n*n slots, and its last word may be partly spare.
-        assert all(8 * (words - 1) < max(2**14, n * n) for words in rng.words)
-        assert 8 * sum(rng.words) >= out.steps * n * n
+        # A single run's piece is its one replication: after the word that seeds the field
+        # generator, every step reads exactly its ceil(n*n / 8) words.
+        assert rng.words == [1] + [-(-n * n // 8)] * out.steps
 
 
 class TestStepPathChoice:

@@ -11,7 +11,8 @@ from erconsensus.moments import second_moments, variance_coefficients
 from erconsensus.oracle import enumerate_expected_matrices
 
 # Slot-level samples are read off the diagonal of 64-node graphs: the dense
-# piece overwrites the diagonal slots it draws with the 1 of A + I.
+# piece overwrites the diagonal slots it draws with the 1 of A + I. A graph's
+# 64**2 slots fill 512 whole words, so no byte of the stream goes unread.
 SLOT_N = 64
 
 
@@ -26,7 +27,7 @@ def _sample(graphs, n, p, seed) -> np.ndarray:
     field = np.random.default_rng(int(raw()))
     work = _dense_workspace(graphs, n)
     x = np.zeros((graphs, n))
-    _dense_piece(x, np.empty_like(x), p, np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64), raw, field, work)
+    _dense_piece(x, np.empty_like(x), p, np.empty(0, dtype=np.int64), raw, field, work)
     return work[0] != 0.0
 
 
@@ -80,6 +81,11 @@ class TestModelParams:
     def test_non_integer_n_rejected(self):
         with pytest.raises(TypeError):
             ModelParams(3.0, 0.5)
+
+    @pytest.mark.parametrize("n", [2**63, 10**30, np.uint64(2**63)], ids=["2**63", "10**30", "uint64"])
+    def test_n_past_int64_rejected(self, n):
+        with pytest.raises(ValueError, match=f"^n must be <= {2**63 - 1}, got {n}$"):
+            ModelParams(n, 0.5)
 
     def test_numpy_integer_n_gives_the_python_int_moments(self):
         # At int32 width, delta = n + n (n - 1) rho and (n - 1)(n - 2) overflowed.

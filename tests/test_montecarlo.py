@@ -144,6 +144,12 @@ class TestRunEnsemble:
         with pytest.raises(ValueError):
             _config(reps=0)
 
+    @pytest.mark.parametrize("reps", [2**63, 10**30])
+    def test_rejects_reps_past_int64(self, reps):
+        # 10**30 replications made run_ensemble walk about 7.8e27 blocks.
+        with pytest.raises(ValueError, match=f"^reps must be <= {2**63 - 1}, got {reps}$"):
+            ExperimentConfig(ModelParams(3, 0.5), "ramp", reps, GraphSeed(1))
+
     @pytest.mark.parametrize("reps", [True, 2.0])
     def test_rejects_non_integer_reps(self, reps):
         with pytest.raises(TypeError, match="^reps must be an integer"):
@@ -166,8 +172,8 @@ class TestRunEnsemble:
     @pytest.mark.parametrize(
         "max_steps,error,needle",
         [(0, ValueError, "must be >= 1"), (2.5, TypeError, "must be an integer"),
-         (True, TypeError, "must be an integer")],
-        ids=["zero", "float", "bool"],
+         (True, TypeError, "must be an integer"), (2**63, ValueError, f"must be <= {2**63 - 1}")],
+        ids=["zero", "float", "bool", "past-int64"],
     )
     def test_rejects_bad_max_steps_at_construction(self, max_steps, error, needle):
         with pytest.raises(error, match=f"^max_steps {needle}"):
