@@ -1,9 +1,10 @@
 """Watching single runs agree, and an ensemble match the variance law.
 
 Every step draws a fresh graph, so each run lands on its own random
-value inside the hull of x0. The spread max(x) - min(x) is non-increasing
-path by path; across many runs the values scatter around mean(x0) with
-exactly the closed-form variance.
+value inside the hull of x0. A run stops once the norm of x - mean(x),
+sqrt(S), is below tol times that of x0; across many runs the values
+scatter around mean(x0) with the closed-form variance, once the sample
+variance is corrected for the dispersion S left at the stops.
 """
 
 import numpy as np
@@ -24,12 +25,12 @@ print("three single paths (same model, different streams):")
 for stream in range(3):
     out = run_consensus(params, x0, GraphSeed(42, stream).generator())
     print(f"  stream {stream}: x* = {out.value:.8f} after {out.steps} steps "
-          f"(final spread {out.spread:.1e})")
+          f"(final sqrt(S) {np.sqrt(out.dispersion):.1e})")
 
-print("\none path, stopped at ever smaller spreads (the same stream every time):")
+print("\none path, stopped at ever smaller norms (the same stream every time):")
 for exponent in range(1, 11):
     out = run_consensus(params, x0, GraphSeed(7).generator(), tol=10.0**-exponent)
-    print(f"  spread < 1e-{exponent:02d} x spread(x0) after {out.steps:3d} steps, x = {out.value:.10f}")
+    print(f"  sqrt(S) < 1e-{exponent:02d} x sqrt(S(x0)) after {out.steps:3d} steps, x = {out.value:.10f}")
 
 report = consensus_variance(params, x0)
 cfg = ExperimentConfig(params=params, x0_spec=x0, reps=4000, seed=GraphSeed(2))
@@ -39,3 +40,4 @@ print(f"\nensemble of {cfg.reps} runs:")
 print(f"  mean(x*)      {stats.mean:.6f}   predicted {report.mean:.6f}")
 print(f"  var(x*)       {stats.variance:.6e} predicted {report.variance:.6e}")
 print(f"  z-score of the variance gap: {z:+.2f} (jackknife SE {stats.stderr_variance:.1e})")
+print(f"  share of S(x0) left at the stops, corrected for: {stats.stop_share:.2%}")

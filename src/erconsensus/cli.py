@@ -38,7 +38,7 @@ from .montecarlo import (
 from .moments import consensus_variance
 from .oracle import ENUM_MAX_N, oracle_report
 
-SCHEMA_VERSION = "10"
+SCHEMA_VERSION = "11"
 ORACLE_THRESHOLD = 1e-10
 
 EXIT_OK = 0
@@ -88,7 +88,10 @@ def _parse_x0(text: str, n: int):
             raise UsageError(
                 f"--x0 must be 'ramp', 'const:<v>', or comma-separated numbers, got {text!r}"
             ) from exc
-    return resolve_x0(spec, n)
+    try:
+        return resolve_x0(spec, n)
+    except MemoryError:  # an n below the int64 cap can still be far too large to hold
+        raise UsageError(f"--n {n} is too large: x0 needs {8 * n} bytes, which could not be allocated") from None
 
 
 def _writable(path: str) -> bool:
@@ -181,14 +184,13 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
     )
     # Which random-stream layout drew the graphs, from which raw words, the
-    # steps replications took, and the tol they stopped at with its bias bound.
+    # steps replications took, and the share of S(x0) left at their stops.
     record["provenance"].update(
         stream=stream_layout(params),
         bit_generator=type(cfg.seed.generator().bit_generator).__name__,
         steps_mean=stats.steps_mean,
         steps_max=stats.steps_max,
-        tol=stats.tol,
-        variance_bias_bound=stats.variance_bias_bound,
+        stop_share=stats.stop_share,
     )
     _emit_json(record, sys.stdout)
     return EXIT_OK
@@ -316,9 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=DEFAULT_TOL,
-        help=f"stop a run once its spread is below tol times the spread of x0 (0 < tol < 1, default {DEFAULT_TOL:g}); "
-        "an ensemble runs at a tighter tol where the closed form forecasts its variance bias bound "
-        "(tol x spread(x0))^2 above 0.025 standard errors of its variance",
+        help=f"stop a run once the norm of x - mean(x) is below tol times that of x0 (0 < tol < 1, "
+        f"default {DEFAULT_TOL:g}); the variance is divided by 1 - stop_share, the mean share of "
+        "S(x0) = sum (x0 - mean x0)^2 left at the stops, which is below tol^2",
     )
     ensemble.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     ensemble.add_argument(

@@ -7,21 +7,23 @@ nodes, and a drawn diagonal is ignored. Row-stochasticity keeps every
 state inside the convex hull of the previous ones, so the spread
 max(x) - min(x) can only shrink.
 
-The tolerance is relative: a run steps the centred state x0 - mean(x0)
-and stops once its spread is below tol * spread(x0); the reported value
-is the mean of that state plus mean(x0), so it lies within
-tol * spread(x0) of every coordinate. Rows of W sum to 1, so centring
-shifts every path, and the limit x*, by the same constant, and keeps the
-states far from the float spacing of a large common offset. E[W] is
-doubly stochastic, so the state mean is a bounded martingale: the
-reported mean is an unbiased estimate of x* at any tol, and its variance
-is below var(x*) by less than (tol * spread(x0))**2 (optional stopping;
-Williams, "Probability with Martingales", 1991). DEFAULT_TOL = 1e-3
-bounds that bias by 1e-6 spread(x0)**2, at most 0.32 % of a ramp
-variance at c = 5 and n <= 50, and takes about half the steps of 1e-6.
-An ensemble runs at a tighter tol where the closed form forecasts the
-one asked for as too loose for the standard error of its variance
-(montecarlo.run_ensemble).
+The stop is relative. With S(x) = sum_i (x_i - mean x)**2, a run steps
+the centred state x0 - mean(x0) and stops once sqrt(S(x)) < tol *
+sqrt(S(x0)); norms are compared, since tol**2 underflows below about
+1.5e-154. The reported value is the mean m of that state plus mean(x0),
+and |x_i - m| <= sqrt(S(x)), so it lies within tol * sqrt(S(x0)) of
+every coordinate. Rows of W sum to 1, so centring shifts every path, and
+the limit x*, by the same constant, and keeps the states far from the
+float spacing of a large common offset.
+
+The stop needs no bias budget. E[W] is doubly stochastic, so the state
+mean is a bounded martingale, and given the state at the stop tau the
+rest of a run is a fresh run (optional stopping; Williams, "Probability
+with Martingales", 1991). With the law var(x*) = phi S(x0), that gives
+var(x*) = var(m_tau) + phi E[S_tau] = var(m_tau) / (1 - E[S_tau] / S(x0)),
+which montecarlo.run_ensemble applies to the S_tau run_block returns.
+Every S_tau < tol**2 S(x0), so the part that rests on the law's shape is
+below tol**2, 1 % at DEFAULT_TOL = 0.1.
 
 run_block is the one engine: it steps a block of replications together
 on one generator, and run_consensus is a block of one. Each step takes
@@ -93,7 +95,7 @@ __all__ = [
     "stream_layout",
 ]
 
-DEFAULT_TOL = 1e-3
+DEFAULT_TOL = 0.1
 DEFAULT_MAX_STEPS = 10**6
 
 # Piece budgets (see the module docstring): a block of any size holds no
@@ -107,42 +109,56 @@ _SPARSE_NUMBERS = 2**14
 
 
 class NonConvergenceError(RuntimeError):
-    """The spread failed to drop below tol * spread(x0) within the step budget."""
+    """sqrt(S) stayed at or above tol * sqrt(S(x0)) for the whole step budget; dispersion is the last S."""
 
-    def __init__(self, message: str, steps: int | None = None, spread: float | None = None):
+    def __init__(self, message: str, steps: int | None = None, dispersion: float | None = None):
         super().__init__(message)
         self.steps = steps
-        self.spread = spread
+        self.dispersion = dispersion
 
 
 def _check_budget(tol: float, max_steps: int) -> None:
     """Reject an iteration budget that cannot work: tol a number in (0, 1) and normal, max_steps an int64 >= 1.
 
-    tol is relative to the spread of x0, so tol >= 1 would stop every run
-    after one step. A subnormal tol makes tol * spread(x0) underflow to 0
-    for most x0, and every replication would report mean(x0) at step 0.
+    tol is relative to sqrt(S(x0)), the norm of x0 - mean(x0), so at
+    tol >= 1 the stop would test no convergence. A subnormal tol makes
+    tol * sqrt(S(x0)) underflow to 0 for most x0, and every replication
+    would report mean(x0) at step 0.
     """
     if not sys.float_info.min <= _check_real("tol", tol) < 1.0:  # NaN fails both comparisons
         raise ValueError(
-            f"tol must be finite and positive and < 1 (relative to the spread of x0), "
+            f"tol must be finite and positive and < 1 (relative to the norm of x0 - mean(x0)), "
             f"not subnormal (< {sys.float_info.min}), got {tol}"
         )
     _check_int("max_steps", max_steps, 1, _INT64_MAX)
 
 
+def _dispersion(x: np.ndarray) -> np.ndarray:
+    """S = sum_i (x_i - mean x)**2 of each row of the 2-D states x.
+
+    Each row is shifted by its first coordinate, so an agreed row gives
+    exactly 0 and sum d**2 - (sum d)**2 / n cancels at the scale of the
+    row's own spread, not of its mean. A row sum by matrix product and a
+    row dot product by einsum are fast whichever axis is the longer.
+    """
+    d = x - x[:, :1]
+    sums = d @ np.ones(x.shape[1])
+    return np.einsum("ij,ij->i", d, d) - sums * sums / x.shape[1]
+
+
 def _stop_rule(tol: float, x0: np.ndarray) -> str:
     """The stopping threshold of a run from x0, relative and absolute, for error messages."""
-    spread = float(x0.max() - x0.min())
-    return f"tol {tol:.1e} x spread(x0) {spread:.3e} = {tol * spread:.3e}"
+    norm = math.sqrt(_dispersion(x0[None])[0])
+    return f"tol {tol:.1e} x sqrt(S(x0)) {norm:.3e} = {tol * norm:.3e}"
 
 
 @dataclass(frozen=True)
 class ConsensusOutcome:
-    """End state of one run: agreed value, steps taken, final spread."""
+    """End state of one run: agreed value, steps taken, final dispersion S (see the module docstring)."""
 
     value: float
     steps: int
-    spread: float
+    dispersion: float
 
 
 def stream_layout(params: ModelParams) -> str:
@@ -251,7 +267,7 @@ def _dense_piece(x: np.ndarray, out: np.ndarray, p: float, pending: np.ndarray, 
     positions from field, pending holding those drawn past the previous
     piece (see the module docstring). A holds at most the workspace's
     replications. Every row of a complete graph computes the same dot
-    product, so p = 1 agrees in one step with spread exactly 0. x is not
+    product, so p = 1 agrees in one step with S exactly 0. x is not
     written.
     """
     a, n = x.shape
@@ -279,25 +295,26 @@ def run_consensus(
     tol: float = DEFAULT_TOL,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> ConsensusOutcome:
-    """Iterate with an independent graph per step until the spread is < tol * spread(x0).
+    """Iterate with an independent graph per step until sqrt(S) < tol * sqrt(S(x0)).
 
     The reported value is the mean of the final state, which is within
-    tol * spread(x0) of every coordinate (see the module docstring for
-    the centring). A run that exhausts max_steps raises
-    NonConvergenceError, carrying the steps and the last spread, rather
-    than returning a truncated state.
+    tol * sqrt(S(x0)) of every coordinate (see the module docstring for
+    S and the centring). A run that exhausts max_steps raises
+    NonConvergenceError, carrying the steps and the last S, rather than
+    returning a truncated state.
 
     This is run_block with one replication; rng may be left advanced
     past the stopping step (see the module docstring).
     """
-    values, steps, spreads = run_block(params, x0, 1, rng, tol, max_steps)
+    values, steps, dispersions = run_block(params, x0, 1, rng, tol, max_steps)
     if np.isnan(values[0]):
         raise NonConvergenceError(
-            f"spread {spreads[0]:.3e} still >= {_stop_rule(tol, _check_x0(x0, params.n))} after {max_steps} steps",
+            f"sqrt(S) {math.sqrt(dispersions[0]):.3e} still >= {_stop_rule(tol, _check_x0(x0, params.n))} "
+            f"after {max_steps} steps",
             steps=int(steps[0]),
-            spread=float(spreads[0]),
+            dispersion=float(dispersions[0]),
         )
-    return ConsensusOutcome(value=float(values[0]), steps=int(steps[0]), spread=float(spreads[0]))
+    return ConsensusOutcome(value=float(values[0]), steps=int(steps[0]), dispersion=float(dispersions[0]))
 
 
 def run_block(
@@ -310,21 +327,22 @@ def run_block(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run reps replications from x0 together on one generator.
 
-    Returns (values, steps, spreads): replication r agreed on values[r]
-    after steps[r] steps, mean(x0) plus the mean of the first centred
-    state whose spread, spreads[r], is < tol * spread(x0). A constant x0
-    gives its value at step 0, and so does an x0 whose tol * spread(x0)
-    underflows to 0 (a spread below about 5e-324 / tol): mean(x0),
-    clipped to [min(x0), max(x0)]. A replication still at or above that
-    threshold after max_steps gets the value NaN, the step count
-    max_steps and its last spread; a converged value is never NaN, since
-    it lies within tol * spread(x0) of every coordinate of a finite state.
+    Returns (values, steps, dispersions): replication r agreed on
+    values[r] after steps[r] steps, mean(x0) plus the mean of the first
+    centred state whose S, dispersions[r], has sqrt(S) < tol * sqrt(S(x0))
+    (see the module docstring). A constant x0 gives its value at step 0,
+    and so does an x0 whose tol * sqrt(S(x0)) underflows to 0: mean(x0),
+    clipped to [min(x0), max(x0)], with dispersion S(x0). A replication
+    still at or above that threshold after max_steps gets the value NaN,
+    the step count max_steps and its last S; a converged value is never
+    NaN, since it lies within tol * sqrt(S(x0)) of every coordinate of a
+    finite state.
 
     Each step takes the replications still active through the body
     stream_layout(params) names (see the module docstring), bound once
     per block and carrying only its gap positions from piece to piece;
-    then every replication whose spread fell below the threshold records
-    its value, step and spread and leaves the block.
+    then every replication whose S fell below the threshold records its
+    value, step and S and leaves the block.
     """
     _check_budget(tol, max_steps)
     _check_int("reps", reps, 1, _INT64_MAX)
@@ -332,11 +350,13 @@ def run_block(
         raise TypeError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
     n, p = params.n, params.p
     x = _check_x0(x0, n)
-    values, steps, spreads = np.full(reps, np.nan), np.full(reps, max_steps), np.full(reps, x.max() - x.min())
-    centre, threshold = x.mean(), tol * spreads[0]
-    if threshold == 0.0:  # no spread could fall below it
+    centre = x.mean()
+    start = (x - centre)[None]
+    values, steps, dispersions = np.full(reps, np.nan), np.full(reps, max_steps), np.full(reps, _dispersion(start)[0])
+    threshold = tol * math.sqrt(dispersions[0])
+    if threshold == 0.0:  # no norm could fall below it
         values[:], steps[:] = min(max(centre, x.min()), x.max()), 0
-        return values, steps, spreads
+        return values, steps, dispersions
     if stream_layout(params) == "sparse-block":
         piece = max(1, _SPARSE_NUMBERS // (n + math.ceil(p * n * (n - 1))))
         body = functools.partial(_sparse_step, p=p, rng=rng)
@@ -347,24 +367,20 @@ def run_block(
         body = functools.partial(_dense_piece, p=p, raw=raw, field=field, work=_dense_workspace(min(piece, reps), n))
     pending = np.empty(0, dtype=np.int64)  # edge (or field) positions past the last piece
     active = np.arange(reps)
-    state = np.tile(x - centre, (reps, 1))
+    state = np.tile(start, (reps, 1))
     for step in range(1, max_steps + 1):
         new = np.empty_like(state)
         for a in range(0, active.size, piece):
             pending = body(state[a : a + piece], new[a : a + piece], pending=pending)
-        if len(new) > n:  # numpy reduces a short last axis row by row: put the long one innermost
-            cols = new.T.copy()
-            spread = cols.max(axis=0) - cols.min(axis=0)
-        else:
-            spread = new.max(axis=1) - new.min(axis=1)
-        done = spread < threshold
+        dispersion = _dispersion(new)
+        done = np.sqrt(dispersion) < threshold
         if done.any():
             values[active[done]] = new[done].mean(axis=1) + centre
             steps[active[done]] = step
-            spreads[active[done]] = spread[done]
-            active, new, spread = active[~done], new[~done], spread[~done]
+            dispersions[active[done]] = dispersion[done]
+            active, new, dispersion = active[~done], new[~done], dispersion[~done]
             if not active.size:
                 break
         state = new
-    spreads[active] = spread
-    return values, steps, spreads
+    dispersions[active] = dispersion
+    return values, steps, dispersions

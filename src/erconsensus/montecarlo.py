@@ -15,13 +15,12 @@ thread count: threads is accepted and checked, and does nothing.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_TOL, NonConvergenceError, run_block
-from .dynamics import _check_budget, _stop_rule
+from .dynamics import _check_budget, _dispersion, _stop_rule
 from .graphs import _INT64_MAX, GraphSeed, ModelParams, _check_int, _check_real, _check_x0
 from .moments import consensus_variance, variance_factor
 
@@ -39,9 +38,6 @@ __all__ = [
 
 # Replications per block of an ensemble (see run_ensemble).
 _BLOCK_REPS = 128
-# The variance bias bound of an ensemble is held to this share of the
-# closed-form standard error of its variance (see _planned_tol).
-_BIAS_SE_SHARE = 0.025
 
 
 def resolve_x0(spec, n: int) -> np.ndarray:
@@ -69,10 +65,9 @@ def resolve_x0(spec, n: int) -> np.ndarray:
 class ExperimentConfig:
     """One ensemble: fixed (n, p), an initial-condition rule, seeding.
 
-    tol is the loosest tolerance the ensemble runs at: run_ensemble runs
-    it tighter where the stop's bias is forecast to be too large for the
-    standard error of its variance. The x0 rule is resolved at
-    construction, so a bad rule fails here rather than at run time.
+    Every replication runs at tol (see the dynamics module docstring for
+    the stop rule). The x0 rule is resolved at construction, so a bad
+    rule fails here rather than at run time.
     """
 
     params: ModelParams
@@ -99,13 +94,11 @@ class ExperimentConfig:
 class EnsembleStats:
     """Aggregated agreement values of one ensemble.
 
-    variance is the unbiased (ddof=1) sample variance of the outcomes and
-    stderr_variance its jackknife standard error. steps_mean and
+    variance is the unbiased (ddof=1) sample variance of the outcomes over
+    1 - stop_share, the optional-stopping estimate of var(x*), and
+    stderr_variance its jackknife standard error; stop_share is
+    mean(S_tau) / S(x0), below tol**2 (see run_ensemble). steps_mean and
     steps_max are the mean and largest step count of a replication.
-    tol is the tolerance the reported replications ran at, cfg.tol or
-    tighter, and variance_bias_bound bounds how far variance falls short
-    of the limit's because the runs stopped there: (tol spread(x0))**2,
-    or 0 when every final spread is 0 (see run_ensemble).
 
     Every replication counts (a non-converged one raises), so reps_used
     is the replication count and nonconverged is 0. Both are kept: the
@@ -120,20 +113,22 @@ class EnsembleStats:
     nonconverged: int
     steps_mean: float
     steps_max: int
-    tol: float
-    variance_bias_bound: float
+    stop_share: float
 
 
-def jackknife_variance_stderr(values) -> float:
-    """Jackknife standard error of the unbiased sample variance.
+def jackknife_variance_stderr(values, shares=None) -> float:
+    """Jackknife standard error of the unbiased sample variance var, or of var / (1 - mean(shares)).
 
-    Leave-one-out variances come from the centered sums in O(reps);
-    no fourth-moment plug-in for the unknown outcome distribution is
-    needed. The centered values are scaled by a power of two to below 1
-    before any squaring and the result scaled back, which is exact, so
-    finite inputs of any size give a finite result whenever it is
-    representable. Returns 0.0 for fewer than three values or identical
-    values. values must be a 1-D sequence of finite numbers.
+    shares are the S_tau / S(x0) of run_ensemble's replications, and a
+    leave-one-out estimate is then var_loo / (1 - mean share_loo); no
+    shares, or all 0, give the plain variance's value. Leave-one-out
+    variances come from the centered sums in O(reps); no fourth-moment
+    plug-in for the unknown outcome distribution is needed. The centered
+    values are scaled by a power of two to below 1 before any squaring
+    and the result scaled back, which is exact, so finite inputs of any
+    size give a finite result whenever it is representable. Returns 0.0
+    for fewer than three values or identical values. values must be a
+    1-D sequence of finite numbers, shares one as long, in [0, 1).
     """
     x = np.asarray(values, dtype=float)
     if x.ndim != 1:
@@ -141,6 +136,9 @@ def jackknife_variance_stderr(values) -> float:
     if not np.isfinite(x).all():
         raise ValueError(f"values must be finite, got {x[~np.isfinite(x)].tolist()}")
     r = x.size
+    share = np.zeros(r) if shares is None else np.asarray(shares, dtype=float)
+    if share.shape != x.shape or not ((0.0 <= share) & (share < 1.0)).all():  # NaN fails both comparisons
+        raise ValueError(f"shares must be a 1-D sequence of {r} numbers in [0, 1), one per value")
     if r < 3 or np.ptp(x) == 0.0:
         return 0.0
     x = x - x.mean()  # translation-invariant; centering tames cancellation
@@ -150,7 +148,7 @@ def jackknife_variance_stderr(values) -> float:
     s2 = float(x @ x)
     mean_loo = (s1 - x) / (r - 1)
     ss_loo = s2 - x**2 - (r - 1) * mean_loo**2
-    var_loo = ss_loo / (r - 2)
+    var_loo = ss_loo / (r - 2) / (1.0 - (float(share.sum()) - share) / (r - 1))
     return float(np.ldexp(np.sqrt((r - 1) / r * np.sum((var_loo - var_loo.mean()) ** 2)), 2 * exponent))
 
 
@@ -161,45 +159,20 @@ def _runs(indices: np.ndarray, limit: int = 10) -> str:
     return ", ".join(text) + (", ..." if len(runs) > limit else "")
 
 
-def _planned_tol(cfg: ExperimentConfig, x0: np.ndarray, spread0: float) -> float:
-    """The tol of an ensemble: cfg.tol, or tighter where its bias budget needs it.
-
-    The forecast SE is var(x*) sqrt(2 / (reps - 1)), the standard error
-    of a sample variance of normal values, with var(x*) in closed form
-    (moments.consensus_variance), and the bound (tol spread(x0))**2 is
-    held to _BIAS_SE_SHARE of it. cfg.tol is kept for fewer than three
-    replications, or when the budget is 0 to rounding, at most
-    (eps spread(x0))**2; otherwise the tol returned exceeds eps.
-    """
-    if cfg.reps < 3:
-        return cfg.tol
-    forecast = consensus_variance(cfg.params, x0).variance * math.sqrt(2.0 / (cfg.reps - 1))
-    budget = _BIAS_SE_SHARE * forecast
-    bound = (cfg.tol * spread0) ** 2
-    if bound <= budget or budget <= (sys.float_info.epsilon * spread0) ** 2:
-        return cfg.tol
-    return cfg.tol * math.sqrt(budget / bound)
-
-
 def run_ensemble(cfg: ExperimentConfig, threads: int = 1) -> EnsembleStats:
     """Run cfg.reps independent consensus paths and aggregate the values.
 
     The replications go in blocks of _BLOCK_REPS (the last may be
-    shorter); block b runs dynamics.run_block on cfg.seed.block(b).
+    shorter); block b runs dynamics.run_block on cfg.seed.block(b) at cfg.tol.
 
-    The bias budget. Runs stopped at tol report values whose variance
-    falls short of the limit's by less than b = (tol spread(x0))**2 (see
-    the dynamics module docstring); b = 0 when every final spread is 0,
-    as at p = 1 or a constant x0, since each value is then its limit.
-    The ensemble runs once, at cfg.tol or at the tighter tol that holds
-    b to 0.025 times the SE of its variance forecast from the closed
-    form (_planned_tol), and reports that tol and b. The sample SE is
-    not consulted: b only lowers the sample variance, so it cannot hide
-    a closed form that is too high, and where the closed form is too
-    low its forecast SE is low too and the tol tightens in proportion.
-    At 40 replications the jackknife SE ranged over 0.48-1.9 times the
-    forecast, and no benchmark-shaped ensemble checked had b above 0.1
-    times its jackknife SE.
+    The optional-stopping correction. A replication stops at tau with
+    value m_tau and dispersion S_tau < tol**2 S(x0), and var(x*) =
+    var(m_tau) / (1 - E[S_tau] / S(x0)) (dynamics module docstring). So
+    variance is the sample variance over 1 - stop_share, stop_share =
+    mean(S_tau) / S(x0), and its SE the jackknife of that ratio. It rests
+    on the law only through its shape, var(x*) proportional to S(x0), and
+    only for the share; no closed-form number enters. stop_share is 0
+    when S(x0) is 0: a constant x0, or one whose S(x0) underflows.
 
     threads is kept for callers and must be an integer >= 0, but the
     blocks run one after another whatever its value: both step bodies are
@@ -214,26 +187,27 @@ def run_ensemble(cfg: ExperimentConfig, threads: int = 1) -> EnsembleStats:
     _check_int("threads", threads, 0)
     params, reps = cfg.params, cfg.reps
     x0 = cfg.x0()
-    spread0 = float(x0.max() - x0.min())
-    tol = _planned_tol(cfg, x0, spread0)
     parts = [
-        run_block(params, x0, min(_BLOCK_REPS, reps - start), cfg.seed.block(b), tol, cfg.max_steps)
+        run_block(params, x0, min(_BLOCK_REPS, reps - start), cfg.seed.block(b), cfg.tol, cfg.max_steps)
         for b, start in enumerate(range(0, reps, _BLOCK_REPS))
     ]
-    outcomes, steps, spreads = (np.concatenate(column) for column in zip(*parts))
+    outcomes, steps, dispersions = (np.concatenate(column) for column in zip(*parts))
     failed = np.flatnonzero(np.isnan(outcomes))  # a converged value is never NaN
     if failed.size:
         raise NonConvergenceError(
-            f"{failed.size} of {reps} replications did not converge to spread < {_stop_rule(tol, x0)} "
+            f"{failed.size} of {reps} replications did not converge to sqrt(S) < {_stop_rule(cfg.tol, x0)} "
             f"within {cfg.max_steps} steps (indices {_runs(failed)})"
         )
+    dispersion0 = _dispersion(x0[None] - x0.mean())[0]  # S(x0), as run_block computes it
+    shares = dispersions / dispersion0 if dispersion0 > 0.0 else np.zeros(reps)
+    stop_share = float(shares.mean())
     mean = float(outcomes.mean())
     if reps < 2 or np.ptp(outcomes) == 0.0:
         variance, stderr = 0.0, 0.0
     else:
         centered = outcomes - mean
-        variance = float(centered @ centered) / (reps - 1)
-        stderr = jackknife_variance_stderr(outcomes)
+        variance = float(centered @ centered) / (reps - 1) / (1.0 - stop_share)
+        stderr = jackknife_variance_stderr(outcomes, shares)
     return EnsembleStats(
         mean=mean,
         variance=variance,
@@ -242,8 +216,7 @@ def run_ensemble(cfg: ExperimentConfig, threads: int = 1) -> EnsembleStats:
         nonconverged=0,
         steps_mean=float(steps.mean()),
         steps_max=int(steps.max()),
-        tol=tol,
-        variance_bias_bound=(tol * spread0) ** 2 if spreads.any() else 0.0,
+        stop_share=stop_share,
     )
 
 
@@ -285,8 +258,9 @@ def sweep_fixed_degree(
     n < c is rejected since it would need p > 1. Row for size n uses
     stream n under the base seed, so rows are independent and the whole
     table is reproducible for a fixed (seed, reps) regardless of threads.
-    Each row is one run_ensemble, so it keeps the bias budget, at tol or
-    tighter.
+    Each row is one run_ensemble at tol, so empirical_variance is its
+    optional-stopping estimate; the closed form fills only the analytic
+    columns.
     """
     c = _check_degree(c)
     rows = []

@@ -123,48 +123,62 @@ def _sparse_literal(n, p, rng):
     return step
 
 
+def _dispersions(x):
+    """S = sum_i (x_i - mean x)**2 of each row of the 2-D states x, as the package computes it.
+
+    Each row is shifted by its first coordinate; the row sums come from a
+    product with ones and the sums of squares from einsum, the calls the
+    package makes: another summation order would round differently.
+    """
+    d = x - x[:, :1]
+    sums = d @ np.ones(x.shape[1])
+    return np.einsum("ij,ij->i", d, d) - sums * sums / x.shape[1]
+
+
 def _reference_block(params, x0, reps, rng, tol=1e-6, max_steps=10**6):
     """run_block spelled out the long way, on the step body dynamics.stream_layout(params) names.
 
-    A constant x0, or one whose tol * spread(x0) underflows to 0, gives
+    A constant x0, or one whose tol * sqrt(S(x0)) underflows to 0, gives
     mean(x0) clipped to its hull at step 0. Otherwise the replications
     step the centred state x0 - mean(x0): each step, the active ones in
     index order take their graphs one after another from the body's
     literal stream and apply the literal update, with no pieces and no
-    workspace, and each whose spread is below tol * spread(x0) leaves with
-    the mean of its state plus mean(x0). Returns run_block's
-    (values, steps, spreads).
+    workspace, and each whose sqrt(S) is below tol * sqrt(S(x0)) leaves
+    with the mean of its state plus mean(x0). Returns run_block's
+    (values, steps, dispersions).
     """
     x0 = np.asarray(x0, dtype=float)
-    spread0 = x0.max() - x0.min()
-    values, steps, spreads = np.full(reps, np.nan), np.full(reps, max_steps), np.full(reps, spread0)
     centre = x0.mean()
-    if tol * spread0 == 0.0:
-        values[:], steps[:] = np.clip(centre, x0.min(), x0.max()), 0
-        return values, steps, spreads
     x = np.tile(x0 - centre, (reps, 1))
+    dispersion0 = _dispersions(x[:1])[0]
+    values, steps, dispersions = np.full(reps, np.nan), np.full(reps, max_steps), np.full(reps, dispersion0)
+    if tol * math.sqrt(dispersion0) == 0.0:
+        values[:], steps[:] = np.clip(centre, x0.min(), x0.max()), 0
+        return values, steps, dispersions
     literal = _sparse_literal if dynamics.stream_layout(params) == SPARSE else _dense_literal
     step_one = literal(params.n, params.p, rng)
     active = np.arange(reps)
     for step in range(1, max_steps + 1):
         x = np.array([step_one(state) for state in x])
-        spread = x.max(axis=1) - x.min(axis=1)
-        spreads[active] = spread
-        done = spread < tol * spread0
+        dispersion = _dispersions(x)
+        dispersions[active] = dispersion
+        done = np.sqrt(dispersion) < tol * math.sqrt(dispersion0)
         values[active[done]] = x[done].mean(axis=1) + centre
         steps[active[done]] = step
         active, x = active[~done], x[~done]
         if not active.size:
             break
-    return values, steps, spreads
+    return values, steps, dispersions
 
 
 def _reference_run(params, x0, rng, tol=1e-6, max_steps=10**6):
     """run_consensus spelled out: _reference_block with one replication, raising as run_consensus does."""
-    values, steps, spreads = _reference_block(params, x0, 1, rng, tol, max_steps)
+    values, steps, dispersions = _reference_block(params, x0, 1, rng, tol, max_steps)
     if np.isnan(values[0]):
-        raise NonConvergenceError("reference run did not converge", steps=int(steps[0]), spread=float(spreads[0]))
-    return ConsensusOutcome(value=float(values[0]), steps=int(steps[0]), spread=float(spreads[0]))
+        raise NonConvergenceError(
+            "reference run did not converge", steps=int(steps[0]), dispersion=float(dispersions[0])
+        )
+    return ConsensusOutcome(value=float(values[0]), steps=int(steps[0]), dispersion=float(dispersions[0]))
 
 
 def _weights(dense_update, adj):
@@ -302,21 +316,22 @@ class TestStep:
 class TestRunConsensus:
     def test_constant_x0_terminates_immediately(self):
         out = run_consensus(ModelParams(4, 0.5), np.full(4, 2.5), GraphSeed(1).generator())
-        assert out == ConsensusOutcome(value=2.5, steps=0, spread=0.0)
+        assert out == ConsensusOutcome(value=2.5, steps=0, dispersion=0.0)
 
     def test_complete_graph_averages_in_one_step(self):
         x0 = np.array([0.1, 0.9, 0.4, 0.6, 0.2])
         out = run_consensus(ModelParams(5, 1.0), x0, GraphSeed(3).generator())
         assert out.steps == 1
-        assert out.spread == 0.0
+        assert out.dispersion == 0.0
         assert abs(out.value - x0.mean()) < 1e-12
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_value_in_convex_hull(self, seed):
         x0 = np.array([-1.0, 4.0, 0.5, 2.0])
-        out = run_consensus(ModelParams(4, 0.4), x0, GraphSeed(seed).generator(), tol=1e-10 / np.ptp(x0))
+        tol = 1e-10 / np.linalg.norm(x0 - x0.mean())
+        out = run_consensus(ModelParams(4, 0.4), x0, GraphSeed(seed).generator(), tol=tol)
         assert x0.min() <= out.value <= x0.max()
-        assert out.spread < 1e-10
+        assert math.sqrt(out.dispersion) < 1e-10
 
     def test_spread_non_increasing_along_path(self):
         n, p = 6, 0.3
@@ -361,7 +376,7 @@ class TestRunConsensus:
                 max_steps=5,
             )
         assert info.value.steps == 5
-        assert info.value.spread > 0.0
+        assert info.value.dispersion > 0.0
 
     def test_validates_inputs(self):
         params = ModelParams(3, 0.5)
@@ -421,11 +436,11 @@ class TestRunBlock:
         if cap is not None:
             monkeypatch.setattr(dynamics, "_SPARSE_NUMBERS", cap)
         params = ModelParams(n, p)
-        values, steps, spreads = run_block(params, _ramp(n), reps, GraphSeed(4).generator(), tol=1e-6)
-        ref_values, ref_steps, ref_spreads = _reference_block(params, _ramp(n), reps, GraphSeed(4).generator())
+        values, steps, dispersions = run_block(params, _ramp(n), reps, GraphSeed(4).generator(), tol=1e-6)
+        ref_values, ref_steps, ref_dispersions = _reference_block(params, _ramp(n), reps, GraphSeed(4).generator())
         assert np.array_equal(values, ref_values)
         assert np.array_equal(steps, ref_steps)
-        assert np.array_equal(spreads, ref_spreads)
+        assert np.array_equal(dispersions, ref_dispersions)
         assert np.all(steps > 0)
         if p < 1.0:  # p = 1 stops every replication at step 1
             assert len(set(steps)) > 1  # replications left at different steps
@@ -461,9 +476,9 @@ class TestRunBlock:
     )
     def test_one_replication_is_run_consensus(self, n, p):
         for seed in range(10):
-            values, steps, spreads = run_block(ModelParams(n, p), _ramp(n), 1, GraphSeed(seed).generator())
+            values, steps, dispersions = run_block(ModelParams(n, p), _ramp(n), 1, GraphSeed(seed).generator())
             outcome = run_consensus(ModelParams(n, p), _ramp(n), GraphSeed(seed).generator())
-            assert outcome == ConsensusOutcome(value=values[0], steps=steps[0], spread=spreads[0])
+            assert outcome == ConsensusOutcome(value=values[0], steps=steps[0], dispersion=dispersions[0])
 
     def test_dense_pieces_respect_the_cap(self):
         rng = _RecordingGenerator(GraphSeed(4).generator())
@@ -480,9 +495,9 @@ class TestRunBlock:
 
     def test_complete_graph_averages_in_one_step(self):
         x0 = np.array([0.1, 0.9, 0.4, 0.6, 0.2])
-        values, steps, spreads = run_block(ModelParams(5, 1.0), x0, 3, GraphSeed(3).generator())
+        values, steps, dispersions = run_block(ModelParams(5, 1.0), x0, 3, GraphSeed(3).generator())
         assert np.array_equal(steps, np.ones(3))
-        assert np.array_equal(spreads, np.zeros(3))
+        assert np.array_equal(dispersions, np.zeros(3))
         assert np.max(np.abs(values - x0.mean())) < 1e-12
 
     def test_values_in_convex_hull(self):
@@ -491,12 +506,12 @@ class TestRunBlock:
         assert np.all((x0.min() <= values) & (values <= x0.max()))
 
     def test_every_failed_replication_is_nan_at_the_budget(self):
-        values, steps, spreads = run_block(
+        values, steps, dispersions = run_block(
             ModelParams(20, 0.1), _ramp(20), 9, GraphSeed(9).generator(), tol=1e-300, max_steps=3
         )
         assert np.all(np.isnan(values))
         assert np.array_equal(steps, np.full(9, 3))
-        assert np.all(spreads > 0.0)
+        assert np.all(dispersions > 0.0)
 
     def test_validates_inputs(self):
         params, rng = ModelParams(3, 0.5), GraphSeed(0).generator()
@@ -525,7 +540,7 @@ class TestRunBlock:
 
 
 class TestRelativeTolerance:
-    """The stop is relative: a run steps x0 - mean(x0) until its spread is below tol * spread(x0)."""
+    """The stop is relative: a run steps x0 - mean(x0) until sqrt(S) < tol * sqrt(S(x0)), S the centred sum of squares."""
 
     SIZES = [pytest.param(n, p, id=str(n)) for n, p in [(6, 5 / 6), (20, 0.25), (50, 0.1), (200, 0.025)]]
 
@@ -536,16 +551,16 @@ class TestRelativeTolerance:
         # stop is the start of the longer one, and the later value lies in the
         # hull of the earlier state.
         params, x0 = ModelParams(n, p), 3.0 * _ramp(n) - 1.0
-        spread0 = np.ptp(x0)
+        norm0 = np.linalg.norm(x0 - x0.mean())
         for seed in range(5):
             loose = run_consensus(params, x0, GraphSeed(seed).generator(), tol=tol)
             tight = run_consensus(params, x0, GraphSeed(seed).generator(), tol=1e-12)
             assert 0 < loose.steps <= tight.steps
-            assert loose.spread < tol * spread0
-            assert abs(loose.value - tight.value) < tol * spread0
+            assert math.sqrt(loose.dispersion) < tol * norm0
+            assert abs(loose.value - tight.value) < tol * norm0
             with pytest.raises(NonConvergenceError) as cut:
                 run_consensus(params, x0, GraphSeed(seed).generator(), tol=1e-12, max_steps=loose.steps)
-            assert cut.value.spread == loose.spread
+            assert cut.value.dispersion == loose.dispersion
 
     @pytest.mark.parametrize("n,p", SIZES)
     @pytest.mark.parametrize("c", [1e6, -3.7, 2.0**40])
@@ -576,32 +591,51 @@ class TestRelativeTolerance:
     @pytest.mark.parametrize("c", [1e6, 0.1])
     def test_a_constant_is_returned_at_step_zero(self, c):
         # Exactly: the mean of twenty 0.1s rounds to 0.10000000000000002.
-        values, steps, spreads = run_block(ModelParams(20, 0.25), np.full(20, c), 5, GraphSeed(1).generator())
+        values, steps, dispersions = run_block(ModelParams(20, 0.25), np.full(20, c), 5, GraphSeed(1).generator())
         assert np.array_equal(values, np.full(5, c))
         assert np.array_equal(steps, np.zeros(5))
-        assert np.array_equal(spreads, np.zeros(5))
+        assert np.array_equal(dispersions, np.zeros(5))
 
     @pytest.mark.parametrize("x0", [[0.0, 1e-320], [1e-320, 0.0, 5e-321]])
     def test_a_threshold_that_underflows_returns_at_step_zero(self, x0):
-        # tol * spread(x0) rounds to 0.0, below which no spread can fall.
+        # S(x0) underflows to 0.0, so tol * sqrt(S(x0)) is 0.0, below which no norm can fall.
         params = ModelParams(len(x0), 0.25)
-        values, steps, spreads = run_block(params, x0, 5, GraphSeed(1).generator(), tol=1e-6, max_steps=10)
+        values, steps, dispersions = run_block(params, x0, 5, GraphSeed(1).generator(), tol=1e-6, max_steps=10)
         assert np.array_equal(values, np.full(5, np.mean(x0)))
         assert np.array_equal(steps, np.zeros(5))
-        assert np.array_equal(spreads, np.full(5, np.ptp(x0)))
+        assert np.array_equal(dispersions, np.zeros(5))
         reference = _reference_block(params, x0, 5, GraphSeed(1).generator(), max_steps=10)
-        assert all(np.array_equal(a, b) for a, b in zip(reference, (values, steps, spreads)))
+        assert all(np.array_equal(a, b) for a, b in zip(reference, (values, steps, dispersions)))
         outcome = run_consensus(params, x0, GraphSeed(1).generator(), tol=1e-6, max_steps=10)
         assert (outcome.value, outcome.steps) == (np.mean(x0), 0)
 
+    @pytest.mark.parametrize("n,p", SIZES)
+    @pytest.mark.parametrize("tol", [0.1, 0.3])
+    def test_every_stop_leaves_less_than_tol_squared_of_s(self, n, p, tol):
+        # The share of S(x0) left at a stop is below tol**2 whatever x0 is: ramp and one-hot.
+        for x0 in (_ramp(n), np.eye(n)[0]):
+            x0_dispersion = _dispersions((x0 - x0.mean())[None])[0]
+            values, steps, dispersions = run_block(ModelParams(n, p), x0, 200, GraphSeed(8).generator(), tol=tol)
+            assert not np.isnan(values).any() and steps.min() > 0
+            assert np.all(dispersions < tol**2 * x0_dispersion)
+
+    def test_dispersion_is_zero_on_agreement_and_exact_off_the_mean(self):
+        # An agreed row gives exactly 0, and a spread of 1e-12 about a mean of 0.3 keeps its digits;
+        # sum x**2 - (sum x)**2 / n would lose them all to a rounding error of about 1e-17.
+        rows = np.array([np.full(7, 0.1), 0.3 + 1e-12 * _ramp(7)])
+        exact = math.fsum((x - math.fsum(rows[1]) / 7) ** 2 for x in rows[1])
+        got = dynamics._dispersion(rows)
+        assert got[0] == 0.0
+        assert got[1] == pytest.approx(exact, rel=1e-3)
+
     @pytest.mark.parametrize("tol", [1.0, 2.0, 1e300])
     def test_rejects_tol_at_or_above_one(self, tol):
-        with pytest.raises(ValueError, match=r"^tol must be .* < 1 \(relative to the spread of x0\)"):
+        with pytest.raises(ValueError, match=r"^tol must be .* < 1 \(relative to the norm of x0 - mean\(x0\)\)"):
             run_block(ModelParams(3, 0.5), np.arange(3.0), 4, GraphSeed(0).generator(), tol=tol)
 
     @pytest.mark.parametrize("tol", [5e-324, 1e-310, np.nextafter(sys.float_info.min, 0.0)])
     def test_rejects_a_subnormal_tol(self, tol):
-        # tol * spread(x0) would underflow, and every replication would report mean(x0) at step 0.
+        # tol * sqrt(S(x0)) would underflow, and every replication would report mean(x0) at step 0.
         with pytest.raises(ValueError, match=r"^tol must be .*, not subnormal"):
             run_block(ModelParams(3, 0.5), [0.0, 0.1, 0.2], 4, GraphSeed(0).generator(), tol=tol, max_steps=2)
 
@@ -610,8 +644,8 @@ class TestRelativeTolerance:
         assert np.allclose(values, 0.1)
 
     def test_error_names_the_relative_and_absolute_threshold(self):
-        x0 = 4.0 * _ramp(20)
-        message = r"tol 1\.0e-30 x spread\(x0\) 3\.800e\+00 = 3\.800e-30 after 3 steps$"
+        x0 = 4.0 * _ramp(20)  # S(x0) = 16 (n^2 - 1) / (12 n) = 26.6
+        message = r"tol 1\.0e-30 x sqrt\(S\(x0\)\) 5\.158e\+00 = 5\.158e-30 after 3 steps$"
         with pytest.raises(NonConvergenceError, match=message):
             run_consensus(ModelParams(20, 0.25), x0, GraphSeed(1).generator(), tol=1e-30, max_steps=3)
 
@@ -688,7 +722,7 @@ class TestChunkBoundaries:
         with pytest.raises(NonConvergenceError) as reference:
             _reference_run(params, x0, GraphSeed(9).generator(), tol=1e-300, max_steps=max_steps)
         assert fast.value.steps == reference.value.steps == max_steps
-        assert fast.value.spread == reference.value.spread > 0.0
+        assert fast.value.dispersion == reference.value.dispersion > 0.0
 
 
 class _RecordingGenerator(np.random.Generator):
@@ -791,7 +825,7 @@ class TestSparseSteps:
         with pytest.raises(NonConvergenceError) as info:
             run_consensus(ModelParams(60, 1e-20), _ramp(60), GraphSeed(1).generator(), max_steps=50)
         assert info.value.steps == 50
-        assert info.value.spread == np.ptp(_ramp(60) - _ramp(60).mean())  # no edge drawn: the centred x0's spread
+        assert info.value.dispersion == _dispersions((_ramp(60) - _ramp(60).mean())[None])[0]  # no edge drawn: S(x0)
 
     def test_chunking_does_not_change_the_edges(self):
         # The piece split: the slots of 12 steps in one stretch, or in stretches of 1, 5, 2 and 4.

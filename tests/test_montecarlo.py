@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erconsensus import dynamics, montecarlo
+from erconsensus import dynamics, moments, montecarlo
 from erconsensus.dynamics import NonConvergenceError, run_block, run_consensus, stream_layout
 from erconsensus.graphs import GraphSeed, ModelParams
 from erconsensus.montecarlo import (
@@ -51,11 +51,19 @@ class TestResolveX0:
 
 class TestJackknife:
     def test_matches_brute_force(self):
+        # With shares, each leave-one-out estimate is var_loo / (1 - mean share_loo).
         rng = np.random.default_rng(5)
         x = rng.normal(2.0, 1.5, size=400)
-        loo = np.array([np.var(np.delete(x, i), ddof=1) for i in range(x.size)])
-        brute = math.sqrt((x.size - 1) / x.size * np.sum((loo - loo.mean()) ** 2))
-        assert jackknife_variance_stderr(x) == pytest.approx(brute, rel=1e-10)
+        for shares in (None, rng.uniform(0.0, 0.09, size=400)):
+            kept = np.zeros(400) if shares is None else shares
+            loo = np.array([np.var(np.delete(x, i), ddof=1) / (1.0 - np.delete(kept, i).mean()) for i in range(x.size)])
+            brute = math.sqrt((x.size - 1) / x.size * np.sum((loo - loo.mean()) ** 2))
+            assert jackknife_variance_stderr(x, shares) == pytest.approx(brute, rel=1e-10)
+
+    @pytest.mark.parametrize("shares", [[0.1, 0.2], [0.0, 0.0, 1.0], [0.0, np.nan, 0.0], [-0.1, 0.0, 0.0]])
+    def test_rejects_bad_shares(self, shares):
+        with pytest.raises(ValueError, match=r"^shares must be a 1-D sequence of 3 numbers in \[0, 1\)"):
+            jackknife_variance_stderr([1.0, 2.0, 4.0], shares)
 
     def test_zero_for_constant_data(self):
         assert jackknife_variance_stderr(np.full(50, 1.23)) == 0.0
@@ -83,7 +91,8 @@ class TestJackknife:
     def test_power_of_two_scaling_changes_no_bit(self, values):
         # The same sums without the scaling, as computed before it was added. Values on a
         # 1e-6 grid keep their fourth powers clear of underflow, which the scaling avoids
-        # and the unscaled sums do not (at [0, 0, 1e-104] they return 0.0).
+        # and the unscaled sums do not (at [0, 0, 1e-104] they return 0.0). Shares of 0
+        # leave the plain variance's value, bit for bit.
         x = np.asarray(values, dtype=float)
         if np.ptp(x) == 0.0:
             return
@@ -93,6 +102,7 @@ class TestJackknife:
         var_loo = (float(x @ x) - x**2 - (r - 1) * mean_loo**2) / (r - 2)
         unscaled = float(np.sqrt((r - 1) / r * np.sum((var_loo - var_loo.mean()) ** 2)))
         assert jackknife_variance_stderr(values) == unscaled
+        assert jackknife_variance_stderr(values, np.zeros(len(values))) == unscaled
 
     def test_huge_values_stay_finite(self):
         values = np.array([1e100, 0.0, -1e100, 5.0])
@@ -100,6 +110,9 @@ class TestJackknife:
             stderr = jackknife_variance_stderr(values)
         assert np.isfinite(stderr)
         assert stderr == 2.0**400 * jackknife_variance_stderr(values / 2.0**200)
+        shares = np.array([0.0, 0.001, 0.002, 0.003])
+        scaled = jackknife_variance_stderr(values / 2.0**200, shares)
+        assert jackknife_variance_stderr(values, shares) == 2.0**400 * scaled
 
 
 def _config(n=8, p=0.5, reps=64, seed=13, **kwargs):
@@ -257,9 +270,12 @@ class TestDenseBlocks:
         analytic = consensus_variance(params, x0)
         assert abs(stats.variance - analytic.variance) <= 4.0 * stats.stderr_variance
         assert abs(stats.mean - analytic.mean) <= 4.0 * math.sqrt(stats.variance / reps)
-        # The per-replication run_consensus ensemble on the same seed.
-        values = np.array([run_consensus(params, x0, seed.replication(r)).value for r in range(reps)])
-        mean, variance, stderr = values.mean(), values.var(ddof=1), jackknife_variance_stderr(values)
+        # The per-replication run_consensus ensemble on the same seed, with the same stop correction.
+        outcomes = [run_consensus(params, x0, seed.replication(r)) for r in range(reps)]
+        values = np.array([outcome.value for outcome in outcomes])
+        shares = np.array([outcome.dispersion for outcome in outcomes]) / np.sum((x0 - x0.mean()) ** 2)
+        mean, variance = values.mean(), values.var(ddof=1) / (1.0 - shares.mean())
+        stderr = jackknife_variance_stderr(values, shares)
         assert abs(stats.variance - variance) <= 4.0 * math.hypot(stats.stderr_variance, stderr)
         assert abs(stats.mean - mean) <= 4.0 * math.sqrt((stats.variance + variance) / reps)
 
@@ -286,8 +302,9 @@ class TestDenseBlocks:
         cfg = ExperimentConfig(
             params=ModelParams(20, 0.1), x0_spec="ramp", reps=reps, seed=GraphSeed(4), tol=1e-6, max_steps=3
         )
-        with pytest.raises(NonConvergenceError, match=rf"^{reps} of {reps} replications did not converge to spread "
-                           rf"< tol 1\.0e-06 x spread\(x0\) 9\.500e-01 = 9\.500e-07 within 3 steps "
+        # S(x0) = (n^2 - 1) / (12 n) = 1.6625 for the ramp at n = 20.
+        with pytest.raises(NonConvergenceError, match=rf"^{reps} of {reps} replications did not converge to sqrt\(S\) "
+                           rf"< tol 1\.0e-06 x sqrt\(S\(x0\)\) 1\.289e\+00 = 1\.289e-06 within 3 steps "
                            rf"\(indices 0-{reps - 1}\)$"):
             run_ensemble(cfg)
 
@@ -443,16 +460,16 @@ def _recording_run_block(monkeypatch):
 
 
 class TestBiasBudget:
-    """run_ensemble runs once, at cfg.tol or at the tighter tol that holds (tol spread(x0))**2 to 0.025 of the forecast SE."""
+    """The stop's bias on the variance: run_ensemble runs once at cfg.tol and divides by 1 - mean(S_tau) / S(x0)."""
 
     @pytest.mark.parametrize("n,p,x0", [(5, 1.0, "ramp"), (8, 0.5, "const:0.3")], ids=["complete", "constant"])
     def test_zero_final_spreads_never_rerun(self, monkeypatch, n, p, x0):
-        # Every value is the limit itself: b = 0 even at a tol of 0.5.
+        # Every value is the limit itself: nothing to correct, even at a tol of 0.5.
         tols = _recording_run_block(monkeypatch)
         cfg = ExperimentConfig(params=ModelParams(n, p), x0_spec=x0, reps=50, seed=GraphSeed(6), tol=0.5)
         stats = run_ensemble(cfg)
         assert tols == [0.5]
-        assert (stats.tol, stats.variance_bias_bound) == (0.5, 0.0)
+        assert (stats.variance, stats.stderr_variance, stats.stop_share) == (0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("reps", [1, 2])
     def test_no_standard_error_no_rerun(self, monkeypatch, reps):
@@ -460,12 +477,11 @@ class TestBiasBudget:
         stats = run_ensemble(_config(n=8, p=0.5, reps=reps, tol=0.5))
         assert stats.stderr_variance == 0.0
         assert tols == [0.5]
-        assert (stats.tol, stats.variance_bias_bound) == (0.5, (0.5 * 7 / 8) ** 2)
+        assert 0.0 < stats.stop_share < 0.25
 
-    def test_reproducible_and_thread_invariant_at_a_planned_tol(self):
-        cfg = _config(n=20, p=0.25, reps=300, tol=0.05)
+    def test_reproducible_and_thread_invariant_at_a_loose_tol(self):
+        cfg = _config(n=20, p=0.25, reps=300, tol=0.3)
         reference = run_ensemble(cfg)
-        assert reference.tol < 0.05
         assert run_ensemble(cfg) == reference
         assert run_ensemble(cfg, threads=4) == reference
         assert run_ensemble(cfg, threads=0) == reference
@@ -473,33 +489,39 @@ class TestBiasBudget:
     @pytest.mark.parametrize(
         "n,reps,tol,seed",
         [pytest.param(400, 40, 1e-3, GraphSeed(seed, stream=400), id=str(seed)) for seed in range(5)]
-        + [pytest.param(20, 400, 0.05, GraphSeed(13), id="loose")],
+        + [pytest.param(20, 400, 0.05, GraphSeed(13), id="loose")]
+        + [pytest.param(n, reps, 0.1, GraphSeed(13), id=key) for key, n, reps in
+           [("fig1", 50, 100), ("simulate", 20, 200), ("no-se", 8, 2)]],
     )
-    def test_the_first_run_is_planned_and_not_rerun(self, monkeypatch, n, reps, tol, seed):
-        # At n = 400 and 40 replications the default bound is 0.107 of the forecast SE; ramp x0
-        # at n = 20 has spread 0.95, and at tol 0.05 the bound 2.3e-3 is above the variance itself.
-        # Either way the one run goes tighter, at 0.025 forecast SE, and meets the measured rule.
+    def test_every_block_runs_at_cfg_tol(self, monkeypatch, n, reps, tol, seed):
         tols = _recording_run_block(monkeypatch)
-        params = ModelParams(n, 5.0 / n)
-        cfg = ExperimentConfig(params=params, x0_spec="ramp", reps=reps, seed=seed, tol=tol)
+        cfg = ExperimentConfig(params=ModelParams(n, 5.0 / n), x0_spec="ramp", reps=reps, seed=seed, tol=tol)
         stats = run_ensemble(cfg)
-        forecast = consensus_variance(params, cfg.x0()).variance * math.sqrt(2.0 / (reps - 1))
-        assert tols == [stats.tol] * -(-reps // 128) and stats.tol < tol  # one call per 128-replication block
-        assert stats.variance_bias_bound == pytest.approx(0.025 * forecast, rel=1e-12)
-        assert stats.variance_bias_bound <= 0.1 * stats.stderr_variance
+        assert tols == [tol] * -(-reps // 128)  # one call per 128-replication block
+        assert 0.0 < stats.stop_share < tol**2
 
-    @pytest.mark.parametrize("n,reps", [(50, 100), (20, 200), (8, 2)], ids=["fig1", "simulate", "no-se"])
-    def test_a_bound_within_the_plan_keeps_the_tol(self, monkeypatch, n, reps):
-        # The fig1 row at n = 50 forecasts 0.022 of the budget at 1e-3, the simulate default 0.014,
-        # and fewer than three replications have no SE to forecast.
-        tols = _recording_run_block(monkeypatch)
-        stats = run_ensemble(_config(n=n, p=min(1.0, 5.0 / n), reps=reps))
-        assert tols == [1e-3] * -(-reps // 128) and stats.tol == 1e-3  # one run of 128-replication blocks
+    def test_the_estimate_is_the_corrected_sample_variance(self):
+        cfg = _config(n=20, p=0.25, reps=200, tol=0.3)
+        x0 = cfg.x0()
+        blocks = [run_block(cfg.params, x0, r, cfg.seed.block(b), 0.3) for b, r in enumerate((128, 72))]
+        values, _, dispersions = (np.concatenate(column) for column in zip(*blocks))
+        share = np.mean(dispersions / np.sum((x0 - x0.mean()) ** 2))
+        stats = run_ensemble(cfg)
+        assert stats.stop_share == pytest.approx(share, rel=1e-12)
+        assert stats.variance == pytest.approx(np.var(values, ddof=1) / (1.0 - share), rel=1e-12)
 
-    def test_a_forecast_at_rounding_level_keeps_the_tol(self):
-        # A complete graph has var(x*) = 0: no budget to plan for.
-        cfg = _config(n=5, p=1.0, reps=50, tol=0.5)
-        assert montecarlo._planned_tol(cfg, cfg.x0(), 0.8) == 0.5
+    def test_reads_no_closed_form(self, monkeypatch):
+        # The Monte Carlo check stays independent of what it checks: every name
+        # montecarlo takes from moments fails if called.
+        def never(*args, **kwargs):
+            raise AssertionError("run_ensemble read the closed form")
+
+        taken = [name for name, value in vars(montecarlo).items() if getattr(value, "__module__", "") == moments.__name__]
+        assert sorted(taken) == ["consensus_variance", "variance_factor"]
+        for name in taken:
+            monkeypatch.setattr(montecarlo, name, never)
+        stats = run_ensemble(_config(n=20, p=0.25, reps=200))
+        assert stats.variance > 0.0
 
     @pytest.mark.parametrize("n", [6, 20, 50, 200])
     def test_within_four_sigma_at_the_default_tol(self, n):
@@ -507,9 +529,20 @@ class TestBiasBudget:
         # to n = 50 and sparse at 200.
         reps, params = 2000, ModelParams(n, 5.0 / n)
         cfg = ExperimentConfig(params=params, x0_spec="ramp", reps=reps, seed=GraphSeed(2031, stream=n))
-        assert cfg.tol == dynamics.DEFAULT_TOL == 1e-3
+        assert cfg.tol == dynamics.DEFAULT_TOL == 0.1
+        self._within_four_sigma(cfg)
+
+    @pytest.mark.parametrize("n", [6, 20, 50, 200])
+    def test_within_four_sigma_at_a_loose_tol(self, n):
+        # The seeds of the default-tol cases, fixed before the first run.
+        params = ModelParams(n, 5.0 / n)
+        cfg = ExperimentConfig(params=params, x0_spec="ramp", reps=2000, seed=GraphSeed(2031, stream=n), tol=0.3)
+        self._within_four_sigma(cfg)
+
+    @staticmethod
+    def _within_four_sigma(cfg):
         stats = run_ensemble(cfg)
-        analytic = consensus_variance(params, cfg.x0())
+        analytic = consensus_variance(cfg.params, cfg.x0())
         assert abs(stats.variance - analytic.variance) <= 4.0 * stats.stderr_variance
-        assert abs(stats.mean - analytic.mean) <= 4.0 * math.sqrt(stats.variance / reps)
-        assert 0.0 < stats.variance_bias_bound <= 0.1 * stats.stderr_variance
+        assert abs(stats.mean - analytic.mean) <= 4.0 * math.sqrt(stats.variance / cfg.reps)
+        assert 0.0 < stats.stop_share < cfg.tol**2
