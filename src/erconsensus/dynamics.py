@@ -107,6 +107,13 @@ DEFAULT_MAX_STEPS = 10**6
 _DENSE_SLOTS = 2**16
 _SPARSE_NUMBERS = 2**14
 
+# The remainder field's gaps are drawn in batches expected to cover this
+# many pieces, so most dense pieces find their points already pending. The
+# field generator feeds nothing else, so draws past the stop change no
+# outcome. The sparse body draws per piece: its pending positions are
+# rewritten on every piece, and a longer array would cost per edge.
+_FIELD_AHEAD = 8
+
 
 class NonConvergenceError(RuntimeError):
     """sqrt(S) stayed at or above tol * sqrt(S(x0)) for the whole step budget; dispersion is the last S."""
@@ -184,7 +191,7 @@ def stream_layout(params: ModelParams) -> str:
     return "sparse-block" if params.p <= 0.09 else "dense-word-gap-block"
 
 
-def _edges(slots: int, p: float, pending: np.ndarray, rng: np.random.Generator):
+def _edges(slots: int, p: float, pending: np.ndarray, rng: np.random.Generator, ahead: int = 1):
     """Edge positions among the next `slots` slots of one Bernoulli(p) sequence.
 
     pending holds the positions drawn past the previous stretch, counted
@@ -193,8 +200,8 @@ def _edges(slots: int, p: float, pending: np.ndarray, rng: np.random.Generator):
     inverts for p < 1/3, so the two agree bit for bit there. p = 1 draws
     nothing (every slot holds an edge), and gaps are capped at 2**62
     before the int64 cast (at p = 1e-20 one is about 1e20); no run
-    reaches that far. Gaps are drawn in batches sized to cover the
-    stretch.
+    reaches that far. Gaps are drawn in batches sized to cover `ahead`
+    stretches of this length; the batch sizes change no position.
 
     Returns the sorted positions in [0, slots) and the new pending. The
     positions are a view that this function does not read again, so the
@@ -204,7 +211,7 @@ def _edges(slots: int, p: float, pending: np.ndarray, rng: np.random.Generator):
         return pending[:0], pending - slots
     pos, last = pending, int(pending[-1]) if pending.size else -1
     while last < slots:
-        expected = (slots - last) * p
+        expected = (ahead * slots - last) * p
         # At least one gap, and only one at tiny p, where a capped gap is
         # near 2**62 and the sum of two such would overflow int64.
         m = math.ceil(expected + 4.0 * math.sqrt(expected))
@@ -279,7 +286,7 @@ def _dense_piece(x: np.ndarray, out: np.ndarray, p: float, pending: np.ndarray, 
     cut = math.floor(256.0 * p)
     np.less(stream[:, : n * n], cut, out=flat, casting="unsafe")
     if 256.0 * p > cut:  # else q = 0, and the block's field generator goes unused
-        edges, pending = _edges(a * n * n, (256.0 * p - cut) / (256 - cut), pending, field)
+        edges, pending = _edges(a * n * n, (256.0 * p - cut) / (256 - cut), pending, field, _FIELD_AHEAD)
         flat.reshape(-1)[edges] = 1.0
     flat[:, :: n + 1] = 1.0
     np.copyto(xs[..., 0], x)
@@ -342,7 +349,11 @@ def run_block(
     stream_layout(params) names (see the module docstring), bound once
     per block and carrying only its gap positions from piece to piece;
     then every replication whose S fell below the threshold records its
-    value, step and S and leaves the block.
+    value, step and S and leaves the block. On the sparse body, k steps
+    with no edge among their k A n(n - 1) slots (A replications active)
+    are counted without a body call: each has W = I, and the gap
+    positions move back by their slots, as the k body calls would move
+    them, so tiny p fails at the budget in time that does not grow with it.
     """
     _check_budget(tol, max_steps)
     _check_int("reps", reps, 1, _INT64_MAX)
@@ -357,7 +368,8 @@ def run_block(
     if threshold == 0.0:  # no norm could fall below it
         values[:], steps[:] = min(max(centre, x.min()), x.max()), 0
         return values, steps, dispersions
-    if stream_layout(params) == "sparse-block":
+    sparse = stream_layout(params) == "sparse-block"
+    if sparse:
         piece = max(1, _SPARSE_NUMBERS // (n + math.ceil(p * n * (n - 1))))
         body = functools.partial(_sparse_step, p=p, rng=rng)
     else:
@@ -368,7 +380,18 @@ def run_block(
     pending = np.empty(0, dtype=np.int64)  # edge (or field) positions past the last piece
     active = np.arange(reps)
     state = np.tile(start, (reps, 1))
-    for step in range(1, max_steps + 1):
+    step = 0  # steps taken
+    while step < max_steps:
+        slots = active.size * n * (n - 1)
+        if sparse and pending.size and pending[0] >= slots:
+            # The next pending[0] // slots steps draw no edge: each has W = I
+            # and leaves every state, S and the active set as they are.
+            # pending starts empty, so step 1 is taken and dispersion is bound.
+            skip = min(int(pending[0]) // slots, max_steps - step)
+            step += skip
+            pending = pending - skip * slots
+            continue
+        step += 1
         new = np.empty_like(state)
         for a in range(0, active.size, piece):
             pending = body(state[a : a + piece], new[a : a + piece], pending=pending)

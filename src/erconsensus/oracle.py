@@ -11,8 +11,14 @@ taken at x0 - mean(x0), to which it is invariant, so the analytic
 module has something independent to be measured against. The only
 model facts used are the weight rule, that rows of W are independent
 and that relabelling nodes maps one row's distribution onto every
-other's (moments._relabel); no entry class or binomial moment is used,
-and no code is shared with the simulator in dynamics.
+other's (_relabel); no entry class or binomial moment is used, and no
+code is shared with the simulator in dynamics.
+
+oracle_report sets the closed forms beside that: E[W] and E[W (x) W]
+from one row model, moments.second_moments, through moments._weight_matrix
+and moments._kron_matrix, the helpers behind expected_weight_matrix and
+expected_kron_matrix; v1(E[W (x) W]) from kron_left_eigenvector; and the
+variance from consensus_variance.
 """
 
 from __future__ import annotations
@@ -22,13 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import ModelParams, _check_x0
-from .moments import (
-    _relabel,
-    consensus_variance,
-    expected_kron_matrix,
-    expected_weight_matrix,
-    kron_left_eigenvector,
-)
+from .moments import _kron_matrix, _weight_matrix, consensus_variance, kron_left_eigenvector, second_moments
 
 __all__ = [
     "ENUM_MAX_N",
@@ -44,6 +44,14 @@ __all__ = [
 # Measured on a 2-CPU VM: the 2^15 sets at n = 16 take 11-17 ms and 14 MiB
 # (42 MiB peak in a fresh process); each further node about doubles both.
 ENUM_MAX_N = 16
+
+
+def _relabel(row: np.ndarray) -> np.ndarray:
+    """(n, n) array whose row i is row with entries 0 and i exchanged (labels 0 <-> i)."""
+    out = np.broadcast_to(row, (len(row), len(row))).copy()
+    out[:, 0] = row
+    np.fill_diagonal(out, row[0])
+    return out
 
 
 def enumerate_expected_matrices(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -180,7 +188,7 @@ def _enumerated_variance(params: ModelParams, x0):
     ew, eww = enumerate_expected_matrices(params)
     small = left_unit_eigenvector(ew)
     big = left_unit_eigenvector(eww)
-    variance = float(np.kron(centred, centred) @ big.vector) - float(centred @ small.vector) ** 2
+    variance = float(np.outer(centred, centred).ravel() @ big.vector) - float(centred @ small.vector) ** 2
     return ew, eww, small, big, variance
 
 
@@ -231,12 +239,13 @@ def oracle_report(params: ModelParams, x0, allow_large: bool = False) -> OracleR
     """
     ew, eww, small, big, enumerated_variance = _enumerated_variance(params, x0)
     closed = consensus_variance(params, x0)
+    row = second_moments(params)
     return OracleReport(
         exact_variance=enumerated_variance,
         closed_form_variance=closed.variance,
-        ew_discrepancy=float(np.max(np.abs(ew - expected_weight_matrix(params)))),
-        eww_discrepancy=float(np.max(np.abs(eww - expected_kron_matrix(params)))),
-        eigenvector_discrepancy=float(np.max(np.abs(big.vector - kron_left_eigenvector(params)))),
+        ew_discrepancy=float(np.abs(ew - _weight_matrix(params.n, row)).max()),
+        eww_discrepancy=float(np.abs(eww - _kron_matrix(params.n, row)).max()),
+        eigenvector_discrepancy=float(np.abs(big.vector - kron_left_eigenvector(params)).max()),
         variance_discrepancy=abs(enumerated_variance - closed.variance),
         ew_residual=small.residual,
         eww_residual=big.residual,

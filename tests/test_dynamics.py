@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy import stats
 
 from erconsensus import dynamics
 from erconsensus.dynamics import (
+    DEFAULT_MAX_STEPS,
     ConsensusOutcome,
     NonConvergenceError,
     _dense_piece,
@@ -423,7 +425,7 @@ class TestRunBlock:
                  (3, 1.0, 4)]
             ).items()},
             {key: (*case, None) for key, case in _named([(2, 0.5, 7), (6, 5 / 6, 40), (20, 0.05, 9)]).items()}
-            | {"12-0.08-25-cap-100": (12, 0.08, 25, 100)},
+            | {"12-0.08-25-cap-100": (12, 0.08, 25, 100), "4-0.005-12-cap-10": (4, 0.005, 12, 10)},
         ),
     )
     def test_matches_reference_loop(self, on_body, monkeypatch, body, n, p, reps, cap):
@@ -431,7 +433,9 @@ class TestRunBlock:
         # Each replication reads whole words: n^2 fills them at n = 4 and 8, and leaves
         # bytes unread at n = 2, 3, 5, 6, 7 and 50. 256 p is an integer at p = 0.5 and 1.
         # Sparse: a budget of 100 numbers at n = 12, p = 0.08 holds 100 // (12 + 11) = 4
-        # replications, so a step of 25 is drawn in seven pieces.
+        # replications, so a step of 25 is drawn in seven pieces. At n = 4, p = 0.005 a
+        # budget of 10 holds 2, six pieces, and a step of 12 replications expects 0.72
+        # edges, so run_block skips many steps without the body (see the next test).
         on_body(body)
         if cap is not None:
             monkeypatch.setattr(dynamics, "_SPARSE_NUMBERS", cap)
@@ -444,6 +448,30 @@ class TestRunBlock:
         assert np.all(steps > 0)
         if p < 1.0:  # p = 1 stops every replication at step 1
             assert len(set(steps)) > 1  # replications left at different steps
+
+    def test_steps_without_an_edge_skip_the_body(self, monkeypatch):
+        # The sparse reference case 4-0.005-12-cap-10: pieces of 2 replications, so a
+        # step taken in full makes ceil(active / 2) body calls.
+        calls, body = [], dynamics._sparse_step
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return body(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_SPARSE_NUMBERS", 10)
+        monkeypatch.setattr(dynamics, "_sparse_step", counted)
+        _, steps, _ = run_block(ModelParams(4, 0.005), _ramp(4), 12, GraphSeed(4).generator(), tol=1e-6)
+        every_step = sum(math.ceil(np.count_nonzero(steps >= k) / 2) for k in range(1, steps.max() + 1))
+        assert 0 < len(calls) < every_step / 2
+
+    def test_tiny_p_fails_at_the_default_budget_without_spinning(self):
+        # About 2.6e-4 edges per step: 10**6 steps taken one by one took about 55 s.
+        params = ModelParams(20, 1e-9)
+        start = time.perf_counter()
+        values, steps, dispersions = run_block(params, _ramp(20), 128, GraphSeed(9).generator())
+        assert time.perf_counter() - start < 1.0
+        assert np.isnan(values).all() and np.all(steps == DEFAULT_MAX_STEPS)
+        assert np.all(dispersions > 0.0)
 
     @pytest.mark.parametrize(
         "body,n,p,cap",
@@ -826,6 +854,20 @@ class TestSparseSteps:
             run_consensus(ModelParams(60, 1e-20), _ramp(60), GraphSeed(1).generator(), max_steps=50)
         assert info.value.steps == 50
         assert info.value.dispersion == _dispersions((_ramp(60) - _ramp(60).mean())[None])[0]  # no edge drawn: S(x0)
+
+    @pytest.mark.parametrize("p", [1e-12, 0.003, 0.05, 0.3])
+    def test_drawing_ahead_does_not_change_the_edges(self, p):
+        # The dense body's remainder field draws its batches _FIELD_AHEAD stretches ahead.
+        stretches = (5000, 1, 777, 5000, 64, 20000)
+        runs = []
+        for ahead in (1, dynamics._FIELD_AHEAD):
+            rng, pending, parts = GraphSeed(3).generator(), np.empty(0, dtype=np.int64), []
+            for slots in stretches:
+                positions, pending = _edges(slots, p, pending, rng, ahead)
+                parts.append(positions.copy())
+            runs.append(parts)
+        for ours, theirs in zip(*runs):
+            assert np.array_equal(ours, theirs)
 
     def test_chunking_does_not_change_the_edges(self):
         # The piece split: the slots of 12 steps in one stretch, or in stretches of 1, 5, 2 and 4.

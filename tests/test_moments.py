@@ -304,6 +304,25 @@ class TestExpectedMatrices:
         for i, r, j, s in itertools.product(range(n), repeat=4):
             assert dense[i * n + r, j * n + s] == entry_class(m, i, r, j, s)
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 60])
+    @pytest.mark.parametrize("rule", ["1e-12", "5/n", "0.5", "1"])
+    def test_dense_is_the_kron_of_means_but_on_its_diagonal_blocks(self, n, rule):
+        # Bit for bit: block (i, r), i != r, is E[w_i.] (x) E[w_r.], and block (i, i)
+        # is row 0's pair moments m2[j, s] = E[w_0j w_0s] with labels 0 and i swapped.
+        params = ModelParams(n, {"1e-12": 1e-12, "5/n": min(1.0, 5 / n), "0.5": 0.5, "1": 1.0}[rule])
+        m = second_moments(params)
+        m2 = np.full((n, n), m.neighbor_pair_same_row or 0.0)  # None at n = 2, where no entry has it
+        np.fill_diagonal(m2, m.self_neighbor_same_row)
+        m2[0, :] = m2[:, 0] = m.self_neighbor_same_row
+        m2[0, 0] = m.self_sq
+        ew = expected_weight_matrix(params)
+        expected = np.kron(ew, ew).reshape(n, n, n, n)  # [i, r, j, s]
+        for i in range(n):
+            swap = np.arange(n)
+            swap[[0, i]] = swap[[i, 0]]
+            expected[i, i] = m2[np.ix_(swap, swap)]
+        assert expected_kron_matrix(params).tobytes() == expected.reshape(n * n, n * n).tobytes()
+
     def test_dense_kron_complete_three_nodes(self):
         assert np.allclose(expected_kron_matrix(ModelParams(3, 1.0)), 1 / 9, atol=1e-15)
 
@@ -555,6 +574,16 @@ class TestConsensusVariance:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             consensus_variance(ModelParams(3, 0.5), [0.0, 1.0])
+
+    @pytest.mark.parametrize("offset", [0.0, 1e12])
+    @pytest.mark.parametrize("n", [2, 3, 9, 50, 300])
+    def test_mean_and_dispersion_are_numpys_bit_for_bit(self, n, offset):
+        # 300 entries run numpy's pairwise summation over more than one block.
+        for x0 in np.random.default_rng(n).normal(size=(20, n)) + offset:
+            report = consensus_variance(ModelParams(n, 0.3), x0)
+            mean = float(x0.mean())
+            assert report.mean.hex() == mean.hex()
+            assert report.x0_dispersion.hex() == float(np.sum((x0 - mean) ** 2)).hex()
 
 
 class TestVarianceFactor:

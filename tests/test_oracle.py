@@ -351,6 +351,20 @@ class TestOracleReport:
         with pytest.raises(ValueError, match=needle):
             oracle_report(ModelParams(2, 0.5), x0)
 
+    @pytest.mark.parametrize("n,p", list(itertools.product([2, 3, 4, 5], P_GRID)))
+    def test_closed_form_fields_are_the_public_closed_forms(self, n, p):
+        # The report builds its closed forms from one row model; they must be the public ones, bit for bit.
+        params, x0 = ModelParams(n, p), np.random.default_rng(n).normal(size=n)
+        report = oracle_report(params, x0, allow_large=n > 4)
+        ew, eww = enumerate_expected_matrices(params)
+        closed = consensus_variance(params, x0).variance
+        perron = left_unit_eigenvector(eww).vector
+        assert report.closed_form_variance == closed
+        assert report.variance_discrepancy == abs(report.exact_variance - closed)
+        assert report.ew_discrepancy == float(np.max(np.abs(ew - expected_weight_matrix(params))))
+        assert report.eww_discrepancy == float(np.max(np.abs(eww - expected_kron_matrix(params))))
+        assert report.eigenvector_discrepancy == float(np.max(np.abs(perron - kron_left_eigenvector(params))))
+
     def test_eigenvector_against_closed_form(self):
         params = ModelParams(4, 0.3)
         _, eww = enumerate_expected_matrices(params)
