@@ -16,6 +16,7 @@ stderr. Exit codes: 0 success, 1 oracle discrepancy above threshold,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -361,10 +362,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main, built on its first call, not at import, and reused by every later call.
+
+    parse_args leaves a parser as it found it: each call starts from a
+    fresh namespace of defaults.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

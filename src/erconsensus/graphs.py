@@ -89,9 +89,8 @@ def _check_x0(x0, n: int | None = None) -> np.ndarray:
     if x.ndim != 1 or x.size == 0 or (n is not None and x.size != n):
         wanted = "a non-empty vector" if n is None else f"a length-{n} vector"
         raise ValueError(f"x0 must be {wanted}, got shape {x.shape}")
-    bad = ~(np.abs(x) <= 1e75)
-    if bad.any():
-        raise ValueError(f"x0 entries must be finite with |x| <= 1e75, got {x[bad].tolist()}")
+    if not np.abs(x).max() <= 1e75:  # NaN fails the comparison; the bad entries are listed only on failure
+        raise ValueError(f"x0 entries must be finite with |x| <= 1e75, got {x[~(np.abs(x) <= 1e75)].tolist()}")
     return x
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_TOL, NonConvergenceError, run_block
-from .dynamics import _check_budget, _dispersion, _stop_rule
+from .dynamics import _check_budget, _start, _stop_rule
 from .graphs import _INT64_MAX, GraphSeed, ModelParams, _check_int, _check_real, _check_x0
 from .moments import consensus_variance, variance_factor
 
@@ -129,6 +129,10 @@ def jackknife_variance_stderr(values, shares=None) -> float:
     size give a finite result whenever it is representable. Returns 0.0
     for fewer than three values or identical values. values must be a
     1-D sequence of finite numbers, shares one as long, in [0, 1).
+
+    This function checks its inputs and hands them to _jackknife, the
+    core, which run_ensemble calls directly: its values are converged, so
+    finite, and its shares below tol**2.
     """
     x = np.asarray(values, dtype=float)
     if x.ndim != 1:
@@ -141,15 +145,22 @@ def jackknife_variance_stderr(values, shares=None) -> float:
         raise ValueError(f"shares must be a 1-D sequence of {r} numbers in [0, 1), one per value")
     if r < 3 or np.ptp(x) == 0.0:
         return 0.0
-    x = x - x.mean()  # translation-invariant; centering tames cancellation
+    return _jackknife(x - np.add.reduce(x) / r, share)  # translation-invariant; centering tames cancellation
+
+
+def _jackknife(x: np.ndarray, share: np.ndarray) -> float:
+    """jackknife_variance_stderr of checked values, centred on their mean as x, at least three and not all equal."""
+    r = x.size
     exponent = int(np.frexp(np.abs(x).max())[1])
     x = np.ldexp(x, -exponent)  # fourth powers of these cannot overflow
-    s1 = float(x.sum())
+    s1 = float(np.add.reduce(x))
     s2 = float(x @ x)
     mean_loo = (s1 - x) / (r - 1)
     ss_loo = s2 - x**2 - (r - 1) * mean_loo**2
-    var_loo = ss_loo / (r - 2) / (1.0 - (float(share.sum()) - share) / (r - 1))
-    return float(np.ldexp(np.sqrt((r - 1) / r * np.sum((var_loo - var_loo.mean()) ** 2)), 2 * exponent))
+    var_loo = ss_loo / (r - 2) / (1.0 - (float(np.add.reduce(share)) - share) / (r - 1))
+    var_loo -= np.add.reduce(var_loo) / r
+    var_loo *= var_loo
+    return float(np.ldexp(np.sqrt((r - 1) / r * np.add.reduce(var_loo)), 2 * exponent))
 
 
 def _runs(indices: np.ndarray, limit: int = 10) -> str:
@@ -191,30 +202,30 @@ def run_ensemble(cfg: ExperimentConfig, threads: int = 1) -> EnsembleStats:
         run_block(params, x0, min(_BLOCK_REPS, reps - start), cfg.seed.block(b), cfg.tol, cfg.max_steps)
         for b, start in enumerate(range(0, reps, _BLOCK_REPS))
     ]
-    outcomes, steps, dispersions = (np.concatenate(column) for column in zip(*parts))
+    outcomes, steps, dispersions = parts[0] if len(parts) == 1 else (np.concatenate(col) for col in zip(*parts))
     failed = np.flatnonzero(np.isnan(outcomes))  # a converged value is never NaN
     if failed.size:
         raise NonConvergenceError(
             f"{failed.size} of {reps} replications did not converge to sqrt(S) < {_stop_rule(cfg.tol, x0)} "
             f"within {cfg.max_steps} steps (indices {_runs(failed)})"
         )
-    dispersion0 = _dispersion(x0[None] - x0.mean())[0]  # S(x0), as run_block computes it
+    dispersion0 = _start(x0)[2]  # S(x0), the one run_block's stop is relative to
     shares = dispersions / dispersion0 if dispersion0 > 0.0 else np.zeros(reps)
-    stop_share = float(shares.mean())
-    mean = float(outcomes.mean())
-    if reps < 2 or np.ptp(outcomes) == 0.0:
+    stop_share = float(np.add.reduce(shares) / reps)
+    mean = float(np.add.reduce(outcomes) / reps)
+    if reps < 2 or outcomes.max() == outcomes.min():
         variance, stderr = 0.0, 0.0
     else:
         centered = outcomes - mean
         variance = float(centered @ centered) / (reps - 1) / (1.0 - stop_share)
-        stderr = jackknife_variance_stderr(outcomes, shares)
+        stderr = _jackknife(centered, shares) if reps > 2 else 0.0  # checked: finite values, shares below tol**2
     return EnsembleStats(
         mean=mean,
         variance=variance,
         stderr_variance=stderr,
         reps_used=reps,
         nonconverged=0,
-        steps_mean=float(steps.mean()),
+        steps_mean=float(np.add.reduce(steps, dtype=float) / reps),
         steps_max=int(steps.max()),
         stop_share=stop_share,
     )

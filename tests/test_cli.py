@@ -417,6 +417,40 @@ class TestFig1:
         assert "--gnuplot" in err or "--output" in err
 
 
+class TestParser:
+    """main builds its parser once per process, on its first call, and parses every call from fresh defaults."""
+
+    FIG1 = ["fig1", "--c", "5", "--n-min", "5", "--n-max", "6", "--reps", "10", "--seed", "3"]
+
+    def test_a_flag_does_not_outlive_its_call(self, capsys, monkeypatch):
+        tols, sweep = [], cli.sweep_fixed_degree
+
+        def kept(**kwargs):
+            tols.append(kwargs["tol"])
+            return sweep(**kwargs)
+
+        monkeypatch.setattr(cli, "sweep_fixed_degree", kept)
+        assert run_cli(capsys, *self.FIG1, "--tol", "0.3")[0] == 0
+        assert run_cli(capsys, *self.FIG1)[0] == 0
+        assert tols == [0.3, dynamics.DEFAULT_TOL]
+
+    def test_simulate_help_matches_a_fresh_parser(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["simulate", "--help"])
+        fresh = capsys.readouterr().out
+        assert run_cli(capsys, *self.FIG1, "--tol", "0.3")[0] == 0
+        for _ in range(2):
+            code, out, _ = run_cli(capsys, "simulate", "--help")
+            assert code == 0
+            assert out == fresh
+
+    def test_import_builds_no_parser(self, src_env):
+        probe = "import erconsensus.cli as cli; print(cli._parser.cache_info().currsize)"
+        done = subprocess.run([sys.executable, "-c", probe], env=src_env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0
+        assert done.stdout.strip() == "0"
+
+
 class TestStreamContract:
     """Golden digests of seeded output on the "dense-word-gap-block" and "sparse-block" stream layouts (schema "11").
 
@@ -438,6 +472,15 @@ class TestStreamContract:
         assert code == 0
         digest = hashlib.sha256(json.dumps(record["results"], sort_keys=True).encode()).hexdigest()
         assert digest == "a79f55fc66d387e9d2adb9972ab01415e2d9e14812b72786ecb57b466f4d66f8"
+
+    def test_simulate_sparse_results(self, capsys):
+        # p = 0.02 runs the sparse body; the two digests above run the dense one.
+        argv = ["simulate", "--n", "200", "--p", "0.02", "--x0", "ramp", "--reps", "200", "--seed", "5"]
+        code, record, _ = run_json(capsys, *argv)
+        assert code == 0
+        assert record["provenance"]["stream"] == "sparse-block"
+        digest = hashlib.sha256(json.dumps(record["results"], sort_keys=True).encode()).hexdigest()
+        assert digest == "18d05e24c1c4e77978f52d4f8d7de2b27de3894c77e126244a3171c424daa4ed"
 
     def test_readme_names_the_schema_and_every_layout(self):
         # README states them by hand, so a schema bump, a new default tol or a renamed layout must reach it too.

@@ -423,13 +423,15 @@ class TestRunBlock:
             {key: (*case, None) for key, case in _named(
                 [(2, 0.5, 7), (6, 5 / 6, 40), (50, 0.2, 30), (4, 0.5, 20), (8, 0.3, 20), (5, 0.7, 9), (7, 0.35, 30),
                  (3, 1.0, 4)]
-            ).items()},
+            ).items()} | {"10-0.3-40-cap-1000": (10, 0.3, 40, 1000)},
             {key: (*case, None) for key, case in _named([(2, 0.5, 7), (6, 5 / 6, 40), (20, 0.05, 9)]).items()}
             | {"12-0.08-25-cap-100": (12, 0.08, 25, 100), "4-0.005-12-cap-10": (4, 0.005, 12, 10)},
         ),
     )
     def test_matches_reference_loop(self, on_body, monkeypatch, body, n, p, reps, cap):
-        # Dense: at n = 50 a step of 30 replications is drawn in two pieces, 26 and 4.
+        # Dense: at n = 50 a step of 30 replications is drawn in two pieces, 26 and 4. A
+        # budget of 1000 slots at n = 10 holds 10 replications, so the 40 start in four
+        # pieces, leave at seven different steps, and shrink to 5 and then 3, below one piece.
         # Each replication reads whole words: n^2 fills them at n = 4 and 8, and leaves
         # bytes unread at n = 2, 3, 5, 6, 7 and 50. 256 p is an integer at p = 0.5 and 1.
         # Sparse: a budget of 100 numbers at n = 12, p = 0.08 holds 100 // (12 + 11) = 4
@@ -438,7 +440,7 @@ class TestRunBlock:
         # edges, so run_block skips many steps without the body (see the next test).
         on_body(body)
         if cap is not None:
-            monkeypatch.setattr(dynamics, "_SPARSE_NUMBERS", cap)
+            monkeypatch.setattr(dynamics, {DENSE: "_DENSE_SLOTS", SPARSE: "_SPARSE_NUMBERS"}[body], cap)
         params = ModelParams(n, p)
         values, steps, dispersions = run_block(params, _ramp(n), reps, GraphSeed(4).generator(), tol=1e-6)
         ref_values, ref_steps, ref_dispersions = _reference_block(params, _ramp(n), reps, GraphSeed(4).generator())

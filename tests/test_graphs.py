@@ -278,5 +278,10 @@ class TestCheckX0:
         with pytest.raises(ValueError, match=r"^x0 entries must be finite with \|x\| <= 1e75"):
             _check_x0([0.0, big, 1.0], 3)
 
+    def test_message_lists_exactly_the_bad_entries(self):
+        with pytest.raises(ValueError) as info:
+            _check_x0([np.nan, 0.0, np.inf, 1e76])
+        assert str(info.value) == "x0 entries must be finite with |x| <= 1e75, got [nan, inf, 1e+76]"
+
     def test_accepts_the_bound(self):
         assert np.array_equal(_check_x0([-1e75, 0.0, 1e75], 3), [-1e75, 0.0, 1e75])

@@ -510,6 +510,19 @@ class TestBiasBudget:
         assert stats.stop_share == pytest.approx(share, rel=1e-12)
         assert stats.variance == pytest.approx(np.var(values, ddof=1) / (1.0 - share), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "n,p,reps", [(20, 0.25, 100), (20, 0.25, 200), (200, 0.02, 60)], ids=["dense", "dense-two-blocks", "sparse"]
+    )
+    def test_stop_share_is_run_blocks_bit_for_bit(self, n, p, reps):
+        # S(x0) as run_block computes it: the row x0 - mean(x0), through the stop's own _dispersion.
+        cfg = ExperimentConfig(params=ModelParams(n, p), x0_spec="ramp", reps=reps, seed=GraphSeed(8))
+        x0 = cfg.x0()
+        blocks = [run_block(cfg.params, x0, min(128, reps - start), cfg.seed.block(b), cfg.tol)
+                  for b, start in enumerate(range(0, reps, 128))]
+        dispersions = np.concatenate([block[2] for block in blocks])
+        dispersion0 = dynamics._dispersion((x0 - x0.mean())[None])[0]
+        assert run_ensemble(cfg).stop_share == np.mean(dispersions / dispersion0)
+
     def test_reads_no_closed_form(self, monkeypatch):
         # The Monte Carlo check stays independent of what it checks: every name
         # montecarlo takes from moments fails if called.
