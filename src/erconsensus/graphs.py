@@ -77,18 +77,18 @@ def _check_real(name: str, value) -> float:
     return float(value)
 
 
-def _check_x0(x0, n: int | None = None) -> np.ndarray:
-    """x0 as a finite float vector of length n (any non-zero length if n is None).
+def _check_x0(x0, n: int) -> np.ndarray:
+    """x0 as a finite float vector of length n.
 
     The one input check for initial states. A NaN entry would otherwise
     pass a run as converged at step 0 (nan >= tol is False), and an inf
     entry turns every state into NaN after one step. |x_i| <= 1e75 keeps
-    fourth powers finite, as the jackknife standard error of a variance needs.
+    S finite, the sum of n squares that dynamics._dispersion,
+    consensus_variance and run_ensemble's centered @ centered compute.
     """
     x = np.asarray(x0, dtype=float)
-    if x.ndim != 1 or x.size == 0 or (n is not None and x.size != n):
-        wanted = "a non-empty vector" if n is None else f"a length-{n} vector"
-        raise ValueError(f"x0 must be {wanted}, got shape {x.shape}")
+    if x.ndim != 1 or x.size == 0 or x.size != n:
+        raise ValueError(f"x0 must be a length-{n} vector, got shape {x.shape}")
     if not np.abs(x).max() <= 1e75:  # NaN fails the comparison; the bad entries are listed only on failure
         raise ValueError(f"x0 entries must be finite with |x| <= 1e75, got {x[~(np.abs(x) <= 1e75)].tolist()}")
     return x

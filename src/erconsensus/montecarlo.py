@@ -66,8 +66,8 @@ class ExperimentConfig:
     """One ensemble: fixed (n, p), an initial-condition rule, seeding.
 
     Every replication runs at tol (see the dynamics module docstring for
-    the stop rule). The x0 rule is resolved at construction, so a bad
-    rule fails here rather than at run time.
+    the stop rule). The x0 rule is resolved and checked once, here, and
+    x0() returns a read-only copy of the result, not a caller's own array.
     """
 
     params: ModelParams
@@ -84,10 +84,11 @@ class ExperimentConfig:
             raise TypeError(f"seed must be a GraphSeed, got {type(self.seed).__name__}")
         _check_int("reps", self.reps, 1, _INT64_MAX)
         _check_budget(self.tol, self.max_steps)
-        self.x0()
+        object.__setattr__(self, "_x0", resolve_x0(self.x0_spec, self.params.n).copy())
+        self._x0.flags.writeable = False
 
     def x0(self) -> np.ndarray:
-        return resolve_x0(self.x0_spec, self.params.n)
+        return self._x0
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,8 @@ class EnsembleStats:
     variance is the unbiased (ddof=1) sample variance of the outcomes over
     1 - stop_share, the optional-stopping estimate of var(x*), and
     stderr_variance its jackknife standard error; stop_share is
-    mean(S_tau) / S(x0), below tol**2 (see run_ensemble). steps_mean and
+    mean(S_tau) / S(x0), below tol**2, but 1 when tol * sqrt(S(x0))
+    underflows to 0 (see run_ensemble). steps_mean and
     steps_max are the mean and largest step count of a replication.
 
     Every replication counts (a non-converged one raises), so reps_used
@@ -183,7 +185,9 @@ def run_ensemble(cfg: ExperimentConfig, threads: int = 1) -> EnsembleStats:
     mean(S_tau) / S(x0), and its SE the jackknife of that ratio. It rests
     on the law only through its shape, var(x*) proportional to S(x0), and
     only for the share; no closed-form number enters. stop_share is 0
-    when S(x0) is 0: a constant x0, or one whose S(x0) underflows.
+    when S(x0) is 0: a constant x0, or one whose S(x0) underflows; it is
+    1 when only tol * sqrt(S(x0)) underflows, as every replication then
+    stops at step 0 with all of S(x0) (run_block), and variance is 0.
 
     threads is kept for callers and must be an integer >= 0, but the
     blocks run one after another whatever its value: both step bodies are
@@ -281,17 +285,9 @@ def sweep_fixed_degree(
             raise ValueError(f"n = {n} is below c = {c}, which would need p > 1")
         p = c / n
         params = ModelParams(n, p)
-        x0 = resolve_x0(x0_spec, n)
-        cfg = ExperimentConfig(
-            params=params,
-            x0_spec=x0,
-            reps=reps,
-            seed=GraphSeed(seed, stream=n),
-            tol=tol,
-            max_steps=max_steps,
-        )
+        cfg = ExperimentConfig(params, x0_spec, reps, GraphSeed(seed, stream=n), tol, max_steps)
         stats = run_ensemble(cfg, threads=threads)
-        analytic = consensus_variance(params, x0)
+        analytic = consensus_variance(params, cfg.x0())
         rows.append(
             SweepRow(
                 n=n,

@@ -116,6 +116,7 @@ class TestAnalytic:
             # Below the int64 cap, but x0 alone would need 8e18 bytes: this ended in a numpy traceback.
             *[([command, "--n", str(10**18), "--p", "0.5"], f"error: --n {10**18} is too large: x0 needs {8 * 10**18}")
               for command in ("analytic", "simulate")],
+            (["fig2", "--c", "5", "--n-min", "6", "--n-max", "5"], "--n-max"),
         ],
     )
     def test_usage_errors_name_the_flag(self, capsys, argv, needle):
@@ -184,10 +185,15 @@ class TestAnalytic:
         assert code == 0
         assert err == ""
 
-    @pytest.mark.parametrize("epoch", ["abc", "1e9", "9" * 20])
-    def test_bad_source_date_epoch_names_the_variable(self, src_env, epoch):
+    @pytest.mark.parametrize(
+        "module,epoch",
+        [pytest.param(module, epoch, id=epoch if module == "erconsensus.cli" else f"{module}-{epoch}")
+         for module in ("erconsensus.cli", "erconsensus") for epoch in ("abc", "1e9", "9" * 20)],
+    )
+    def test_bad_source_date_epoch_names_the_variable(self, src_env, module, epoch):
+        # Both entry points: the cli module itself and the package's __main__.
         env = dict(src_env, SOURCE_DATE_EPOCH=epoch)
-        argv = [sys.executable, "-m", "erconsensus.cli", "analytic", "--n", "3", "--p", "0.5"]
+        argv = [sys.executable, "-m", module, "analytic", "--n", "3", "--p", "0.5"]
         done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 2
         assert done.stdout == ""

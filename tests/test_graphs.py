@@ -280,7 +280,7 @@ class TestCheckX0:
 
     def test_message_lists_exactly_the_bad_entries(self):
         with pytest.raises(ValueError) as info:
-            _check_x0([np.nan, 0.0, np.inf, 1e76])
+            _check_x0([np.nan, 0.0, np.inf, 1e76], 4)
         assert str(info.value) == "x0 entries must be finite with |x| <= 1e75, got [nan, inf, 1e+76]"
 
     def test_accepts_the_bound(self):

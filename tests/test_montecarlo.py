@@ -125,6 +125,45 @@ def _config(n=8, p=0.5, reps=64, seed=13, **kwargs):
     )
 
 
+class TestConfigX0:
+    """ExperimentConfig resolves and checks x0 once; run_ensemble and sweep_fixed_degree reuse its copy."""
+
+    @staticmethod
+    def _resolved_sizes(monkeypatch):
+        sizes, resolve = [], montecarlo.resolve_x0
+        monkeypatch.setattr(montecarlo, "resolve_x0", lambda spec, n: sizes.append(n) or resolve(spec, n))
+        return sizes
+
+    def test_run_ensemble_resolves_no_x0(self, monkeypatch):
+        cfg = _config()
+        sizes = self._resolved_sizes(monkeypatch)
+        run_ensemble(cfg)
+        assert sizes == []
+
+    def test_a_sweep_resolves_x0_once_per_row(self, monkeypatch):
+        sizes = self._resolved_sizes(monkeypatch)
+        sweep_fixed_degree(5.0, range(5, 8), reps=8, seed=1)
+        assert sizes == [5, 6, 7]
+
+    def test_a_sweep_checks_x0_three_times_per_row(self, monkeypatch):
+        # The config, run_block and consensus_variance: one check each.
+        checked, check = [], montecarlo._check_x0
+        for module in (montecarlo, dynamics, moments):
+            monkeypatch.setattr(module, "_check_x0", lambda x0, n: checked.append(n) or check(x0, n))
+        sweep_fixed_degree(5.0, range(5, 8), reps=8, seed=1)
+        assert sorted(checked) == [5, 5, 5, 6, 6, 6, 7, 7, 7]
+
+    def test_x0_is_read_only(self):
+        assert not _config().x0().flags.writeable
+
+    def test_a_callers_array_stays_writeable_and_apart(self):
+        x0 = np.linspace(0.0, 1.0, 8)
+        cfg = ExperimentConfig(ModelParams(8, 0.5), x0, 16, GraphSeed(2))
+        assert x0.flags.writeable
+        x0[0] = 5.0
+        assert cfg.x0()[0] == 0.0
+
+
 class TestRunEnsemble:
     def test_deterministic_across_thread_counts(self):
         cfg = _config()
@@ -499,6 +538,15 @@ class TestBiasBudget:
         stats = run_ensemble(cfg)
         assert tols == [tol] * -(-reps // 128)  # one call per 128-replication block
         assert 0.0 < stats.stop_share < tol**2
+
+    def test_a_threshold_that_underflows_keeps_all_of_s_x0(self):
+        # S(x0) = 5e-300 is a normal float, but tol * sqrt(S(x0)) underflows to 0: no
+        # norm can fall below it, so every replication stops at step 0 with all of S(x0).
+        cfg = ExperimentConfig(ModelParams(4, 0.5), [0, 1e-150, 2e-150, 3e-150], 50, GraphSeed(1), tol=1e-200)
+        stats = run_ensemble(cfg)
+        assert (stats.stop_share, stats.variance, stats.stderr_variance) == (1.0, 0.0, 0.0)
+        assert (stats.steps_mean, stats.steps_max) == (0.0, 0)
+        assert stats.mean == np.mean(cfg.x0())
 
     def test_the_estimate_is_the_corrected_sample_variance(self):
         cfg = _config(n=20, p=0.25, reps=200, tol=0.3)
