@@ -7,7 +7,7 @@ ships two independent validation routes: exact enumeration of one
 node's out-neighbour sets and seeded Monte Carlo simulation.
 """
 
-from .dynamics import NonConvergenceError, run_consensus
+from .dynamics import NonConvergenceError, run_block
 from .graphs import GraphSeed, ModelParams
 from .moments import (
     consensus_variance,
@@ -56,7 +56,7 @@ __all__ = [
     "oracle_report",
     "pattern_map",
     "resolve_x0",
-    "run_consensus",
+    "run_block",
     "run_ensemble",
     "second_moments",
     "slem",

@@ -26,7 +26,7 @@ Every S_tau < tol**2 S(x0), so the part that rests on the law's shape is
 below tol**2, 1 % at DEFAULT_TOL = 0.1.
 
 run_block is the one engine: it steps a block of replications together
-on one generator, and run_consensus is a block of one. Each step takes
+on one generator, and a single run is a block of one. Each step takes
 the replications still active, in index order, in pieces of one
 replication at least, through one of two step bodies, chosen once per
 block by stream_layout(params). The body fixes how the graphs are drawn
@@ -79,7 +79,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,10 +87,8 @@ from .graphs import _INT64_MAX, ModelParams, _check_int, _check_real, _check_x0
 __all__ = [
     "DEFAULT_MAX_STEPS",
     "DEFAULT_TOL",
-    "ConsensusOutcome",
     "NonConvergenceError",
     "run_block",
-    "run_consensus",
     "stream_layout",
 ]
 
@@ -116,12 +113,7 @@ _FIELD_AHEAD = 8
 
 
 class NonConvergenceError(RuntimeError):
-    """sqrt(S) stayed at or above tol * sqrt(S(x0)) for the whole step budget; dispersion is the last S."""
-
-    def __init__(self, message: str, steps: int | None = None, dispersion: float | None = None):
-        super().__init__(message)
-        self.steps = steps
-        self.dispersion = dispersion
+    """sqrt(S) stayed at or above tol * sqrt(S(x0)) for the whole step budget."""
 
 
 def _check_budget(tol: float, max_steps: int) -> None:
@@ -163,40 +155,15 @@ def _start(x0: np.ndarray) -> tuple[float, np.ndarray, float]:
     return centre, start, _dispersion(start)[0]
 
 
-def _stop_rule(tol: float, x0: np.ndarray) -> str:
-    """The stopping threshold of a run from x0, relative and absolute, for error messages."""
-    norm = math.sqrt(_start(x0)[2])
-    return f"tol {tol:.1e} x sqrt(S(x0)) {norm:.3e} = {tol * norm:.3e}"
-
-
-@dataclass(frozen=True)
-class ConsensusOutcome:
-    """End state of one run: agreed value, steps taken, final dispersion S (see the module docstring)."""
-
-    value: float
-    steps: int
-    dispersion: float
-
-
 def stream_layout(params: ModelParams) -> str:
     """The step body of a block at params, "sparse-block" at p <= 0.09, else "dense-word-gap-block".
 
     The name is the block's stream layout (see the module docstring). The
-    dense body costs a few ns per slot, and the sparse body pays per edge.
-    Time per replication-step, dense over sparse, in block mode (128
-    replications up to n = 100, 40 above, ramp x0; 2-CPU VM, one BLAS
-    thread, min of 7 alternating runs):
-
-                  n = 10    20    50    100   200   400
-        p = 0.05      1.09  1.19  1.42  1.27  1.43  0.97
-        p = 0.08      0.94  0.94  0.93  0.80  0.84  0.60
-        p = 0.09      0.93  0.81  0.71  0.67  0.71  0.53
-        p = 0.1       1.00  0.83  0.68  0.62  0.67  0.47
-        p = 0.12      0.94  0.77  0.58  0.53  0.56  0.43
-
-    The crossover lies between p = 0.05 and 0.08, but moving the cut
-    changes the stream of the ensembles in between. The cut stays below
-    p = 1/3, where the gap law matches numpy's geometric variates.
+    dense body costs a few ns per slot, and the sparse body pays per edge;
+    BENCH_25.json (body_cut) times the two either side of the cut. Their
+    crossover lies between p = 0.05 and 0.08, but moving the cut changes
+    the stream of the ensembles in between. The cut stays below p = 1/3,
+    where the gap law matches numpy's geometric variates.
     """
     return "sparse-block" if params.p <= 0.09 else "dense-word-gap-block"
 
@@ -303,35 +270,6 @@ def _dense_piece(x: np.ndarray, out: np.ndarray, p: float, pending: np.ndarray, 
     np.matmul(adj, xs, out=sums)
     np.divide(sums[..., 0], sums[..., 1], out=out)
     return pending
-
-
-def run_consensus(
-    params: ModelParams,
-    x0,
-    rng: np.random.Generator,
-    tol: float = DEFAULT_TOL,
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> ConsensusOutcome:
-    """Iterate with an independent graph per step until sqrt(S) < tol * sqrt(S(x0)).
-
-    The reported value is the mean of the final state, which is within
-    tol * sqrt(S(x0)) of every coordinate (see the module docstring for
-    S and the centring). A run that exhausts max_steps raises
-    NonConvergenceError, carrying the steps and the last S, rather than
-    returning a truncated state.
-
-    This is run_block with one replication; rng may be left advanced
-    past the stopping step (see the module docstring).
-    """
-    values, steps, dispersions = run_block(params, x0, 1, rng, tol, max_steps)
-    if np.isnan(values[0]):
-        raise NonConvergenceError(
-            f"sqrt(S) {math.sqrt(dispersions[0]):.3e} still >= {_stop_rule(tol, _check_x0(x0, params.n))} "
-            f"after {max_steps} steps",
-            steps=int(steps[0]),
-            dispersion=float(dispersions[0]),
-        )
-    return ConsensusOutcome(value=float(values[0]), steps=int(steps[0]), dispersion=float(dispersions[0]))
 
 
 def run_block(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_TOL, NonConvergenceError, run_block
-from .dynamics import _check_budget, _start, _stop_rule
+from .dynamics import _check_budget, _start
 from .graphs import _INT64_MAX, GraphSeed, ModelParams, _check_int, _check_real, _check_x0
 from .moments import consensus_variance, variance_factor
 
@@ -207,13 +207,14 @@ def run_ensemble(cfg: ExperimentConfig, threads: int = 1) -> EnsembleStats:
         for b, start in enumerate(range(0, reps, _BLOCK_REPS))
     ]
     outcomes, steps, dispersions = parts[0] if len(parts) == 1 else (np.concatenate(col) for col in zip(*parts))
+    dispersion0 = _start(x0)[2]  # S(x0), the one run_block's stop is relative to
     failed = np.flatnonzero(np.isnan(outcomes))  # a converged value is never NaN
     if failed.size:
+        norm = math.sqrt(dispersion0)
         raise NonConvergenceError(
-            f"{failed.size} of {reps} replications did not converge to sqrt(S) < {_stop_rule(cfg.tol, x0)} "
-            f"within {cfg.max_steps} steps (indices {_runs(failed)})"
+            f"{failed.size} of {reps} replications did not converge to sqrt(S) < tol {cfg.tol:.1e} x sqrt(S(x0)) "
+            f"{norm:.3e} = {cfg.tol * norm:.3e} within {cfg.max_steps} steps (indices {_runs(failed)})"
         )
-    dispersion0 = _start(x0)[2]  # S(x0), the one run_block's stop is relative to
     shares = dispersions / dispersion0 if dispersion0 > 0.0 else np.zeros(reps)
     stop_share = float(np.add.reduce(shares) / reps)
     mean = float(np.add.reduce(outcomes) / reps)

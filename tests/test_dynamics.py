@@ -11,19 +11,18 @@ from scipy import stats
 from erconsensus import dynamics
 from erconsensus.dynamics import (
     DEFAULT_MAX_STEPS,
-    ConsensusOutcome,
     NonConvergenceError,
     _dense_piece,
     _dense_workspace,
     _edges,
     run_block,
-    run_consensus,
     stream_layout,
 )
 from erconsensus.graphs import GraphSeed, ModelParams
+from erconsensus.montecarlo import ExperimentConfig, run_ensemble
 
-# The first chunk of the old chunked run_consensus; the stops and budgets
-# around it stay as boundary cases of the per-step engine.
+# The first chunk of an earlier chunked single-run loop; the stops and
+# budgets around it stay as boundary cases of the per-step engine.
 FIRST_CHUNK = 8
 
 DENSE, SPARSE = "dense-word-gap-block", "sparse-block"
@@ -173,14 +172,9 @@ def _reference_block(params, x0, reps, rng, tol=1e-6, max_steps=10**6):
     return values, steps, dispersions
 
 
-def _reference_run(params, x0, rng, tol=1e-6, max_steps=10**6):
-    """run_consensus spelled out: _reference_block with one replication, raising as run_consensus does."""
-    values, steps, dispersions = _reference_block(params, x0, 1, rng, tol, max_steps)
-    if np.isnan(values[0]):
-        raise NonConvergenceError(
-            "reference run did not converge", steps=int(steps[0]), dispersion=float(dispersions[0])
-        )
-    return ConsensusOutcome(value=float(values[0]), steps=int(steps[0]), dispersion=float(dispersions[0]))
+def _same(ours, theirs):
+    """Whether two (values, steps, dispersions) triples agree bit for bit, NaN values included."""
+    return all(np.array_equal(a, b, equal_nan=True) for a, b in zip(ours, theirs))
 
 
 def _weights(dense_update, adj):
@@ -316,24 +310,26 @@ class TestStep:
 
 
 class TestRunConsensus:
+    """Single runs: run_block with one replication."""
+
     def test_constant_x0_terminates_immediately(self):
-        out = run_consensus(ModelParams(4, 0.5), np.full(4, 2.5), GraphSeed(1).generator())
-        assert out == ConsensusOutcome(value=2.5, steps=0, dispersion=0.0)
+        out = run_block(ModelParams(4, 0.5), np.full(4, 2.5), 1, GraphSeed(1).generator())
+        assert _same(out, ([2.5], [0], [0.0]))
 
     def test_complete_graph_averages_in_one_step(self):
         x0 = np.array([0.1, 0.9, 0.4, 0.6, 0.2])
-        out = run_consensus(ModelParams(5, 1.0), x0, GraphSeed(3).generator())
-        assert out.steps == 1
-        assert out.dispersion == 0.0
-        assert abs(out.value - x0.mean()) < 1e-12
+        (value,), (steps,), (dispersion,) = run_block(ModelParams(5, 1.0), x0, 1, GraphSeed(3).generator())
+        assert steps == 1
+        assert dispersion == 0.0
+        assert abs(value - x0.mean()) < 1e-12
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_value_in_convex_hull(self, seed):
         x0 = np.array([-1.0, 4.0, 0.5, 2.0])
         tol = 1e-10 / np.linalg.norm(x0 - x0.mean())
-        out = run_consensus(ModelParams(4, 0.4), x0, GraphSeed(seed).generator(), tol=tol)
-        assert x0.min() <= out.value <= x0.max()
-        assert math.sqrt(out.dispersion) < 1e-10
+        (value,), _, (dispersion,) = run_block(ModelParams(4, 0.4), x0, 1, GraphSeed(seed).generator(), tol=tol)
+        assert x0.min() <= value <= x0.max()
+        assert math.sqrt(dispersion) < 1e-10
 
     def test_spread_non_increasing_along_path(self):
         n, p = 6, 0.3
@@ -357,63 +353,61 @@ class TestRunConsensus:
         # n^2 fills whole words at n = 4, 8 and 20 and leaves bytes unread at 2, 3, 5, 6 and 7.
         params = ModelParams(n, p)
         x0 = np.linspace(-1.0, 2.0, n) ** 2
-        fast = run_consensus(params, x0, GraphSeed(seed).generator(), tol=1e-6)
-        reference = _reference_run(params, x0, GraphSeed(seed).generator())
-        assert fast == reference
-        assert fast.steps > 0
+        fast = run_block(params, x0, 1, GraphSeed(seed).generator(), tol=1e-6)
+        assert _same(fast, _reference_block(params, x0, 1, GraphSeed(seed).generator()))
+        assert fast[1][0] > 0
 
     def test_any_bit_generator(self):
         # The dense body reads raw words only, so a bit generator without jumped serves too.
         params, x0 = ModelParams(6, 0.5), _ramp(6)
-        fast = run_consensus(params, x0, np.random.Generator(np.random.SFC64(3)), tol=1e-6)
-        assert fast == _reference_run(params, x0, np.random.Generator(np.random.SFC64(3)))
+        fast = run_block(params, x0, 1, np.random.Generator(np.random.SFC64(3)), tol=1e-6)
+        assert _same(fast, _reference_block(params, x0, 1, np.random.Generator(np.random.SFC64(3))))
 
     def test_non_convergence_raises_distinctly(self):
-        with pytest.raises(NonConvergenceError) as info:
-            run_consensus(
-                ModelParams(20, 0.1),
-                np.arange(20.0),
-                GraphSeed(9).generator(),
-                tol=1e-300,
-                max_steps=5,
-            )
-        assert info.value.steps == 5
-        assert info.value.dispersion > 0.0
+        # A run that exhausts its budget reports the value NaN, the budget and its last S.
+        (value,), (steps,), (dispersion,) = run_block(
+            ModelParams(20, 0.1), np.arange(20.0), 1, GraphSeed(9).generator(), tol=1e-300, max_steps=5
+        )
+        assert np.isnan(value)
+        assert steps == 5
+        assert dispersion > 0.0
 
     def test_validates_inputs(self):
         params = ModelParams(3, 0.5)
         rng = GraphSeed(0).generator()
         with pytest.raises(ValueError):
-            run_consensus(params, np.zeros(3), rng, tol=0.0)
+            run_block(params, np.zeros(3), 1, rng, tol=0.0)
         with pytest.raises(ValueError):
-            run_consensus(params, np.zeros(3), rng, max_steps=0)
+            run_block(params, np.zeros(3), 1, rng, max_steps=0)
         with pytest.raises(ValueError):
-            run_consensus(params, np.zeros(4), rng)
+            run_block(params, np.zeros(4), 1, rng)
         for max_steps in (2**63, 10**30):  # a steps array of uint64 or of objects
             with pytest.raises(ValueError, match=f"^max_steps must be <= {2**63 - 1}, got {max_steps}$"):
-                run_consensus(params, np.arange(3.0), rng, max_steps=max_steps)
+                run_block(params, np.arange(3.0), 1, rng, max_steps=max_steps)
         for bad, name in [(np.random.RandomState(0), "RandomState"), (None, "NoneType"), (3, "int")]:
             with pytest.raises(TypeError, match=f"^rng must be a numpy.random.Generator, got {name}$"):
-                run_consensus(params, np.zeros(3), bad)
+                run_block(params, np.zeros(3), 1, bad)
 
     @pytest.mark.parametrize("max_steps", [2.5, 3.0, True])
     def test_rejects_non_integer_max_steps(self, max_steps):
         with pytest.raises(TypeError, match="^max_steps must be an integer"):
-            run_consensus(ModelParams(3, 0.5), np.arange(3.0), GraphSeed(0).generator(), max_steps=max_steps)
+            run_block(ModelParams(3, 0.5), np.arange(3.0), 1, GraphSeed(0).generator(), max_steps=max_steps)
 
     def test_accepts_numpy_integer_max_steps(self):
-        out = run_consensus(ModelParams(3, 1.0), np.arange(3.0), GraphSeed(0).generator(), max_steps=np.int64(1))
-        assert out.steps == 1
+        _, (steps,), _ = run_block(
+            ModelParams(3, 1.0), np.arange(3.0), 1, GraphSeed(0).generator(), max_steps=np.int64(1)
+        )
+        assert steps == 1
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf])
     def test_rejects_non_finite_tol(self, tol):
         with pytest.raises(ValueError, match="tol"):
-            run_consensus(ModelParams(3, 0.5), np.arange(3.0), GraphSeed(0).generator(), tol=tol)
+            run_block(ModelParams(3, 0.5), np.arange(3.0), 1, GraphSeed(0).generator(), tol=tol)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_x0(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            run_consensus(ModelParams(2, 0.5), [bad, 1.0], GraphSeed(0).generator())
+            run_block(ModelParams(2, 0.5), [bad, 1.0], 1, GraphSeed(0).generator())
 
 
 class TestRunBlock:
@@ -501,15 +495,6 @@ class TestRunBlock:
             assert np.array_equal(ours, theirs)
         assert len(set(default[1])) > 1  # replications left at different steps
 
-    @pytest.mark.parametrize(
-        "n,p", [pytest.param(n, p, id=str(n)) for n, p in [(6, 5 / 6), (20, 0.25), (50, 0.1), (60, 5 / 60), (200, 0.025)]]
-    )
-    def test_one_replication_is_run_consensus(self, n, p):
-        for seed in range(10):
-            values, steps, dispersions = run_block(ModelParams(n, p), _ramp(n), 1, GraphSeed(seed).generator())
-            outcome = run_consensus(ModelParams(n, p), _ramp(n), GraphSeed(seed).generator())
-            assert outcome == ConsensusOutcome(value=values[0], steps=steps[0], dispersion=dispersions[0])
-
     def test_dense_pieces_respect_the_cap(self):
         rng = _RecordingGenerator(GraphSeed(4).generator())
         run_block(ModelParams(50, 0.2), _ramp(50), 30, rng)
@@ -583,14 +568,18 @@ class TestRelativeTolerance:
         params, x0 = ModelParams(n, p), 3.0 * _ramp(n) - 1.0
         norm0 = np.linalg.norm(x0 - x0.mean())
         for seed in range(5):
-            loose = run_consensus(params, x0, GraphSeed(seed).generator(), tol=tol)
-            tight = run_consensus(params, x0, GraphSeed(seed).generator(), tol=1e-12)
-            assert 0 < loose.steps <= tight.steps
-            assert math.sqrt(loose.dispersion) < tol * norm0
-            assert abs(loose.value - tight.value) < tol * norm0
-            with pytest.raises(NonConvergenceError) as cut:
-                run_consensus(params, x0, GraphSeed(seed).generator(), tol=1e-12, max_steps=loose.steps)
-            assert cut.value.dispersion == loose.dispersion
+            (loose,), (loose_steps,), (loose_dispersion,) = run_block(
+                params, x0, 1, GraphSeed(seed).generator(), tol=tol
+            )
+            (tight,), (tight_steps,), _ = run_block(params, x0, 1, GraphSeed(seed).generator(), tol=1e-12)
+            assert 0 < loose_steps <= tight_steps
+            assert math.sqrt(loose_dispersion) < tol * norm0
+            assert abs(loose - tight) < tol * norm0
+            (cut,), _, (cut_dispersion,) = run_block(
+                params, x0, 1, GraphSeed(seed).generator(), tol=1e-12, max_steps=loose_steps
+            )
+            assert np.isnan(cut)
+            assert cut_dispersion == loose_dispersion
 
     @pytest.mark.parametrize("n,p", SIZES)
     @pytest.mark.parametrize("c", [1e6, -3.7, 2.0**40])
@@ -636,8 +625,8 @@ class TestRelativeTolerance:
         assert np.array_equal(dispersions, np.zeros(5))
         reference = _reference_block(params, x0, 5, GraphSeed(1).generator(), max_steps=10)
         assert all(np.array_equal(a, b) for a, b in zip(reference, (values, steps, dispersions)))
-        outcome = run_consensus(params, x0, GraphSeed(1).generator(), tol=1e-6, max_steps=10)
-        assert (outcome.value, outcome.steps) == (np.mean(x0), 0)
+        (value,), (step,), _ = run_block(params, x0, 1, GraphSeed(1).generator(), tol=1e-6, max_steps=10)
+        assert (value, step) == (np.mean(x0), 0)
 
     @pytest.mark.parametrize("n,p", SIZES)
     @pytest.mark.parametrize("tol", [0.1, 0.3])
@@ -675,9 +664,12 @@ class TestRelativeTolerance:
 
     def test_error_names_the_relative_and_absolute_threshold(self):
         x0 = 4.0 * _ramp(20)  # S(x0) = 16 (n^2 - 1) / (12 n) = 26.6
-        message = r"tol 1\.0e-30 x sqrt\(S\(x0\)\) 5\.158e\+00 = 5\.158e-30 after 3 steps$"
+        message = r"tol 1\.0e-30 x sqrt\(S\(x0\)\) 5\.158e\+00 = 5\.158e-30 within 3 steps \(indices 0\)$"
+        cfg = ExperimentConfig(
+            params=ModelParams(20, 0.25), x0_spec=x0, reps=1, seed=GraphSeed(1), tol=1e-30, max_steps=3
+        )
         with pytest.raises(NonConvergenceError, match=message):
-            run_consensus(ModelParams(20, 0.25), x0, GraphSeed(1).generator(), tol=1e-30, max_steps=3)
+            run_ensemble(cfg)
 
 
 def _ramp(n):
@@ -702,12 +694,12 @@ class TestChunkBoundaries:
         on_body(body)
         params, x0, tol = ModelParams(6, 0.5), _ramp(6), 1e-3
         for seed in range(200):
-            reference = _reference_run(params, x0, GraphSeed(seed).generator(), tol=tol)
-            if reference.steps == FIRST_CHUNK + extra:
+            reference = _reference_block(params, x0, 1, GraphSeed(seed).generator(), tol=tol)
+            if reference[1][0] == FIRST_CHUNK + extra:
                 break
         else:
             pytest.fail(f"no seed stops after {FIRST_CHUNK + extra} steps")
-        assert run_consensus(params, x0, GraphSeed(seed).generator(), tol=tol) == reference
+        assert _same(run_block(params, x0, 1, GraphSeed(seed).generator(), tol=tol), reference)
 
     @pytest.mark.parametrize(
         "body,n,p,tol",
@@ -720,24 +712,24 @@ class TestChunkBoundaries:
     def test_tolerances(self, on_body, body, n, p, tol):
         on_body(body)
         for seed in range(5):
-            fast = run_consensus(ModelParams(n, p), _ramp(n), GraphSeed(seed).generator(), tol=tol)
-            reference = _reference_run(ModelParams(n, p), _ramp(n), GraphSeed(seed).generator(), tol=tol)
-            assert fast == reference
+            fast = run_block(ModelParams(n, p), _ramp(n), 1, GraphSeed(seed).generator(), tol=tol)
+            reference = _reference_block(ModelParams(n, p), _ramp(n), 1, GraphSeed(seed).generator(), tol=tol)
+            assert _same(fast, reference)
 
     @pytest.mark.parametrize(
         "body,p,x0,steps", _bodies({"one-step": (1.0, _ramp(7), 1), "zero-steps": (0.4, np.full(7, 0.3), 0)})
     )
     def test_trivial_runs(self, on_body, body, p, x0, steps):
         on_body(body)
-        fast = run_consensus(ModelParams(7, p), x0, GraphSeed(4).generator())
-        assert fast == _reference_run(ModelParams(7, p), x0, GraphSeed(4).generator())
-        assert fast.steps == steps
+        fast = run_block(ModelParams(7, p), x0, 1, GraphSeed(4).generator())
+        assert _same(fast, _reference_block(ModelParams(7, p), x0, 1, GraphSeed(4).generator()))
+        assert fast[1][0] == steps
 
     @pytest.mark.parametrize("n", [127, 128, 130])
     def test_sizes_around_the_one_step_cap(self, n):
         params = ModelParams(n, 0.3)
-        fast = run_consensus(params, _ramp(n), GraphSeed(2).generator(), tol=1e-6)
-        assert fast == _reference_run(params, _ramp(n), GraphSeed(2).generator())
+        fast = run_block(params, _ramp(n), 1, GraphSeed(2).generator(), tol=1e-6)
+        assert _same(fast, _reference_block(params, _ramp(n), 1, GraphSeed(2).generator()))
 
     @pytest.mark.parametrize(
         "body,p,max_steps",
@@ -747,12 +739,13 @@ class TestChunkBoundaries:
     def test_step_budget_ends_mid_or_on_chunk(self, on_body, body, p, max_steps):
         on_body(body)
         params, x0 = ModelParams(20, p), _ramp(20)
-        with pytest.raises(NonConvergenceError) as fast:
-            run_consensus(params, x0, GraphSeed(9).generator(), tol=1e-300, max_steps=max_steps)
-        with pytest.raises(NonConvergenceError) as reference:
-            _reference_run(params, x0, GraphSeed(9).generator(), tol=1e-300, max_steps=max_steps)
-        assert fast.value.steps == reference.value.steps == max_steps
-        assert fast.value.dispersion == reference.value.dispersion > 0.0
+        fast = run_block(params, x0, 1, GraphSeed(9).generator(), tol=1e-300, max_steps=max_steps)
+        reference = _reference_block(params, x0, 1, GraphSeed(9).generator(), tol=1e-300, max_steps=max_steps)
+        assert _same(fast, reference)
+        (value,), (steps,), (dispersion,) = fast
+        assert np.isnan(value)
+        assert steps == max_steps
+        assert dispersion > 0.0
 
 
 class _RecordingGenerator(np.random.Generator):
@@ -785,10 +778,10 @@ class TestDrawBudget:
     )
     def test_chunk_memory_cap(self, n, p):
         rng = _RecordingGenerator(GraphSeed(5).generator())
-        out = run_consensus(ModelParams(n, p), _ramp(n), rng, tol=1e-14)
+        _, (steps,), _ = run_block(ModelParams(n, p), _ramp(n), 1, rng, tol=1e-14)
         # A single run's piece is its one replication: after the word that seeds the field
         # generator, every step reads exactly its ceil(n*n / 8) words.
-        assert rng.words == [1] + [-(-n * n // 8)] * out.steps
+        assert rng.words == [1] + [-(-n * n // 8)] * steps
 
 
 class TestStepPathChoice:
@@ -846,16 +839,18 @@ class TestSparseSteps:
     def test_chosen_sizes_match_reference(self, n, p, seed):
         params = ModelParams(n, p)
         assert stream_layout(params) == SPARSE
-        fast = run_consensus(params, _ramp(n), GraphSeed(seed).generator(), tol=1e-6)
-        assert fast == _reference_run(params, _ramp(n), GraphSeed(seed).generator())
-        assert fast.steps > 0
+        fast = run_block(params, _ramp(n), 1, GraphSeed(seed).generator(), tol=1e-6)
+        assert _same(fast, _reference_block(params, _ramp(n), 1, GraphSeed(seed).generator()))
+        assert fast[1][0] > 0
 
     def test_vanishing_p_fails_to_converge(self):
-        # Gaps this long are capped at 2**62 before the int64 cast; the run still ends in the budget error.
-        with pytest.raises(NonConvergenceError) as info:
-            run_consensus(ModelParams(60, 1e-20), _ramp(60), GraphSeed(1).generator(), max_steps=50)
-        assert info.value.steps == 50
-        assert info.value.dispersion == _dispersions((_ramp(60) - _ramp(60).mean())[None])[0]  # no edge drawn: S(x0)
+        # Gaps this long are capped at 2**62 before the int64 cast; the run still ends at the budget.
+        (value,), (steps,), (dispersion,) = run_block(
+            ModelParams(60, 1e-20), _ramp(60), 1, GraphSeed(1).generator(), max_steps=50
+        )
+        assert np.isnan(value)
+        assert steps == 50
+        assert dispersion == _dispersions((_ramp(60) - _ramp(60).mean())[None])[0]  # no edge drawn: S(x0)
 
     @pytest.mark.parametrize("p", [1e-12, 0.003, 0.05, 0.3])
     def test_drawing_ahead_does_not_change_the_edges(self, p):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erconsensus import dynamics, moments, montecarlo
-from erconsensus.dynamics import NonConvergenceError, run_block, run_consensus, stream_layout
+from erconsensus.dynamics import NonConvergenceError, run_block, stream_layout
 from erconsensus.graphs import GraphSeed, ModelParams
 from erconsensus.montecarlo import (
     EnsembleStats,
@@ -309,10 +309,10 @@ class TestDenseBlocks:
         analytic = consensus_variance(params, x0)
         assert abs(stats.variance - analytic.variance) <= 4.0 * stats.stderr_variance
         assert abs(stats.mean - analytic.mean) <= 4.0 * math.sqrt(stats.variance / reps)
-        # The per-replication run_consensus ensemble on the same seed, with the same stop correction.
-        outcomes = [run_consensus(params, x0, seed.replication(r)) for r in range(reps)]
-        values = np.array([outcome.value for outcome in outcomes])
-        shares = np.array([outcome.dispersion for outcome in outcomes]) / np.sum((x0 - x0.mean()) ** 2)
+        # Single runs on the seed's per-replication generators, with the same stop correction.
+        runs = [run_block(params, x0, 1, seed.replication(r)) for r in range(reps)]
+        values, _, dispersions = (np.concatenate(column) for column in zip(*runs))
+        shares = dispersions / np.sum((x0 - x0.mean()) ** 2)
         mean, variance = values.mean(), values.var(ddof=1) / (1.0 - shares.mean())
         stderr = jackknife_variance_stderr(values, shares)
         assert abs(stats.variance - variance) <= 4.0 * math.hypot(stats.stderr_variance, stderr)

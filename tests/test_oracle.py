@@ -150,6 +150,10 @@ class TestAcrossFig1Range:
         assert var[10] > var[11]
 
 
+def _singular_solve(a, b):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
 class TestLeftUnitEigenvector:
     def test_rank_one_uniform(self):
         estimate = left_unit_eigenvector(np.full((4, 4), 0.25))
@@ -242,6 +246,16 @@ class TestLeftUnitEigenvector:
         n = 8
         m = 0.5 * (np.eye(n) + np.roll(np.eye(n), 1, axis=1))
         assert np.max(np.abs(left_unit_eigenvector(m).vector - 1 / n)) < 1e-15
+
+    @pytest.mark.parametrize(
+        "solve", [_singular_solve, lambda a, b: np.array([1.0 + 2e-8, -2e-8])], ids=["solve-raises", "negative-entry"]
+    )
+    def test_a_singular_solve_is_refused(self, monkeypatch, solve):
+        # With one closed class the system is nonsingular, and no such matrix tried
+        # (2 x 2 couplings down to 5e-324) reached this guard, so the solve is replaced.
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        with pytest.raises(ValueError, match=r"^matrix is singular: its unit eigenvalue is not simple$"):
+            left_unit_eigenvector(np.full((2, 2), 0.5))
 
     def test_validates_input(self):
         with pytest.raises(ValueError):
