@@ -95,37 +95,12 @@ def _parse_x0(text: str, n: int):
         raise UsageError(f"--n {n} is too large: x0 needs {8 * n} bytes, which could not be allocated") from None
 
 
-def _writable(path: str) -> bool:
-    if os.path.exists(path):
-        return not os.path.isdir(path) and os.access(path, os.W_OK)
-    folder = os.path.dirname(path) or "."
-    return bool(path) and os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)
-
-
 def _check_table_flags(args) -> None:
-    """Range and path checks shared by the CSV commands, run before any work."""
+    """Range checks shared by the CSV commands, run before any work."""
     if args.n_min < 2:
         raise UsageError(f"--n-min must be >= 2, got {args.n_min}")
     if args.n_max < args.n_min:
         raise UsageError(f"--n-max must be >= --n-min, got {args.n_max} < {args.n_min}")
-    if args.gnuplot and args.output == "-":
-        raise UsageError("--gnuplot needs --output to point at a file, not stdout")
-    if args.gnuplot and os.path.realpath(args.gnuplot) == os.path.realpath(args.output):
-        raise UsageError(f"--gnuplot: {args.gnuplot!r} is the --output file and would overwrite the table")
-    for flag, path in (("--output", args.output), ("--gnuplot", args.gnuplot)):
-        if path not in (None, "-") and not _writable(path):
-            raise UsageError(f"{flag}: cannot write to {path!r}")
-
-
-def _write_table(args, text: str, script: str) -> None:
-    if args.output == "-":
-        sys.stdout.write(text)
-        return
-    with open(args.output, "w", newline="") as handle:
-        handle.write(text)
-    if args.gnuplot:
-        with open(args.gnuplot, "w") as handle:
-            handle.write(script.format(data=args.output))
 
 
 def cmd_analytic(args) -> int:
@@ -217,22 +192,6 @@ def render_fig2_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-_GNUPLOT_FIG1 = """set datafile separator ","
-set key autotitle columnhead
-set xlabel "network size n"
-set ylabel "variance of the agreed value"
-plot "{data}" using 1:3 with lines title "analytic", \\
-     "{data}" using 1:4:(4*column(5)) with yerrorbars title "empirical (4 SE)"
-"""
-
-_GNUPLOT_FIG2 = """set datafile separator ","
-set xlabel "network size n"
-set ylabel "variance factor n(1-rho)/delta"
-plot for [c in system("awk -F, 'NR>1 && !seen[$1]++ {{print $1}}' {data}")] \\
-     "{data}" using 2:(strcol(1) eq c ? $3 : NaN) with lines title "c = ".c
-"""
-
-
 def cmd_fig1(args) -> int:
     _check_degree(args.c)
     if args.n_min < args.c:
@@ -248,7 +207,7 @@ def cmd_fig1(args) -> int:
         max_steps=args.max_steps,
         threads=args.threads,
     )
-    _write_table(args, render_fig1_csv(rows), _GNUPLOT_FIG1)
+    sys.stdout.write(render_fig1_csv(rows))
     return EXIT_OK
 
 
@@ -259,7 +218,7 @@ def cmd_fig2(args) -> int:
         raise UsageError(f"--c must be comma-separated numbers, got {args.c!r}") from exc
     _check_table_flags(args)
     rows = factor_sweep(c_list, range(args.n_min, args.n_max + 1))
-    _write_table(args, render_fig2_csv(rows), _GNUPLOT_FIG2)
+    sys.stdout.write(render_fig2_csv(rows))
     return EXIT_OK
 
 
@@ -334,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     table = argparse.ArgumentParser(add_help=False)
     table.add_argument("--n-min", type=int, required=True, help="smallest network size (>= 2)")
     table.add_argument("--n-max", type=int, required=True)
-    table.add_argument("--output", default="-", help="CSV path, '-' for stdout")
-    table.add_argument("--gnuplot", default=None, help="also write a gnuplot script here")
 
     p = sub.add_parser("analytic", parents=[model], help="closed-form moments for one (n, p, x0)")
     p.set_defaults(func=cmd_analytic)

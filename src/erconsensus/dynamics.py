@@ -97,10 +97,9 @@ DEFAULT_MAX_STEPS = 10**6
 
 # Piece budgets (see the module docstring): a block of any size holds no
 # more slot bytes, adjacency or edges than one piece needs. A dense piece
-# of 2**16 slots is 512 KiB of float A + I: against 2**14, a fig1 pass
-# took 0.76x the time for +2 % peak RSS, and larger pieces gained nothing
-# beyond the noise for 1-2 MiB more. 2**16 sparse numbers made the
-# n = 100...400 ensembles 2.3x slower than 2**14.
+# of 2**16 slots is 512 KiB of float A + I. Smaller dense pieces and a
+# larger sparse budget made their ensembles slower; larger dense pieces
+# cost memory for no time (BENCH_15.json piece_grid, sparse_budget_check).
 _DENSE_SLOTS = 2**16
 _SPARSE_NUMBERS = 2**14
 
@@ -140,8 +139,8 @@ def _dispersion(x: np.ndarray) -> np.ndarray:
     row's own spread, not of its mean. A row sum by matrix product and a
     row dot product by einsum are fast whichever axis is the longer; their
     bits are the stop's, so no other reduction may replace them. Finishing
-    in place, into the sums, saved nothing from 26 to 100 rows (0.95-1.03x)
-    and cost 1.19x at one row, a single run's shape.
+    in place, into the sums, saved nothing and cost time at one row
+    (CHANGES.md, "The Monte Carlo loop without its fixed costs").
     """
     d = x - x[:, :1]
     sums = d @ np.ones(x.shape[1])

@@ -188,10 +188,9 @@ def expected_kron_matrix(params: ModelParams) -> np.ndarray:
     and j; then the j = i entries, n runs of n per i; then the n diagonal
     blocks (r = i), each contiguous. So the matrix is written once, in
     runs of n from a source that stays in cache, and only the j = i and
-    r = i entries, 2/n of it, a second time. At n = 60 the matrix is
-    104 MB, and that first write costs about what np.full does. Setting
-    the s = r entries one by one after a fill costs more (1.3x the time
-    of this order at n = 60): each lands in a cold cache line.
+    r = i entries, 2/n of it, a second time, for about the cost of np.full.
+    Setting the s = r entries one by one after a fill costs more, as each
+    lands in a cold cache line (BENCH_28.json layers_in_process_ms).
     """
     n = params.n
     if n > DENSE_KRON_LIMIT:

@@ -192,8 +192,8 @@ def run_ensemble(cfg: ExperimentConfig, threads: int = 1) -> EnsembleStats:
     threads is kept for callers and must be an integer >= 0, but the
     blocks run one after another whatever its value: both step bodies are
     chains of small numpy calls that hold the interpreter lock, and a
-    thread pool over blocks ran slower than one thread (0.78x at n = 20,
-    p = 0.25). The results are the same for every value.
+    thread pool over blocks ran slower than one thread (BENCH_10.json,
+    thread_speedup_over_blocks). The results are the same for every value.
 
     Any replication that fails to converge raises NonConvergenceError
     naming the failed indices: with p > 0 a non-converged run means a

@@ -23,6 +23,7 @@ variance from consensus_variance.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,8 @@ __all__ = [
     "slem",
 ]
 
-# Measured on a 2-CPU VM: the 2^15 sets at n = 16 take 11-17 ms and 14 MiB
-# (42 MiB peak in a fresh process); each further node about doubles both.
+# Enumeration walks 2^(n-1) sets, so each further node about doubles its
+# time and memory; n = 16 is in BENCH_13.json (enumeration_n16).
 ENUM_MAX_N = 16
 
 
@@ -137,7 +138,9 @@ def left_unit_eigenvector(m) -> EigenvectorEstimate:
     class, as a positive M has; with several the unit eigenvalue is
     not simple, and ValueError names their count, found on M's support
     graph before any solve. A system that is still singular, or a
-    solution with a negative entry, raises ValueError too.
+    solution with a negative entry, raises ValueError too. Rows of A whose
+    largest |entry| is subnormal, on which the solve errs, are first scaled
+    into the normal range by a power of 2, which is exact and keeps v.
     """
     m = _row_stochastic(m, 1)
     classes = _closed_classes(m)
@@ -147,6 +150,9 @@ def left_unit_eigenvector(m) -> EigenvectorEstimate:
     np.fill_diagonal(a, 0.0)
     np.fill_diagonal(a, -a.sum(axis=0))
     a[-1] = 1.0
+    peak = np.abs(a).max(axis=1)
+    if peak.min() < sys.float_info.min:
+        a = np.ldexp(a, np.where(peak < sys.float_info.min, -np.frexp(peak)[1], 0)[:, None])
     rhs = np.zeros(len(a))
     rhs[-1] = 1.0
     try:

@@ -128,38 +128,6 @@ class TestAnalytic:
         if argv[0] == "fig1":  # a sweep rebuilds x0 per n, so it never takes a vector
             assert "vector" not in err
 
-    @pytest.mark.parametrize("command", ["fig1", "fig2"])
-    @pytest.mark.parametrize("flag", ["--output", "--gnuplot"])
-    def test_bad_path_fails_before_the_table_is_built(self, capsys, monkeypatch, command, flag):
-        def never(*args, **kwargs):
-            raise AssertionError("the table was built")
-
-        monkeypatch.setattr(cli, "sweep_fixed_degree", never)
-        monkeypatch.setattr(cli, "factor_sweep", never)
-        argv = [command, "--c", "5", "--n-min", "5", "--n-max", "6", "--output", os.devnull]
-        code, out, err = run_cli(capsys, *argv, flag, BAD_PATH)  # the last --output wins
-        assert code == 2
-        assert out == ""
-        assert f"error: {flag}: " in err
-
-    @pytest.mark.parametrize("command", ["fig1", "fig2"])
-    @pytest.mark.parametrize("spelling", ["t.csv", "./t.csv"])
-    def test_gnuplot_over_the_output_fails_before_the_table_is_built(
-        self, capsys, monkeypatch, tmp_path, command, spelling
-    ):
-        def never(*args, **kwargs):
-            raise AssertionError("the table was built")
-
-        monkeypatch.setattr(cli, "sweep_fixed_degree", never)
-        monkeypatch.setattr(cli, "factor_sweep", never)
-        monkeypatch.chdir(tmp_path)
-        argv = [command, "--c", "5", "--n-min", "5", "--n-max", "7", "--output", "t.csv", "--gnuplot", spelling]
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert "error: --gnuplot: " in err
-        assert not (tmp_path / "t.csv").exists()
-
     @pytest.mark.parametrize("command", ["analytic", "simulate"])
     @pytest.mark.parametrize("x0", ["nan,1", "1,inf", "const:nan"])
     def test_non_finite_x0_is_a_usage_error(self, capsys, command, x0):
@@ -379,6 +347,7 @@ class TestFig1:
         assert len(lines) == 5
         assert lines[1] == "5,1.0,0.0,0.0,0.0"
         assert out.endswith("\n")
+        assert "\r" not in out
 
     def test_byte_identical_across_runs_and_threads(self, capsys):
         _, first, _ = run_cli(capsys, *self.ARGV)
@@ -403,19 +372,6 @@ class TestFig1:
             stderr=np.float64(1e-3), analytic_mean=0.5, empirical_mean=0.5, reps_used=10,
         )
         assert cli.render_fig1_csv([row]).splitlines()[1] == f"6,{5 / 6!r},0.1,0.25,0.001"
-
-    def test_output_file_and_gnuplot(self, capsys, tmp_path):
-        csv_path = tmp_path / "sweep.csv"
-        gp_path = tmp_path / "sweep.gp"
-        code, out, _ = run_cli(
-            capsys, *self.ARGV, "--output", str(csv_path), "--gnuplot", str(gp_path)
-        )
-        assert code == 0
-        assert out == ""
-        text = csv_path.read_bytes().decode()
-        assert text.startswith("n,p,analytic_variance")
-        assert "\r" not in text
-        assert str(csv_path) in gp_path.read_text()
 
     def test_gnuplot_requires_file_output(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, *self.ARGV, "--gnuplot", str(tmp_path / "x.gp"))

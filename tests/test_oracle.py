@@ -190,6 +190,13 @@ class TestLeftUnitEigenvector:
         assert np.max(np.abs(estimate.vector - [0.75, 0.25])) < 1e-15
         assert estimate.iterations == 1
 
+    @pytest.mark.parametrize("eps", [1e-300, 1e-310, 5e-324])
+    def test_three_cycle_with_subnormal_couplings(self, eps):
+        # The solve gave [0.25, 0.25, 0.5] at 1e-310 and [0.5, 0, 0.5] at 5e-324, with residual 0.0.
+        m = np.array([[1.0, eps, 0.0], [0.0, 1.0, eps], [eps, 0.0, 1.0]])
+        estimate = left_unit_eigenvector(m / m.sum(axis=1, keepdims=True))
+        assert np.allclose(estimate.vector, 1 / 3, rtol=1e-15, atol=0.0)
+
     @pytest.mark.parametrize(
         "m",
         [np.eye(3), np.kron(np.eye(2), np.full((2, 2), 0.5)),
