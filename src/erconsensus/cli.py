@@ -18,16 +18,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
-import time
-from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
 from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_TOL, NonConvergenceError, stream_layout
-from .graphs import GraphSeed, ModelParams
+from .graphs import _INT64_MAX, GraphSeed, ModelParams, _check_int
 from .montecarlo import (
     ExperimentConfig,
     _check_degree,
@@ -39,7 +36,7 @@ from .montecarlo import (
 from .moments import consensus_variance
 from .oracle import ENUM_MAX_N, oracle_report
 
-SCHEMA_VERSION = "11"
+SCHEMA_VERSION = "12"
 ORACLE_THRESHOLD = 1e-10
 
 EXIT_OK = 0
@@ -52,16 +49,6 @@ class UsageError(ValueError):
     """Invalid flag value; message names the offending flag."""
 
 
-def _timestamp() -> str:
-    # SOURCE_DATE_EPOCH makes output byte-reproducible when callers need it.
-    epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    try:
-        moment = int(epoch) if epoch else time.time()
-        return datetime.fromtimestamp(moment, tz=timezone.utc).isoformat()
-    except (ValueError, OverflowError, OSError):
-        raise UsageError(f"SOURCE_DATE_EPOCH must be Unix seconds, got {epoch!r}") from None
-
-
 def _record(args, params: dict, results: dict, seed=None) -> dict:
     versions = {"erconsensus": __version__, "numpy": np.__version__}
     return {
@@ -69,7 +56,7 @@ def _record(args, params: dict, results: dict, seed=None) -> dict:
         "command": args.command,
         "params": params,
         "results": results,
-        "provenance": {"seed": seed, "timestamp": args.timestamp, **versions},
+        "provenance": {"seed": seed, **versions},
     }
 
 
@@ -95,12 +82,17 @@ def _parse_x0(text: str, n: int):
         raise UsageError(f"--n {n} is too large: x0 needs {8 * n} bytes, which could not be allocated") from None
 
 
-def _check_table_flags(args) -> None:
-    """Range checks shared by the CSV commands, run before any work."""
+def _check_table_flags(args, degrees) -> None:
+    """Range checks shared by the CSV commands, run before any work; p = c / n is smallest at --n-max."""
     if args.n_min < 2:
         raise UsageError(f"--n-min must be >= 2, got {args.n_min}")
     if args.n_max < args.n_min:
         raise UsageError(f"--n-max must be >= --n-min, got {args.n_max} < {args.n_min}")
+    _check_int("n_max", args.n_max, 2, _INT64_MAX)
+    for c in map(_check_degree, degrees):
+        if c / args.n_max < sys.float_info.min:
+            raise ValueError(f"c must be >= {sys.float_info.min} x --n-max {args.n_max}, so that p = c / n "
+                             f"is not subnormal, got {c}")
 
 
 def cmd_analytic(args) -> int:
@@ -193,10 +185,10 @@ def render_fig2_csv(rows) -> str:
 
 
 def cmd_fig1(args) -> int:
-    _check_degree(args.c)
+    _check_table_flags(args, [args.c])
     if args.n_min < args.c:
         raise UsageError(f"--n-min must be >= --c, got n-min {args.n_min} < c {args.c}")
-    _check_table_flags(args)
+    resolve_x0(args.x0, args.n_max)  # the largest x0 of the sweep: a size too large to hold fails here
     rows = sweep_fixed_degree(
         c=args.c,
         n_range=range(args.n_min, args.n_max + 1),
@@ -216,7 +208,7 @@ def cmd_fig2(args) -> int:
         c_list = [float(part) for part in args.c.split(",")]
     except ValueError as exc:
         raise UsageError(f"--c must be comma-separated numbers, got {args.c!r}") from exc
-    _check_table_flags(args)
+    _check_table_flags(args, c_list)
     rows = factor_sweep(c_list, range(args.n_min, args.n_max + 1))
     sys.stdout.write(render_fig2_csv(rows))
     return EXIT_OK
@@ -335,7 +327,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        args.timestamp = _timestamp()
         return args.func(args)
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -345,6 +336,9 @@ def main(argv=None) -> int:
         name = str(exc).split(" ", 1)[0]
         flag = f"--{name.replace('_', '-')}: " if name in vars(args) else ""
         print(f"error: {flag}{exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a size below every cap can still be too large to hold
+        print(f"error: --{'n-max' if 'n_max' in vars(args) else 'n'}: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

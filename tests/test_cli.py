@@ -117,6 +117,11 @@ class TestAnalytic:
             *[([command, "--n", str(10**18), "--p", "0.5"], f"error: --n {10**18} is too large: x0 needs {8 * 10**18}")
               for command in ("analytic", "simulate")],
             (["fig2", "--c", "5", "--n-min", "6", "--n-max", "5"], "--n-max"),
+            # p = c / n is subnormal at --n-max, and p is no flag of either command.
+            (["fig1", "--c", "1e-310", "--n-min", "2", "--n-max", "3", "--reps", "5"], "error: --c: "),
+            (["fig2", "--c", "5,1e-320", "--n-min", "5", "--n-max", "6"], "error: --c: "),
+            # Past int64, x0 at --n-max (resolved before the sweep) would fail in numpy, naming no flag.
+            (["fig1", "--c", "5", "--n-min", "5", "--n-max", str(10**20)], "error: --n-max: n_max must be <= "),
         ],
     )
     def test_usage_errors_name_the_flag(self, capsys, argv, needle):
@@ -153,31 +158,30 @@ class TestAnalytic:
         assert code == 0
         assert err == ""
 
-    @pytest.mark.parametrize(
-        "module,epoch",
-        [pytest.param(module, epoch, id=epoch if module == "erconsensus.cli" else f"{module}-{epoch}")
-         for module in ("erconsensus.cli", "erconsensus") for epoch in ("abc", "1e9", "9" * 20)],
-    )
-    def test_bad_source_date_epoch_names_the_variable(self, src_env, module, epoch):
-        # Both entry points: the cli module itself and the package's __main__.
-        env = dict(src_env, SOURCE_DATE_EPOCH=epoch)
-        argv = [sys.executable, "-m", module, "analytic", "--n", "3", "--p", "0.5"]
-        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
-        assert done.returncode == 2
-        assert done.stdout == ""
-        assert "SOURCE_DATE_EPOCH" in done.stderr
-        assert "Traceback" not in done.stderr
-
-    def test_bad_source_date_epoch_fails_before_the_run(self, capsys, monkeypatch):
+    def test_out_of_memory_in_fig1_names_n_max_before_any_run(self, capsys, monkeypatch):
+        # x0 at --n-max is the sweep's largest array; 10**15 floats fail at malloc, past the address space.
         def never(*args, **kwargs):
-            raise AssertionError("the ensemble ran")
+            raise AssertionError("an ensemble ran")
 
-        monkeypatch.setattr(cli, "run_ensemble", never)
-        monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
+        monkeypatch.setattr(montecarlo, "run_ensemble", never)
+        code, out, err = run_cli(capsys, "fig1", "--c", "5", "--n-min", "5", "--n-max", str(10**15), "--reps", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --n-max: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_out_of_memory_in_a_run_names_n(self, capsys, monkeypatch):
+        def too_large(size, n):
+            raise MemoryError(f"Unable to allocate an array with shape ({size}, {n}, {n})")
+
+        monkeypatch.setattr(dynamics, "_dense_workspace", too_large)
         code, out, err = run_cli(capsys, "simulate", "--n", "20", "--p", "0.25")
         assert code == 2
         assert out == ""
-        assert "SOURCE_DATE_EPOCH" in err
+        assert err.startswith("error: --n: out of memory: Unable to allocate an array with shape (")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_json_never_carries_nan(self):
         stream = io.StringIO()
@@ -294,7 +298,7 @@ class TestSimulate:
         argv = ["simulate", "--n", n, "--p", p, "--x0", "ramp", "--reps", "5", "--seed", "2"]
         code, record, _ = run_json(capsys, *argv)
         assert code == 0
-        assert record["schema_version"] == "11"
+        assert record["schema_version"] == "12"
         assert record["provenance"]["stream"] == stream
 
     def test_provenance_names_numpy_and_the_bit_generator(self, capsys):
@@ -413,8 +417,38 @@ class TestParser:
         assert done.stdout.strip() == "0"
 
 
+class TestEntryPoints:
+    """python -m erconsensus and python -m erconsensus.cli: the same argv prints the same bytes."""
+
+    MODULES = ["erconsensus", "erconsensus.cli"]
+
+    @staticmethod
+    def run(src_env, module, *argv):
+        # SOURCE_DATE_EPOCH, the reproducible-builds override of a clock, must change nothing:
+        # records hold no clock reading.
+        env = dict(src_env, SOURCE_DATE_EPOCH="abc")
+        argv = [sys.executable, "-m", module, *argv]
+        return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+
+    def test_same_argv_same_bytes(self, src_env):
+        argv = ["analytic", "--n", "3", "--p", "0.5"]
+        runs = [self.run(src_env, module, *argv) for module in self.MODULES for _ in range(2)]
+        assert [done.returncode for done in runs] == [0, 0, 0, 0], runs[0].stderr
+        assert len({done.stdout for done in runs}) == 1
+        assert json.loads(runs[0].stdout)["schema_version"] == cli.SCHEMA_VERSION
+        assert "timestamp" not in runs[0].stdout
+
+    @pytest.mark.parametrize("module", MODULES)
+    def test_usage_error_names_the_flag(self, src_env, module):
+        done = self.run(src_env, module, "analytic", "--n", "1", "--p", "0.5")
+        assert done.returncode == 2
+        assert "error: --n:" in done.stderr
+        assert done.stdout == ""
+        assert "Traceback" not in done.stderr
+
+
 class TestStreamContract:
-    """Golden digests of seeded output on the "dense-word-gap-block" and "sparse-block" stream layouts (schema "11").
+    """Golden digests of seeded output on the "dense-word-gap-block" and "sparse-block" stream layouts (schema "12").
 
     Any change to how replications consume their random streams (draw
     order, draws per step, seeding) changes these bytes; such a change
