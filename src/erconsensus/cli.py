@@ -36,7 +36,7 @@ from .montecarlo import (
 from .moments import consensus_variance
 from .oracle import ENUM_MAX_N, oracle_report
 
-SCHEMA_VERSION = "12"
+SCHEMA_VERSION = "13"
 ORACLE_THRESHOLD = 1e-10
 
 EXIT_OK = 0

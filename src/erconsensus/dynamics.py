@@ -55,23 +55,28 @@ from the generator, so its name is the stream layout:
   [x, 1] and product stacks are one workspace per block, sized to one
   piece or the block, whichever holds fewer replications, and reused by
   every piece and step.
-- "sparse-block": a piece holds up to _SPARSE_NUMBERS numbers, a
-  replication counting its state plus its expected edges. The n(n - 1)
-  edge slots (i, j), i != j, of a piece's replications, row after row,
-  are the next stretch of one Bernoulli(p) sequence, whose edges are
-  found by geometric gaps ceil(E / -log1p(-p)), E standard exponential
-  (Batagelj & Brandes, Phys. Rev. E 71, 036113, 2005). The update
+- "sparse-cyclic-block": a piece holds up to _SPARSE_NUMBERS numbers, a
+  replication counting its state plus its expected edges. Row i of a
+  replication has n - 1 edge slots, and slot c names column
+  (i + 1 + c) mod n: the columns run on cyclically from i + 1 and skip i.
+  The slots of a piece's replications, row after row, are the next
+  stretch of one Bernoulli(p) sequence, whose edges are found by
+  geometric gaps ceil(E / -log1p(-p)), E standard exponential (Batagelj
+  & Brandes, Phys. Rev. E 71, 036113, 2005). The update
   x <- (x + bincount(rows, x[cols])) / (deg + 1) costs O(n + edges) per
-  replication and builds no n x n array.
+  replication and builds no n x n array. A piece copies its states twice
+  into a (piece, 2 n) buffer, one per block, so each column is a fixed
+  offset from its slot's position, one table entry per row.
 
 Edge or field points drawn past a piece carry into the next, and each
 dense replication reads whole words of its own, so the piece size
 changes no outcome: a dense run equals the loop that takes ceil(n^2 / 8)
 raw words per replication and step, adds the field's points one gap at
 a time and applies the weights above, a sparse run the loop that draws
-one gap at a time, bit for bit, from the generator's initial state. Raw
-words and gaps are drawn in batches, so the generators may be left
-advanced past the stopping step: give every run a fresh one.
+one gap at a time and reads slot c of row i as column (i + 1 + c) mod n,
+bit for bit, from the generator's initial state. Raw words and gaps are
+drawn in batches, so the generators may be left advanced past the
+stopping step: give every run a fresh one.
 """
 
 from __future__ import annotations
@@ -109,6 +114,11 @@ _SPARSE_NUMBERS = 2**14
 # outcome. The sparse body draws per piece: its pending positions are
 # rewritten on every piece, and a longer array would cost per edge.
 _FIELD_AHEAD = 8
+
+# A standard exponential draw of numpy's ziggurat is below 45: its tail
+# adds -log1p(-U) <= 53 log 2 to r < 7.7. So at rates -log1p(-p) above
+# 1000 / 2**62 (p above about 2.2e-16) no gap reaches the 2**62 cap.
+_CAP_RATE = 1000.0 / 2.0**62
 
 
 class NonConvergenceError(RuntimeError):
@@ -155,16 +165,17 @@ def _start(x0: np.ndarray) -> tuple[float, np.ndarray, float]:
 
 
 def stream_layout(params: ModelParams) -> str:
-    """The step body of a block at params, "sparse-block" at p <= 0.09, else "dense-word-gap-block".
+    """The step body of a block at params, "sparse-cyclic-block" at p <= 0.09, else "dense-word-gap-block".
 
     The name is the block's stream layout (see the module docstring). The
     dense body costs a few ns per slot, and the sparse body pays per edge;
-    BENCH_25.json (body_cut) times the two either side of the cut. Their
-    crossover lies between p = 0.05 and 0.08, but moving the cut changes
-    the stream of the ensembles in between. The cut stays below p = 1/3,
+    BENCH_34.json (body_cut) times the two either side of the cut. The
+    sparse body is the faster at p = 0.05 and the dense one at p = 0.08 and
+    0.09, for n = 10...400, so their crossover lies between p = 0.05 and
+    0.08, but moving the cut changes the stream of the ensembles in between. The cut stays below p = 1/3,
     where the gap law matches numpy's geometric variates.
     """
-    return "sparse-block" if params.p <= 0.09 else "dense-word-gap-block"
+    return "sparse-cyclic-block" if params.p <= 0.09 else "dense-word-gap-block"
 
 
 def _edges(slots: int, p: float, pending: np.ndarray, rng: np.random.Generator, ahead: int = 1):
@@ -174,10 +185,13 @@ def _edges(slots: int, p: float, pending: np.ndarray, rng: np.random.Generator, 
     from its end (empty at the start of a sequence). The gaps follow the
     law of the module docstring, which numpy's rng.geometric(p) also
     inverts for p < 1/3, so the two agree bit for bit there. p = 1 draws
-    nothing (every slot holds an edge), and gaps are capped at 2**62
-    before the int64 cast (at p = 1e-20 one is about 1e20); no run
-    reaches that far. Gaps are drawn in batches sized to cover `ahead`
-    stretches of this length; the batch sizes change no position.
+    nothing (every slot holds an edge). At rates -log1p(-p) up to
+    _CAP_RATE, gaps are capped at 2**62 before the int64 cast (at
+    p = 1e-20 one is about 1e20); no run reaches that far. Above it no gap
+    can reach the cap, which is then skipped. The last position is added
+    to the first gap before the running sum. Gaps are drawn in batches
+    sized to cover `ahead` stretches of this length; the batch sizes
+    change no position.
 
     Returns the sorted positions in [0, slots) and the new pending. The
     positions are a view that this function does not read again, so the
@@ -197,36 +211,55 @@ def _edges(slots: int, p: float, pending: np.ndarray, rng: np.random.Generator, 
         if p == 1.0:
             gaps[:] = 1
         else:
+            rate = -math.log1p(-p)
             draws = rng.standard_exponential(m)
-            np.divide(draws, -math.log1p(-p), out=draws)
+            np.divide(draws, rate, out=draws)
             np.ceil(draws, out=draws)
-            gaps[:] = np.minimum(draws, 2.0**62, out=draws)
+            if rate <= _CAP_RATE:
+                np.minimum(draws, 2.0**62, out=draws)
+            gaps[:] = draws
+        gaps[0] += last
         np.cumsum(gaps, out=gaps)
-        gaps += last
         pos, last = grown, int(grown[-1])
     cut = pos.searchsorted(slots)
     return pos[:cut], pos[cut:] - slots
 
 
-def _sparse_step(x: np.ndarray, out: np.ndarray, p: float, pending: np.ndarray, rng) -> np.ndarray:
-    """One sparse step of the (A, n) states x into out; returns the new pending.
+def _sparse_workspace(size: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sparse body's arrays for pieces of up to `size` replications of n nodes.
 
-    The slots of row i of replication a are the n - 1 columns j != i, so
-    slot position s of the piece is row s // (n - 1) = a n + i of the
-    stacked (A n, n) adjacency and column s % (n - 1), with i skipped.
-    (Integer division by a scalar is fast in numpy, remainders are not.)
-    The flat state indices overwrite the positions, so a piece holds two
-    edge-length index arrays and the gathered neighbor states.
+    The offsets base[r] = (r // n) n + 1 - r (n - 2) of the piece's rows
+    r = a n + i, and the (size, 2 n) buffer into which _sparse_step copies
+    each replication's states twice. Column (i + 1 + c) mod n of row i is
+    entry i + 1 + c of row a of the buffer, whose flat index is slot
+    position s = r (n - 1) + c plus base[r].
+    """
+    r = np.arange(size * n)
+    return r // n * n + 1 - r * (n - 2), np.empty((size, 2 * n))
+
+
+def _sparse_step(x: np.ndarray, out: np.ndarray, p: float, pending: np.ndarray, rng, work) -> np.ndarray:
+    """One sparse step of the (A, n) states x into out, in the workspace work; returns the new pending.
+
+    Slot position s of the piece is row r = s // (n - 1) = a n + i of the
+    stacked (A n, n) adjacency, and its slot c = s - r (n - 1) names
+    column (i + 1 + c) mod n (see the module docstring). (Integer division
+    by a scalar is fast in numpy, remainders are not.) The states are
+    copied twice into the buffer of work, so that column is the buffer
+    entry at flat index s + base[r], one gather and one add over the
+    edges, which overwrite the positions in place. A holds at most the
+    workspace's replications. x is not written.
     """
     rows, n = x.size, x.shape[1]
+    base, twice = work
     col, pending = _edges(rows * (n - 1), p, pending, rng)
     row = col // (n - 1)
-    col -= row * (n - 1)  # the column j, i skipped, in place of the position
-    col += row // n * n  # plus the flat offset a n of the replication's state
-    col += col >= row  # j + a n >= a n + i: step over the diagonal
-    flat = x.reshape(-1)
-    sums = np.bincount(row, flat[col], minlength=rows)
-    np.multiply(flat + sums, 1.0 / (np.bincount(row, minlength=rows) + 1.0), out=out.reshape(-1))
+    col += base[row]
+    twice = twice[: len(x)]
+    twice[:, :n] = x
+    twice[:, n:] = x
+    sums = np.bincount(row, twice.reshape(-1)[col], minlength=rows)
+    np.multiply(x.reshape(-1) + sums, 1.0 / (np.bincount(row, minlength=rows) + 1.0), out=out.reshape(-1))
     return pending
 
 
@@ -320,10 +353,10 @@ def run_block(
     if threshold == 0.0:  # no norm could fall below it
         values[:], steps[:] = min(max(centre, x.min()), x.max()), 0
         return values, steps, dispersions
-    sparse = stream_layout(params) == "sparse-block"
+    sparse = stream_layout(params) == "sparse-cyclic-block"
     if sparse:
         piece = max(1, _SPARSE_NUMBERS // (n + math.ceil(p * n * (n - 1))))
-        body = functools.partial(_sparse_step, p=p, rng=rng)
+        body = functools.partial(_sparse_step, p=p, rng=rng, work=_sparse_workspace(min(piece, reps), n))
     else:
         piece = max(1, _DENSE_SLOTS // (n * n))
         raw = rng.bit_generator.random_raw

@@ -53,9 +53,10 @@ def resolve_x0(spec, n: int) -> np.ndarray:
             spec = np.arange(1, n + 1) / n
         elif spec.startswith("const:"):
             try:
-                spec = np.full(n, float(spec[len("const:"):]))
+                value = float(spec[len("const:"):])
             except ValueError:
                 raise ValueError(f"x0 constant must be a number, got {spec!r}") from None
+            spec = np.full(n, value)
         else:
             raise ValueError(f"x0 rule {spec!r} is unknown; expected 'ramp' or 'const:<v>'")
     return _check_x0(spec, n)

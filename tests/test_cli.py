@@ -293,12 +293,14 @@ class TestSimulate:
         assert code == 3
         assert "converge" in err
 
-    @pytest.mark.parametrize("n,p,stream", [("20", "0.25", "dense-word-gap-block"), ("200", "0.025", "sparse-block")])
+    @pytest.mark.parametrize(
+        "n,p,stream", [("20", "0.25", "dense-word-gap-block"), ("200", "0.025", "sparse-cyclic-block")]
+    )
     def test_provenance_names_the_stream(self, capsys, n, p, stream):
         argv = ["simulate", "--n", n, "--p", p, "--x0", "ramp", "--reps", "5", "--seed", "2"]
         code, record, _ = run_json(capsys, *argv)
         assert code == 0
-        assert record["schema_version"] == "12"
+        assert record["schema_version"] == "13"
         assert record["provenance"]["stream"] == stream
 
     def test_provenance_names_numpy_and_the_bit_generator(self, capsys):
@@ -448,7 +450,7 @@ class TestEntryPoints:
 
 
 class TestStreamContract:
-    """Golden digests of seeded output on the "dense-word-gap-block" and "sparse-block" stream layouts (schema "12").
+    """Golden digests of seeded output on the "dense-word-gap-block" and "sparse-cyclic-block" layouts (schema "13").
 
     Any change to how replications consume their random streams (draw
     order, draws per step, seeding) changes these bytes; such a change
@@ -469,14 +471,41 @@ class TestStreamContract:
         digest = hashlib.sha256(json.dumps(record["results"], sort_keys=True).encode()).hexdigest()
         assert digest == "a79f55fc66d387e9d2adb9972ab01415e2d9e14812b72786ecb57b466f4d66f8"
 
+    SPARSE_ARGV = ["simulate", "--n", "200", "--p", "0.02", "--x0", "ramp", "--reps", "200", "--seed", "5"]
+    SPARSE_DIGEST = "d18ef844cbdf6b50fadb9043f1e20c979c4580a7fb17aa705fdd360417424bec"
+
     def test_simulate_sparse_results(self, capsys):
         # p = 0.02 runs the sparse body; the two digests above run the dense one.
-        argv = ["simulate", "--n", "200", "--p", "0.02", "--x0", "ramp", "--reps", "200", "--seed", "5"]
-        code, record, _ = run_json(capsys, *argv)
+        code, record, _ = run_json(capsys, *self.SPARSE_ARGV)
         assert code == 0
-        assert record["provenance"]["stream"] == "sparse-block"
+        assert record["provenance"]["stream"] == "sparse-cyclic-block"
         digest = hashlib.sha256(json.dumps(record["results"], sort_keys=True).encode()).hexdigest()
-        assert digest == "18d05e24c1c4e77978f52d4f8d7de2b27de3894c77e126244a3171c424daa4ed"
+        assert digest == self.SPARSE_DIGEST
+
+    @pytest.mark.parametrize(
+        "env",
+        [{"OPENBLAS_CORETYPE": "Haswell"}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}],
+        ids=["openblas-haswell", "numpy-without-avx512"],
+    )
+    def test_sparse_stream_under_other_kernels(self, capsys, src_env, env):
+        # The sparse step calls no BLAS and no SIMD-dispatched transcendental, so with
+        # numpy's AVX-512 loops off the record is the same bytes as this process's, which
+        # test_simulate_sparse_results pins. Under the Haswell kernel the stop's BLAS row
+        # sums give the same bits too, so the replications are the same: the same mean,
+        # steps and stop share. run_ensemble's sum of squares is a BLAS dot whose last bit
+        # follows the kernel, so the variance fields need only agree to rounding there.
+        _, ours, _ = run_json(capsys, *self.SPARSE_ARGV)
+        argv = [sys.executable, "-m", "erconsensus", *self.SPARSE_ARGV]
+        done = subprocess.run(argv, env=dict(src_env, **env), capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        theirs = json.loads(done.stdout)
+        assert theirs["provenance"] == ours["provenance"]  # stream, steps_mean, steps_max and stop_share among them
+        if "OPENBLAS_CORETYPE" in env:
+            for key, value in ours["results"].items():
+                assert theirs["results"][key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+            assert theirs["results"]["empirical_mean"] == ours["results"]["empirical_mean"]
+        else:
+            assert theirs["results"] == ours["results"]
 
     def test_readme_names_the_schema_and_every_layout(self):
         # README states them by hand, so a schema bump, a new default tol or a renamed layout must reach it too.

@@ -25,7 +25,7 @@ from erconsensus.montecarlo import ExperimentConfig, run_ensemble
 # budgets around it stay as boundary cases of the per-step engine.
 FIRST_CHUNK = 8
 
-DENSE, SPARSE = "dense-word-gap-block", "sparse-block"
+DENSE, SPARSE = "dense-word-gap-block", "sparse-cyclic-block"
 
 
 def _named(cases):
@@ -96,11 +96,13 @@ def _dense_literal(n, p, rng):
 def _sparse_literal(n, p, rng):
     """The sparse body spelled out one replication at a time: returns step(x), the next W x in stream order.
 
-    The edge slots (i, j), i != j, of successive calls form one
-    Bernoulli(p) sequence, call after call and row after row; the next
-    edge is found by adding one gap to the last, drawn by the package's
-    gap law ceil(E / -log1p(-p)), E standard exponential (at p = 1 every
-    gap is 1 and nothing is drawn). Then x <- (x + neighbor sums) / (d + 1).
+    The edge slots of successive calls form one Bernoulli(p) sequence,
+    call after call and row after row, n - 1 slots per row; slot c of row
+    i names column (i + 1 + c) mod n, so the row's own node is skipped.
+    The next edge is found by adding one gap to the last, drawn by the
+    package's gap law ceil(E / -log1p(-p)), E standard exponential (at
+    p = 1 every gap is 1 and nothing is drawn). Then
+    x <- (x + neighbor sums) / (d + 1).
     """
     slots = n * (n - 1)
 
@@ -115,7 +117,7 @@ def _sparse_literal(n, p, rng):
         while edge < slots:
             i, j = divmod(edge, n - 1)
             rows.append(i)
-            cols.append(j + (j >= i))
+            cols.append((i + 1 + j) % n)
             edge += gap()
         edge -= slots
         rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
@@ -852,6 +854,52 @@ class TestSparseSteps:
         assert steps == 50
         assert dispersion == _dispersions((_ramp(60) - _ramp(60).mean())[None])[0]  # no edge drawn: S(x0)
 
+    # The (row i, column) of slot c of each row at n = 4, by hand: row i names i + 1, i + 2, i + 3 mod 4.
+    SLOTS_AT_4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 0), (2, 3), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_each_slot_names_its_cyclic_column(self, monkeypatch, size):
+        # Two replications of n = 4, in a workspace sized to them or to one more. Each
+        # state is a distinct power of 2, so an edge's average (x_r + x_j) / 2 is exact
+        # and names j. Rows 1, 2 and 3 wrap from column 3 to 0; row 0 does not.
+        n, reps = 4, 2
+        x = 2.0 ** np.arange(reps * n).reshape(reps, n)
+        work = dynamics._sparse_workspace(size, n)
+        for s in range(reps * n * (n - 1)):
+            monkeypatch.setattr(dynamics, "_edges", lambda slots, p, pending, rng: (np.array([s]), pending))
+            out = np.empty_like(x)
+            dynamics._sparse_step(x, out, 0.5, np.empty(0, dtype=np.int64), None, work)
+            a, (i, j) = s // 12, self.SLOTS_AT_4[s % 12]
+            changed = np.flatnonzero(out.reshape(-1) != x.reshape(-1))
+            assert changed.tolist() == [a * n + i]
+            assert 2.0 * out[a, i] - x[a, i] == x[a, j]
+
+    def test_a_piece_with_no_edge_keeps_its_states(self, monkeypatch):
+        x, out = _ramp(5)[None].repeat(3, axis=0), np.empty((3, 5))
+        monkeypatch.setattr(dynamics, "_edges", lambda slots, p, pending, rng: (pending[:0], pending - slots))
+        pending = dynamics._sparse_step(x, out, 0.01, np.array([70, 90]), None, dynamics._sparse_workspace(3, 5))
+        assert np.array_equal(out, x)
+        assert pending.tolist() == [10, 30]
+
+    @pytest.mark.parametrize("p", [1e-14, 1e-15, 2.2e-16, 1e-17])
+    def test_skipping_the_gap_cap_changes_no_position(self, monkeypatch, p):
+        # The cap at 2**62 binds only below _CAP_RATE; above it, skipping the cap is the same
+        # as applying it. Stretches in units of 1 / p, so each holds a few points or none.
+        mixes = [((0.001, 3, 0.5, 4, 1), 1), ((2, 0.01, 3), 8), ((4,) * 4, 1), ((0.2, 0.2, 0.2, 1), 8)]
+        runs = []
+        for cap_rate in (dynamics._CAP_RATE, math.inf, 0.0):  # the default, the cap forced on and skipped
+            monkeypatch.setattr(dynamics, "_CAP_RATE", cap_rate)
+            rng, parts = GraphSeed(6).generator(), []
+            for stretches, ahead in mixes:
+                pending = np.empty(0, dtype=np.int64)
+                for k in stretches:
+                    positions, pending = _edges(int(k / p), p, pending, rng, ahead)
+                    parts += [positions.copy(), pending.copy()]
+            runs.append(parts)
+        assert sum(part.size for part in runs[0]) > 10
+        for forced in runs[1:]:
+            assert all(np.array_equal(ours, theirs) for ours, theirs in zip(runs[0], forced))
+
     @pytest.mark.parametrize("p", [1e-12, 0.003, 0.05, 0.3])
     def test_drawing_ahead_does_not_change_the_edges(self, p):
         # The dense body's remainder field draws its batches _FIELD_AHEAD stretches ahead.
@@ -882,16 +930,15 @@ class TestSparseSteps:
 def _sparse_adjacency(n, p, seed, steps, chunk):
     """Adjacency of `steps` sparse draws, stacked as (steps, n, n), drawn `chunk` steps at a time.
 
-    Slot position s of a stretch is row s // (n - 1) of the stacked
-    adjacency and column s % (n - 1), with the row's own node skipped.
+    Slot position s of a stretch is row r = s // (n - 1) of the stacked
+    adjacency, node i = r % n, and column (i + 1 + s % (n - 1)) % n.
     """
     rng, pending = GraphSeed(seed).generator(), np.empty(0, dtype=np.int64)
     adj = np.zeros((steps, n, n), dtype=bool)
     for start in range(0, steps, chunk):
         positions, pending = _edges(chunk * n * (n - 1), p, pending, rng)
-        row, j = np.divmod(positions, n - 1)
-        j += j >= row % n
-        adj.reshape(steps * n, n)[start * n + row, j] = True
+        row, c = np.divmod(positions, n - 1)
+        adj.reshape(steps * n, n)[start * n + row, (row % n + 1 + c) % n] = True
     return adj
 
 

@@ -43,6 +43,15 @@ class TestResolveX0:
         with pytest.raises(ValueError, match="^x0 constant must be a number"):
             resolve_x0("const:abc", 3)
 
+    @pytest.mark.parametrize("n", [10**19, 2**62])
+    def test_a_size_numpy_refuses_is_reported_as_itself(self, n):
+        # numpy refuses both sizes before it allocates anything: past int64, and 2**65 bytes.
+        with pytest.raises(ValueError) as refused:
+            np.full(n, 1.0)
+        with pytest.raises(ValueError) as ours:
+            resolve_x0("const:1", n)
+        assert str(ours.value) == str(refused.value)
+
     @pytest.mark.parametrize("spec", ["const:nan", "const:-inf", [0.0, np.inf, 1.0]])
     def test_rejects_non_finite(self, spec):
         with pytest.raises(ValueError, match="finite"):
@@ -354,14 +363,14 @@ class TestDenseBlocks:
 
 
 class TestSparseBlocks:
-    """Ensembles of the sparse-block layout, against the dense body and the closed form."""
+    """Ensembles of the sparse-cyclic-block layout, against the dense body and the closed form."""
 
     def test_forced_sparse_body_matches_dense_body(self, monkeypatch):
         # Replication count and seed were fixed before the first run.
         reps, params = 2000, ModelParams(20, 0.25)
         cfg = ExperimentConfig(params=params, x0_spec="ramp", reps=reps, seed=GraphSeed(2027, stream=20))
         dense = run_ensemble(cfg)
-        monkeypatch.setattr(dynamics, "stream_layout", lambda params: "sparse-block")
+        monkeypatch.setattr(dynamics, "stream_layout", lambda params: "sparse-cyclic-block")
         sparse = run_ensemble(cfg)
         assert abs(sparse.variance - dense.variance) <= 4.0 * math.hypot(sparse.stderr_variance, dense.stderr_variance)
         assert abs(sparse.mean - dense.mean) <= 4.0 * math.sqrt((sparse.variance + dense.variance) / reps)
@@ -377,7 +386,7 @@ class TestSparseBlocks:
         reps, variances = 600, []
         for n in (500, 1000):
             params = ModelParams(n, 5.0 / n)
-            assert stream_layout(params) == "sparse-block"
+            assert stream_layout(params) == "sparse-cyclic-block"
             cfg = ExperimentConfig(params=params, x0_spec="ramp", reps=reps, seed=GraphSeed(2027, stream=n), tol=1e-6)
             variances.append(run_ensemble(cfg).variance)
         assert 0.35 <= variances[1] / variances[0] <= 0.65
